@@ -157,7 +157,8 @@ def _cmd_disc(cfg: RunConfig) -> int:
         systems = tuple(numeration.make_system(m, count) for m in ms)
         pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), count)
         report = discrepancy.star_disc_multi(pts)
-        payload = {"method": report.method, "N": count, "s": len(ms), "value": report.value}
+        payload = {"method": report.method, "N": count, "s": len(ms), "value": report.value,
+                   "exact": report.exact}
     elif variant == "fit":
         ms = cfg.parameters["ms"]
         lo, hi = cfg.parameters["min_exp"], cfg.parameters["max_exp"]
@@ -168,8 +169,14 @@ def _cmd_disc(cfg: RunConfig) -> int:
             n = 2 ** e
             if len(ms) == 1:
                 samples.append((n, discrepancy.star_disc_1d(pts[:n, 0])))
-            else:
-                samples.append((n, discrepancy.star_disc_multi(pts[:n]).value))
+                continue
+            report = discrepancy.star_disc_multi(pts[:n])
+            if not report.exact:
+                raise ValueError(
+                    f"N = {n} gives only a {report.method}, not an exact value; "
+                    f"lower --max-exp to fit exact discrepancies"
+                )
+            samples.append((n, report.value))
         exponent, _, r2 = discrepancy.decay_fit(samples)
         payload = {
             "method": "decay_fit",
@@ -178,17 +185,19 @@ def _cmd_disc(cfg: RunConfig) -> int:
             "value": samples[-1][1],
             "exponent": exponent,
             "r2": r2,
+            "exact": True,
         }
     else:  # file
         with open(cfg.parameters["input"]) as fh:
             pts = discrepancy.load_points_csv(fh)
         if pts.shape[1] == 1:
             value = discrepancy.star_disc_1d(pts[:, 0])
-            method = "exact1d"
+            method, exact = "exact1d", True
         else:
             report = discrepancy.star_disc_multi(pts)
-            value, method = report.value, report.method
-        payload = {"method": method, "N": len(pts), "s": pts.shape[1], "value": value}
+            value, method, exact = report.value, report.method, report.exact
+        payload = {"method": method, "N": len(pts), "s": pts.shape[1], "value": value,
+                   "exact": exact}
     payload["wall_seconds"] = round(time.perf_counter() - start, 6)
     _emit_json(cfg, payload)
     return 0

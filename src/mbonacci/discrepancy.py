@@ -9,19 +9,28 @@ corners: approaching a corner from below compares the box volume against
 the strictly-inside count, approaching from above compares the closed
 count against the volume.  Enumerating both variants over all corners is
 therefore exact.
+
+On that grid the counts are cumulative sums of a histogram of the point
+ranks (Dobkin, Eppstein and Mitchell, ACM TOG 1996).  One sweep serves
+every s >= 2: it walks axis 0 in rank order and carries the cumulative
+count plane over the other axes, so it costs O(prod_j len(cands_j)) with
+a few vectorised operations per corner cell, holding temporaries of at
+most about 2^15 cells at a time.  `max_exact_ops` bounds that cell count;
+past it the same sweep runs on a subsampled grid and gives a lower bound.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import repeat
+from math import prod
 
 import numpy as np
 
 from mbonacci.rauzy import FractalCloud
 
-DEFAULT_MAX_EXACT_OPS = int(1e10)
+DEFAULT_MAX_EXACT_OPS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -40,73 +49,91 @@ def star_disc_1d(points) -> float:
     n = x.size
     if n == 0:
         raise ValueError("empty point set")
-    if x[0] < 0.0 or x[-1] >= 1.0:
+    if not np.all((x >= 0.0) & (x < 1.0)):
         raise ValueError("points must lie in [0, 1)")
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(max(np.max(i / n - x), np.max(x - (i - 1) / n)))
 
 
-def _exact_2d(points: np.ndarray) -> float:
-    """Sweep over x-corners maintaining the sorted y-prefix; exact."""
+_CHUNK_CELLS = 1 << 15
+
+
+def _count_blocks(points, cands, side, rows):
+    """Cumulative counts on the rank grid, ``rows`` axis-0 indices at a time.
+
+    A point's rank on axis j is ``searchsorted(cands[j], x_j, side)``.  With
+    side "left" the point lies in the closed box of every corner whose index
+    is at least its rank on each axis; with side "right", in the open box.
+    Every axis of a yielded block has one leading slot: for the block
+    starting at axis-0 index ``a``, ``block[1 + i, 1 + r]`` is the number of
+    points whose rank is at most ``(a + i, r)`` componentwise, ``block[0]``
+    is the same plane for index ``a - 1``, and the other leading slots read
+    0.  The candidates end at 1.0, so every rank is in range.  Counts are
+    exact integers held as float64.  The same buffer is yielded for every
+    block and is overwritten by the next one.
+    """
+    plane_shape = tuple(len(c) + 1 for c in cands[1:])
+    plane = prod(plane_shape)
+    ranks = [np.searchsorted(c, points[:, j], side=side) for j, c in enumerate(cands)]
+    keys = np.sort(np.ravel_multi_index(
+        [ranks[0]] + [r + 1 for r in ranks[1:]], (len(cands[0]),) + plane_shape))
+    counts = np.zeros((rows + 1,) + plane_shape)
+    for a in range(0, len(cands[0]), rows):
+        b = min(a + rows, len(cands[0]))
+        counts[0] = counts[rows]  # the previous block's last plane, 0 at first
+        counts[1:] = 0.0
+        lo, hi = np.searchsorted(keys, (a * plane, b * plane))
+        np.add.at(counts.reshape(-1), keys[lo:hi] - (a - 1) * plane, 1.0)
+        block = counts[:b - a + 1]
+        new_rows = block[1:]
+        for axis in range(1, len(cands)):
+            np.cumsum(new_rows, axis=axis, out=new_rows)
+        # few long rows: adding row by row beats cumsum's short strided loops
+        for i in range(1, len(block)):
+            block[i] += block[i - 1]
+        yield block
+
+
+def _window(slab, shift):
+    """The corner cells of a slab that has one extra leading slot on every
+    axis: shift 1 reads each corner's own count, shift 0 the count one rank
+    lower on every axis."""
+    return slab[tuple(slice(shift, shift + size - 1) for size in slab.shape)]
+
+
+def _corner_sweep(points: np.ndarray, cands: list[np.ndarray], full_grid: bool) -> float:
+    """max over corners c of max(closed(c)/n - vol(c), vol(c) - open(c)/n).
+
+    Walks axis 0 in rank order in blocks of axis-0 indices, keeping the
+    cumulative count plane over the other axes, and evaluates each block
+    in slabs along axis 1 of at most about _CHUNK_CELLS corners, which
+    bounds the temporaries.  On the full grid, where every coordinate is a candidate, the
+    open count at rank (a, b, ...) is the closed count at (a-1, b-1, ...);
+    on a subsampled grid it is counted from ``side="right"`` ranks.
+    Volumes are multiplied left to right, as the brute-force oracle does.
+    """
     n = len(points)
-    order = np.argsort(points[:, 0], kind="stable")
-    xs = points[order, 0]
-    ys = points[order, 1]
-    x_cands = np.unique(np.concatenate((xs, [0.0, 1.0])))
-    y_cands = np.unique(np.concatenate((ys, [0.0, 1.0])))
-    acc = np.empty(0, dtype=np.float64)
+    inner = prod(len(c) for c in cands[2:])
+    rows = max(1, _CHUNK_CELLS // (inner * len(cands[1])))
+    step = max(1, _CHUNK_CELLS // (rows * inner))
+    closed_blocks = _count_blocks(points, cands, "left", rows)
+    open_blocks = repeat(None) if full_grid else _count_blocks(points, cands, "right", rows)
+    shift = 0 if full_grid else 1
     best = 0.0
-    ptr = 0
-    for xv in x_cands:
-        nxt = ptr
-        while nxt < n and xs[nxt] < xv:
-            nxt += 1
-        if nxt > ptr:
-            batch = np.sort(ys[ptr:nxt])
-            acc = np.insert(acc, np.searchsorted(acc, batch), batch)
-            ptr = nxt
-        open_counts = np.searchsorted(acc, y_cands, side="left")
-        best = max(best, float(np.max(xv * y_cands - open_counts / n)))
-        nxt = ptr
-        while nxt < n and xs[nxt] == xv:
-            nxt += 1
-        if nxt > ptr:
-            batch = np.sort(ys[ptr:nxt])
-            acc = np.insert(acc, np.searchsorted(acc, batch), batch)
-            ptr = nxt
-        closed_counts = np.searchsorted(acc, y_cands, side="right")
-        best = max(best, float(np.max(closed_counts / n - xv * y_cands)))
-    return best
-
-
-def _exact_grid(points: np.ndarray, cands: list[np.ndarray]) -> float:
-    """Corner enumeration for s >= 3: loop the leading dims, resolve the
-    last dim with a strict/closed count matrix-vector product."""
-    n, s = points.shape
-    lt = [(points[:, j][None, :] < c[:, None]) for j, c in enumerate(cands)]
-    le = [(points[:, j][None, :] <= c[:, None]) for j, c in enumerate(cands)]
-    last_lt = lt[-1].astype(np.float32)
-    last_le = le[-1].astype(np.float32)
-    last_c = cands[-1]
-    best = 0.0
-    lead_ranges = [range(len(c)) for c in cands[:-1]]
-    for idx in product(*lead_ranges):
-        mask_lt = lt[0][idx[0]]
-        mask_le = le[0][idx[0]]
-        vol0 = cands[0][idx[0]]
-        for j in range(1, s - 1):
-            mask_lt = mask_lt & lt[j][idx[j]]
-            mask_le = mask_le & le[j][idx[j]]
-            vol0 = vol0 * cands[j][idx[j]]
-        vols = vol0 * last_c
-        # counts are small integers, exact in float32; divide in float64
-        open_counts = (last_lt @ mask_lt.astype(np.float32)).astype(np.float64)
-        closed_counts = (last_le @ mask_le.astype(np.float32)).astype(np.float64)
-        best = max(
-            best,
-            float(np.max(vols - open_counts / n)),
-            float(np.max(closed_counts / n - vols)),
-        )
+    for a, closed, opened in zip(range(0, len(cands[0]), rows), closed_blocks, open_blocks):
+        x = cands[0][a:a + len(closed) - 1]
+        for lo in range(0, len(cands[1]), step):
+            hi = min(lo + step, len(cands[1]))
+            vol = x[:, None] * cands[1][None, lo:hi]
+            for c in cands[2:]:
+                vol = vol[..., None] * c
+            closed_slab = closed[:, lo:hi + 1] / n
+            open_slab = closed_slab if full_grid else opened[:, lo:hi + 1] / n
+            best = max(
+                best,
+                float(np.max(_window(closed_slab, 1) - vol)),
+                float(np.max(vol - _window(open_slab, shift))),
+            )
     return best
 
 
@@ -125,9 +152,10 @@ def star_disc_multi(
 ) -> DiscrepancyReport:
     """Star discrepancy of an s-dimensional point set, s >= 2.
 
-    Exact while the corner-enumeration cost fits the operation budget;
-    beyond it, either raises or (default) reports a lower bound from a
-    subsampled corner grid, flagged as not exact.
+    Exact while the corner grid, prod_j (distinct coordinates on axis j plus
+    the ends 0 and 1) cells, fits the budget `max_exact_ops`; beyond it,
+    either raises or (default) reports a lower bound from a subsampled
+    corner grid of at most that many cells, flagged as not exact.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 2:
@@ -135,27 +163,24 @@ def star_disc_multi(
     n, s = pts.shape
     if n == 0:
         raise ValueError("empty point set")
-    if pts.min() < 0.0 or pts.max() >= 1.0:
+    if not np.all((pts >= 0.0) & (pts < 1.0)):
         raise ValueError("points must lie in [0, 1)^s")
     start = time.perf_counter()
-    if s == 2 and float(n) * n <= max_exact_ops:
-        value = _exact_2d(pts)
-        return DiscrepancyReport(N=n, value=value, method="exact_corner_sweep",
-                                 dims=s, runtime=time.perf_counter() - start)
     cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
-    ops = n * float(np.prod([len(c) for c in cands]))
-    if ops <= max_exact_ops:
-        value = _exact_grid(pts, cands)
-        return DiscrepancyReport(N=n, value=value, method="exact_corner_grid",
+    cells = prod(len(c) for c in cands)
+    if cells <= max_exact_ops:
+        value = _corner_sweep(pts, cands, full_grid=True)
+        method = "exact_corner_sweep" if s == 2 else "exact_corner_grid"
+        return DiscrepancyReport(N=n, value=value, method=method,
                                  dims=s, runtime=time.perf_counter() - start)
     if not fallback:
         raise ValueError(
-            f"exact corner enumeration needs ~{ops:.2g} ops, over the budget "
+            f"exact corner enumeration needs {cells:.2g} grid cells, over the budget "
             f"{max_exact_ops:.2g}; use fewer points or allow the fallback"
         )
-    limit = max(4, int((max_exact_ops / n) ** (1.0 / s)))
+    limit = int(max_exact_ops ** (1.0 / s))
     cands = [_subsample(c, limit) for c in cands]
-    value = _exact_grid(pts, cands)
+    value = _corner_sweep(pts, cands, full_grid=False)
     return DiscrepancyReport(N=n, value=value, method="corner_subsample_lower_bound",
                              dims=s, runtime=time.perf_counter() - start, exact=False)
 
@@ -307,4 +332,8 @@ def load_points_csv(stream) -> np.ndarray:
     pts = np.array([[float(v) for v in row.split(",")] for row in rows])
     if pts.ndim != 2 or pts.shape[1] != len(names):
         raise ValueError("malformed point rows")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"point row {i + 1} has a non-finite value: {rows[i]!r}")
     return pts

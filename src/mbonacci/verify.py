@@ -25,8 +25,10 @@ class CheckResult:
     seconds: float
 
 
-def _naive_star_disc(points: np.ndarray) -> float:
-    """Brute-force corner enumeration; quadratic-plus, diagnostics only."""
+def naive_star_disc(points) -> float:
+    """O(corners * N) brute-force corner enumeration of the star
+    discrepancy: the oracle that `verify` and the tests hold the fast
+    kernels to, kept independent of them."""
     pts = np.asarray(points, dtype=np.float64)
     n, s = pts.shape
     cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
@@ -191,7 +193,7 @@ def _check_multi_disc(full: bool):
         n = int(rng.integers(1, 65))
         pts = rng.random((n, s))
         got = discrepancy.star_disc_multi(pts).value
-        ref = _naive_star_disc(pts)
+        ref = naive_star_disc(pts)
         worst = max(worst, abs(got - ref))
     return worst <= 1e-12, f"{trials} instances, worst |fast - naive| = {worst:.2e}"
 

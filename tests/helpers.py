@@ -6,21 +6,7 @@ the tests never trust the code path they are checking.
 
 import numpy as np
 
-
-def naive_star_disc(points) -> float:
-    """O(corners * N) corner enumeration of the star discrepancy."""
-    pts = np.asarray(points, dtype=np.float64)
-    n, s = pts.shape
-    cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
-    grids = np.meshgrid(*cands, indexing="ij")
-    corners = np.stack([g.ravel() for g in grids], axis=1)
-    best = 0.0
-    for chunk in np.array_split(corners, max(1, len(corners) // 20000)):
-        lt = (pts[None, :, :] < chunk[:, None, :]).all(-1).sum(1)
-        le = (pts[None, :, :] <= chunk[:, None, :]).all(-1).sum(1)
-        vol = chunk.prod(1)
-        best = max(best, float(np.max(vol - lt / n)), float(np.max(le / n - vol)))
-    return best
+from mbonacci.verify import naive_star_disc  # noqa: F401  (shared brute-force oracle)
 
 
 def brute_force_expansions(basis, m, total, max_len):

@@ -74,6 +74,7 @@ def test_disc_multi_json_schema():
     assert payload["N"] == 128 and payload["s"] == 2
     assert 0.0 < payload["value"] <= 1.0
     assert "wall_seconds" in payload and payload["method"] == "exact_corner_sweep"
+    assert payload["exact"] is True
 
 
 def test_disc_fit_json():
@@ -81,6 +82,7 @@ def test_disc_fit_json():
     payload = json.loads(out.stdout)
     assert payload["exponent"] <= -0.8
     assert 0.0 <= payload["r2"] <= 1.0
+    assert payload["exact"] is True
 
 
 def test_disc_file(tmp_path):
@@ -89,6 +91,29 @@ def test_disc_file(tmp_path):
     out = run_cli("disc", "file", "--input", str(path))
     payload = json.loads(out.stdout)
     assert abs(payload["value"] - 0.75) < 1e-12
+    assert payload["exact"] is True
+    for text in ("x1\n0.5\nnan\n0.25\n", "x1,x2\n0.1,0.2\n0.3,nan\n"):
+        path.write_text(text)
+        out = run_cli("disc", "file", "--input", str(path))
+        assert out.returncode == 1
+        assert "non-finite" in out.stderr and out.stdout == ""
+
+
+def test_disc_reports_inexact_values(monkeypatch, capsys):
+    from mbonacci import cli, discrepancy
+
+    exact_kernel = discrepancy.star_disc_multi
+    monkeypatch.setattr(discrepancy, "star_disc_multi",
+                        lambda pts: exact_kernel(pts, max_exact_ops=5000))
+    assert cli.main(["disc", "multi", "--ms", "2,3", "--count", "128"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact"] is False
+    assert payload["method"] == "corner_subsample_lower_bound"
+    # 65^2 grid cells fit the budget at N = 64, 129^2 do not at N = 128
+    rc = cli.main(["disc", "fit", "--ms", "2,3", "--min-exp", "4", "--max-exp", "8"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "N = 128" in captured.err
 
 
 def test_dim_json():

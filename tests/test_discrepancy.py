@@ -1,9 +1,13 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from helpers import naive_star_disc
 from mbonacci import numeration, rauzy, rotation
 from mbonacci.discrepancy import (
+    _subsample,
     box_dim_boundary,
     decay_fit,
     load_points_csv,
@@ -28,6 +32,8 @@ def test_star_disc_1d_validation():
         star_disc_1d([0.2, 1.0])
     with pytest.raises(ValueError):
         star_disc_1d([-0.1])
+    with pytest.raises(ValueError):
+        star_disc_1d([0.5, np.nan, 0.25])
 
 
 def test_star_disc_multi_examples():
@@ -44,6 +50,10 @@ def test_star_disc_multi_validation():
         star_disc_multi(np.empty((0, 2)))
     with pytest.raises(ValueError):
         star_disc_multi(np.array([[0.5, 1.0]]))
+    with pytest.raises(ValueError):
+        star_disc_multi(np.array([[0.1, 0.2], [0.3, np.nan]]))
+    with pytest.raises(ValueError):
+        star_disc_multi(np.full((2, 3), np.nan))
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -66,6 +76,17 @@ def test_star_disc_multi_with_ties_and_edges():
     assert abs(star_disc_multi(pts).value - naive_star_disc(pts)) <= 1e-12
     pts3 = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [0.5, 0.25, 0.75]])
     assert abs(star_disc_multi(pts3).value - naive_star_disc(pts3)) <= 1e-12
+    # duplicate points, zero coordinates and ties on the last axis: the
+    # sweep does the oracle's arithmetic, so the values are equal
+    rng = np.random.default_rng(2024)
+    for trial in range(30):
+        s = (2, 3, 4)[trial % 3]
+        n = int(rng.integers(2, 30 if s < 4 else 12))
+        pts = rng.random((n, s))
+        pts[rng.integers(n)] = pts[0]
+        pts[rng.random((n, s)) < 0.2] = 0.0
+        pts[:, -1] = np.floor(pts[:, -1] * 4) / 4
+        assert star_disc_multi(pts).value == naive_star_disc(pts)
 
 
 def test_star_disc_multi_adversarial_patterns():
@@ -107,6 +128,23 @@ def test_star_disc_multi_budget_and_fallback():
     assert bounded.value <= exact.value + 1e-12
     with pytest.raises(ValueError):
         star_disc_multi(pts, max_exact_ops=1000, fallback=False)
+    # the bound is the exact maximum over its own (subsampled) corner grid
+    limit = int(1000 ** (1 / 3))
+    cands = [_subsample(np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))), limit)
+             for j in range(3)]
+    assert np.prod([len(c) for c in cands]) <= 1000
+    best = 0.0
+    for corner in itertools.product(*cands):
+        vol = corner[0] * corner[1] * corner[2]
+        inside_open = np.count_nonzero((pts < corner).all(axis=1))
+        inside_closed = np.count_nonzero((pts <= corner).all(axis=1))
+        best = max(best, vol - inside_open / len(pts), inside_closed / len(pts) - vol)
+    assert bounded.value == best
+    # the cell count is checked before any sweep runs
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        star_disc_multi(rng.random((100_000, 2)), fallback=False)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_decay_fit_exact_powers():
@@ -216,6 +254,10 @@ def test_load_points_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
+        with open(bad) as fh:
+            load_points_csv(fh)
+    bad.write_text("x1,x2\n0.1,0.2\n0.3,nan\n")
+    with pytest.raises(ValueError, match="row 2"):
         with open(bad) as fh:
             load_points_csv(fh)
 
