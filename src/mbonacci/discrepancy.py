@@ -101,21 +101,36 @@ def _window(slab, shift):
     return slab[tuple(slice(shift, shift + size - 1) for size in slab.shape)]
 
 
+def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of `shape` over the front of a flat buffer."""
+    return buf[:prod(shape)].reshape(shape)
+
+
 def _corner_sweep(points: np.ndarray, cands: list[np.ndarray], full_grid: bool) -> float:
     """max over corners c of max(closed(c)/n - vol(c), vol(c) - open(c)/n).
 
     Walks axis 0 in rank order in blocks of axis-0 indices, keeping the
     cumulative count plane over the other axes, and evaluates each block
-    in slabs along axis 1 of at most about _CHUNK_CELLS corners, which
-    bounds the temporaries.  On the full grid, where every coordinate is a candidate, the
-    open count at rank (a, b, ...) is the closed count at (a-1, b-1, ...);
-    on a subsampled grid it is counted from ``side="right"`` ranks.
-    Volumes are multiplied left to right, as the brute-force oracle does.
+    in slabs along axis 1 of at most about _CHUNK_CELLS corners.  The slab
+    temporaries live in buffers allocated once per call, so the slabs
+    reuse the same pages.  On the full grid, where every coordinate is a
+    candidate, the open count at rank (a, b, ...) is the closed count at
+    (a-1, b-1, ...); on a subsampled grid it is counted from
+    ``side="right"`` ranks.  Volumes are multiplied left to right, as the
+    brute-force oracle does.
     """
     n = len(points)
     inner = prod(len(c) for c in cands[2:])
     rows = max(1, _CHUNK_CELLS // (inner * len(cands[1])))
     step = max(1, _CHUNK_CELLS // (rows * inner))
+    corner_cells = rows * step * inner
+    slab_cells = (rows + 1) * (step + 1) * prod(len(c) + 1 for c in cands[2:])
+    # volumes of s axes alternate between two buffers, the product over
+    # the first j axes in one and over j + 1 in the other
+    vol_bufs = (np.empty(corner_cells), np.empty(corner_cells))
+    diff_buf = np.empty(corner_cells)
+    closed_buf = np.empty(slab_cells)
+    open_buf = closed_buf if full_grid else np.empty(slab_cells)
     closed_blocks = _count_blocks(points, cands, "left", rows)
     open_blocks = repeat(None) if full_grid else _count_blocks(points, cands, "right", rows)
     shift = 0 if full_grid else 1
@@ -124,15 +139,23 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray], full_grid: bool) 
         x = cands[0][a:a + len(closed) - 1]
         for lo in range(0, len(cands[1]), step):
             hi = min(lo + step, len(cands[1]))
-            vol = x[:, None] * cands[1][None, lo:hi]
-            for c in cands[2:]:
-                vol = vol[..., None] * c
-            closed_slab = closed[:, lo:hi + 1] / n
-            open_slab = closed_slab if full_grid else opened[:, lo:hi + 1] / n
+            vol = np.multiply(x[:, None], cands[1][None, lo:hi],
+                              out=_view(vol_bufs[0], (len(x), hi - lo)))
+            for j, c in enumerate(cands[2:], 1):
+                vol = np.multiply(vol[..., None], c,
+                                  out=_view(vol_bufs[j % 2], vol.shape + (len(c),)))
+            counts = closed[:, lo:hi + 1]
+            closed_slab = np.divide(counts, n, out=_view(closed_buf, counts.shape))
+            if full_grid:
+                open_slab = closed_slab
+            else:
+                counts = opened[:, lo:hi + 1]
+                open_slab = np.divide(counts, n, out=_view(open_buf, counts.shape))
+            diff = _view(diff_buf, vol.shape)
             best = max(
                 best,
-                float(np.max(_window(closed_slab, 1) - vol)),
-                float(np.max(vol - _window(open_slab, shift))),
+                float(np.subtract(_window(closed_slab, 1), vol, out=diff).max()),
+                float(np.subtract(vol, _window(open_slab, shift), out=diff).max()),
             )
     return best
 
@@ -219,42 +242,66 @@ class DimensionEstimate:
     mode: str
 
 
-def _boundary_cells(cloud: FractalCloud, level: int, mode: str, coords: str) -> int:
+def _letter_cells(cloud: FractalCloud, level: int, coords: str) -> list[np.ndarray]:
+    """Integer cells of side 2^-level holding the points of each letter, one
+    (m - 1, count) int64 array per letter: cells of the reduced torus
+    ("torus") or of the plain lattice coordinates ("ambient").
+
+    Scaling by 2^level is exact, so the cells at a coarser level l are
+    these shifted right by level - l.
+    """
     side = 1 << level
-    d = cloud.m - 1
-    if coords == "torus":
-        idx = np.minimum((cloud.reduced * side).astype(np.int64), side - 1)
-        dims = tuple([side] * d)
+    pts = cloud.reduced if coords == "torus" else cloud.unreduced
+    cells = []
+    for letter in range(1, cloud.m + 1):
+        c = np.floor(np.ascontiguousarray(pts[cloud.labels == letter].T) * side)
+        c = c.astype(np.int64)
+        if coords == "torus":
+            np.minimum(c, side - 1, out=c)
+        cells.append(c)
+    return cells
+
+
+def _boundary_cells(letter_cells: list[np.ndarray], mode: str, torus_side: int | None) -> int:
+    """Boundary cells among the occupied cells of each letter.
+
+    With `torus_side` the cells wrap around a torus of that many cells per
+    axis; without it the grid is the cells' bounding box plus a one-cell
+    empty margin.  Each letter marks a boolean occupancy grid, and the
+    grids add up to the number of letters per cell.
+    """
+    d = letter_cells[0].shape[0]
+    occupied = [c for c in letter_cells if c.shape[1]]
+    if torus_side is not None:
+        dims = (torus_side,) * d
+        origin = np.zeros((d, 1), dtype=np.int64)
     else:
-        # ambient grid anchored at 0, stored with a one-cell empty margin
-        idx = np.floor(cloud.unreduced * side).astype(np.int64)
-        mins = idx.min(axis=0)
-        dims = tuple(int(x) for x in (idx.max(axis=0) - mins + 3))
-        idx = idx - mins + 1
-    keys = np.ravel_multi_index(idx.T, dims)
-    cells: list[np.ndarray] = []
+        lo = np.min([c.min(axis=1) for c in occupied], axis=0)
+        hi = np.max([c.max(axis=1) for c in occupied], axis=0)
+        dims = tuple(int(x) for x in hi - lo + 3)
+        origin = (lo - 1)[:, None]
+    if prod(dims) > 1 << 26:
+        raise ValueError("occupancy grid too large for dense box counting")
+    letters = np.zeros(prod(dims), dtype=np.uint8)
+    occ = np.empty(prod(dims), dtype=bool)
+    for c in occupied:
+        occ[:] = False
+        occ[np.ravel_multi_index(c - origin, dims)] = True
+        letters += occ
+    letters = letters.reshape(dims)
+    boundary = np.zeros(dims, dtype=bool)
     if mode in ("subtile", "both"):
-        pair_keys = np.unique(keys * np.int64(cloud.m + 1) + cloud.labels)
-        ids, letter_counts = np.unique(pair_keys // (cloud.m + 1), return_counts=True)
-        cells.append(ids[letter_counts >= 2])
+        boundary |= letters >= 2
     if mode in ("outer", "both"):
-        ncells = 1
-        for x in dims:
-            ncells *= x
-        if ncells > 1 << 26:
-            raise ValueError("occupancy grid too large for the neighbour rule")
-        occ = np.zeros(dims, dtype=bool)
-        occ.flat[np.unique(keys)] = True
-        holes = ~occ
+        holes = letters == 0
         near_hole = np.zeros(dims, dtype=bool)
         for axis in range(d):
             # wrap-around of roll is the right adjacency on the torus and
             # harmless on the ambient grid, whose margin ring is empty
             near_hole |= np.roll(holes, 1, axis=axis)
             near_hole |= np.roll(holes, -1, axis=axis)
-        cells.append(np.flatnonzero(occ & near_hole))
-    merged = np.unique(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
-    return int(merged.size)
+        boundary |= near_hole & ~holes
+    return int(np.count_nonzero(boundary))
 
 
 def box_dim_boundary(
@@ -286,7 +333,12 @@ def box_dim_boundary(
             f"cloud of {cloud.size} points too sparse for level {finest} "
             f"(needs at least one point per cell on average)"
         )
-    counts = tuple(_boundary_cells(cloud, l, mode, coords) for l in levels)
+    cells = _letter_cells(cloud, finest, coords)
+    counts = tuple(
+        _boundary_cells([c >> (finest - l) for c in cells], mode,
+                        1 << l if coords == "torus" else None)
+        for l in levels
+    )
     xs = np.array([l for l, c in zip(levels, counts) if c > 0], dtype=np.float64)
     ys = np.array([np.log2(c) for c in counts if c > 0])
     if xs.size < 2:

@@ -77,10 +77,6 @@ class MBonacciSystem:
             raise ValueError(f"power {j} beyond the cached range 1..{len(self.phi_neg_powers)}")
         return self.phi_neg_powers[j - 1]
 
-    def pos_power(self, j: int) -> float:
-        """phi**j as float64 (j >= 0)."""
-        return float(self.phi_float ** j) if j else 1.0
-
 
 @dataclass(frozen=True)
 class Expansion:

@@ -9,16 +9,14 @@ point-in-fractal test would be boundary-fragile.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from mbonacci import numeration
 from mbonacci.numeration import (
     MBonacciSystem,
-    digit_matrix,
     encode,
     ones_run_from,
     trailing_ones_before,
@@ -33,27 +31,106 @@ _REFERENCE_DEPTH = 2048
 
 def vdc(sys: MBonacciSystem, n: int) -> float:
     """Digit-mirrored value sum(eps_j * phi^-(j+1)) in [0, 1)."""
-    e = encode(sys, n)
-    total = 0.0
-    for j in range(len(e.digits) - 1, -1, -1):
-        if e.digits[j]:
-            total += sys.phi_neg_powers[j]
-    return total
+    return float(vdc_values(sys, [n])[0])
+
+
+# elements per double-double pass of the prefix fill; keeps the three
+# temporaries small and reused
+_FILL_BLOCK = 1 << 15
+
+
+def _dd_add(a_hi, a_lo, b_hi, b_lo, out_hi, out_lo, s, t, u) -> None:
+    """(out_hi, out_lo) = (a_hi + a_lo) + (b_hi + b_lo) in double-double.
+
+    Knuth's two-sum of the high parts, the low parts added to its error,
+    then a fast renormalisation (the sum is positive and dominates its
+    error).  s, t and u are scratch; every read of b comes before the
+    first write to out, so out may alias b.  Adding (0, 0) returns a
+    normalised pair unchanged.
+    """
+    np.add(a_hi, b_hi, out=s)
+    np.subtract(s, a_hi, out=t)
+    np.subtract(b_hi, t, out=u)
+    np.subtract(s, t, out=t)
+    np.subtract(a_hi, t, out=t)
+    np.add(t, u, out=t)
+    np.add(a_lo, b_lo, out=u)
+    np.add(t, u, out=t)
+    np.add(s, t, out=out_hi)
+    np.subtract(out_hi, s, out=s)
+    np.subtract(t, s, out=out_lo)
+
+
+def _vdc_prefix(sys: MBonacciSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """vdc(0..count-1) as double-double (hi, lo) arrays, by prefix doubling.
+
+    For F_k <= n < F_{k+1} the greedy expansion of n is the digit at k
+    plus the expansion of n - F_k < F_k, so
+    vdc(n) = phi^-(k+1) + vdc(n - F_k) fills each block from the prefix.
+    """
+    hi = np.zeros(count)
+    lo = np.zeros(count)
+    scratch = [np.empty(min(count, _FILL_BLOCK)) for _ in range(3)]
+    for k, (p_hi, p_lo) in enumerate(sys.neg_power_parts[:len(sys.basis) - 1]):
+        start = sys.basis[k]
+        if start >= count:
+            break
+        stop = min(sys.basis[k + 1], count)
+        for a in range(start, stop, _FILL_BLOCK):
+            b = min(a + _FILL_BLOCK, stop)
+            src = slice(a - start, b - start)
+            _dd_add(p_hi, p_lo, hi[src], lo[src], hi[a:b], lo[a:b],
+                    *(buf[:b - a] for buf in scratch))
+    return hi, lo
 
 
 def vdc_values(sys: MBonacciSystem, ns) -> np.ndarray:
-    """Vectorised van der Corput values for many indices."""
-    digits = digit_matrix(sys, ns)
-    powers = np.array(sys.phi_neg_powers[: digits.shape[1]])
-    return digits.astype(np.float64) @ powers
+    """Van der Corput values for a count (meaning 0..count-1) or an index array.
+
+    Each value is a double-double sum of the (hi, lo) root powers rounded
+    once to float64, so it is within half an ulp (plus about 2^-100
+    relative) of the exact value: correctly rounded except next to a
+    rounding tie.  A count is filled in O(count) by prefix doubling.  For
+    an index array, the greedy digits at positions >= K are subtracted,
+    where F_K is about the number of indices, and the remainder is read
+    from a prefix table of length F_K; the powers of those digits are
+    then added from the lowest position up, as the prefix fill adds them,
+    so both forms agree bit for bit.
+    """
+    if np.ndim(ns) == 0:
+        count = int(ns)
+        if count < 0 or count - 1 >= sys.basis[-1]:
+            raise ValueError(f"count {count} out of basis coverage")
+        return _vdc_prefix(sys, count)[0]
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.size == 0:
+        return np.zeros(ns.shape)
+    if ns.min() < 0 or ns.max() >= sys.basis[-1]:
+        raise ValueError("n out of basis coverage")
+    width = bisect_right(sys.basis, int(ns.max()))
+    K = min(width, bisect_left(sys.basis, ns.size))
+    rem = ns.copy()
+    takes = []
+    for j in range(width - 1, K - 1, -1):
+        take = rem >= sys.basis[j]
+        np.subtract(rem, sys.basis[j], out=rem, where=take)
+        takes.append((j, take))
+    table_hi, table_lo = _vdc_prefix(sys, sys.basis[K])
+    acc_hi, acc_lo = table_hi[rem], table_lo[rem]
+    scratch = [np.empty(ns.shape) for _ in range(3)]
+    for j, take in reversed(takes):
+        if take.any():
+            p_hi, p_lo = sys.neg_power_parts[j]
+            _dd_add(np.where(take, p_hi, 0.0), np.where(take, p_lo, 0.0),
+                    acc_hi, acc_lo, acc_hi, acc_lo, *scratch)
+    return acc_hi
 
 
 @dataclass(frozen=True)
 class HaltonConfig:
-    """Component systems with pairwise distinct m, plus optional offsets."""
+    """Component systems with pairwise distinct m."""
 
     systems: tuple[MBonacciSystem, ...]
-    offsets: tuple[TorusPoint, ...] | None = None
 
     def __post_init__(self) -> None:
         ms = [s.m for s in self.systems]
@@ -63,8 +140,6 @@ class HaltonConfig:
             raise ValueError(f"m values must be pairwise distinct, got {ms}")
         if any(m < 2 for m in ms):
             raise ValueError("all m must be >= 2")
-        if self.offsets is not None and len(self.offsets) != len(self.systems):
-            raise ValueError("offsets length must match systems")
 
     @property
     def dims(self) -> int:
@@ -78,8 +153,10 @@ def halton(cfg: HaltonConfig, n: int) -> np.ndarray:
 
 def halton_points(cfg: HaltonConfig, count: int) -> np.ndarray:
     """(count, s) array of the first `count` Halton vectors."""
-    ns = np.arange(count, dtype=np.int64)
-    return np.stack([vdc_values(s, ns) for s in cfg.systems], axis=1)
+    pts = np.empty((count, cfg.dims))
+    for i, s in enumerate(cfg.systems):
+        pts[:, i] = vdc_values(s, count)
+    return pts
 
 
 @dataclass(frozen=True)
@@ -201,16 +278,35 @@ def level_addresses(m: int, k: int) -> list[SubtileAddress]:
     return out
 
 
+def _address_keys(sys: MBonacciSystem, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-k address of every n < N: the key sum(d_j << j, j < k) of its
+    low k greedy digits, and its letter, one more than the run of ones
+    from position k.
+
+    The low k + m digits are built as an int64 code by prefix doubling:
+    code[F_j + i] is code[i] with bit j set (bits at k + m and above are
+    not kept).  The letter is the position of the lowest zero bit of
+    code >> k plus one, read off as the binary exponent of that power of
+    two.
+    """
+    code = np.zeros(N, dtype=np.int64)
+    for j in range(len(sys.basis) - 1):
+        start = sys.basis[j]
+        if start >= N:
+            break
+        stop = min(sys.basis[j + 1], N)
+        np.bitwise_or(code[:stop - start], (1 << j) if j < k + sys.m else 0,
+                      out=code[start:stop])
+    top = code >> k
+    lowest_zero = (top + 1) & ~top
+    letters = np.frexp(lowest_zero.astype(np.float64))[1]  # 2^t has exponent t + 1
+    return code & ((1 << k) - 1), letters
+
+
 def membership_counts(sys: MBonacciSystem, k: int, N: int) -> dict[tuple[tuple[int, ...], int], int]:
-    """Counts of n < N per level-k address, via bulk digit extraction."""
+    """Counts of n < N per level-k address."""
     m = sys.m
-    width = max(bisect_right(sys.basis, max(N - 1, 0)), k + m)
-    digits = digit_matrix(sys, np.arange(N, dtype=np.int64), width=width)
-    weights = (1 << np.arange(k)).astype(np.int64)
-    keys = digits[:, :k].astype(np.int64) @ weights if k else np.zeros(N, dtype=np.int64)
-    tail = digits[:, k:k + m]
-    t = np.argmax(tail == 0, axis=1)
-    letters = t.astype(np.int64) + 1
+    keys, letters = _address_keys(sys, k, N)
     combined = np.bincount(keys * m + (letters - 1), minlength=(1 << k) * m)
     counts: dict[tuple[tuple[int, ...], int], int] = {}
     for addr in level_addresses(m, k):

@@ -4,6 +4,7 @@ Everything here recomputes expectations by brute force or enumeration so
 the tests never trust the code path they are checking.
 """
 
+import mpmath
 import numpy as np
 
 from mbonacci.verify import naive_star_disc  # noqa: F401  (shared brute-force oracle)
@@ -43,3 +44,36 @@ def count_admissible_bruteforce(m: int, k: int) -> int:
         run = (run + 1) * bits[:, j].astype(np.int32)
         np.maximum(worst, run, out=worst)
     return int(np.count_nonzero(worst < m))
+
+
+def vdc_mpmath(m: int, basis, ns, bits: int = 200):
+    """Exact-to-`bits` van der Corput values: the dominant root by
+    bisection, the greedy digits by integer subtraction over `basis`."""
+    with mpmath.workprec(bits + 16):
+        lo, hi = mpmath.mpf(1), mpmath.mpf(2)
+        for _ in range(bits + 8):
+            mid = (lo + hi) / 2
+            if mid ** m < sum(mid ** j for j in range(m)):
+                lo = mid
+            else:
+                hi = mid
+        inv = 2 / (lo + hi)
+        powers = [inv ** (j + 1) for j in range(len(basis))]
+        out = []
+        for n in ns:
+            rem, terms = int(n), []
+            for j in range(len(basis) - 1, -1, -1):
+                if basis[j] <= rem:
+                    rem -= basis[j]
+                    terms.append(powers[j])
+            assert rem == 0
+            out.append(mpmath.fsum(terms))
+        return out
+
+
+def ulp_error(got: float, exact) -> float:
+    """|got - exact| in units of the float64 ulp at `exact`."""
+    if exact == 0:
+        return 0.0 if got == 0.0 else float("inf")
+    _, exp = mpmath.frexp(exact)  # exact = mantissa * 2^exp, mantissa in [0.5, 1)
+    return float(abs(mpmath.mpf(got) - exact) / mpmath.ldexp(1, exp - 53))

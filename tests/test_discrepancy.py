@@ -1,10 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from helpers import naive_star_disc
+import mbonacci
 from mbonacci import numeration, rauzy, rotation
 from mbonacci.discrepancy import (
     _subsample,
@@ -202,6 +206,64 @@ def test_box_dim_modes_and_validation(cloud_m2_100k):
         box_dim_boundary(sparse, (9,))
 
 
+def _sorted_boundary_cells(cloud, level, mode, coords):
+    """Boundary cell count by sorting cell keys, as a sparse reference."""
+    side = 1 << level
+    if coords == "torus":
+        idx = np.minimum((cloud.reduced * side).astype(np.int64), side - 1)
+        dims = (side,) * (cloud.m - 1)
+    else:
+        idx = np.floor(cloud.unreduced * side).astype(np.int64)
+        mins = idx.min(axis=0)
+        dims = tuple(int(x) for x in idx.max(axis=0) - mins + 3)
+        idx = idx - mins + 1
+    keys = np.ravel_multi_index(idx.T, dims)
+    found = set()
+    if mode in ("subtile", "both"):
+        pairs = np.unique(keys * (cloud.m + 1) + cloud.labels)
+        cells, letters = np.unique(pairs // (cloud.m + 1), return_counts=True)
+        found.update(cells[letters >= 2].tolist())
+    if mode in ("outer", "both"):
+        occupied = np.unique(keys)
+        occupied_set = set(occupied.tolist())
+        for cell in np.array(np.unravel_index(occupied, dims)).T:
+            for axis in range(len(dims)):
+                for delta in (-1, 1):
+                    nb = cell.copy()
+                    nb[axis] = (nb[axis] + delta) % dims[axis]
+                    if int(np.ravel_multi_index(nb, dims)) not in occupied_set:
+                        found.add(int(np.ravel_multi_index(cell, dims)))
+    return len(found)
+
+
+@pytest.mark.parametrize("m, depth, levels", [
+    (2, 10 ** 5, (3, 6, 9)),
+    (3, 2 * 10 ** 5, (3, 5, 7)),
+    (4, 10 ** 5, (2, 3, 4)),
+])
+def test_dense_boundary_cells_match_sorted_count(m, depth, levels):
+    cloud = rauzy.build_cloud(m, depth)
+    for mode in ("subtile", "outer", "both"):
+        for coords in ("ambient", "torus"):
+            got = box_dim_boundary(cloud, levels, mode, coords).counts
+            want = tuple(_sorted_boundary_cells(cloud, l, mode, coords) for l in levels)
+            assert got == want, (m, mode, coords)
+
+
+def test_dense_boundary_grid_guard():
+    # dense enough for level 16 on average, but spread over 2000 units of
+    # lattice coordinate: 1.3e8 ambient cells, over the 2^26 grid limit
+    n = 1 << 16
+    line = np.linspace(0.0, 2000.0, n, endpoint=False)[:, None]
+    cloud = rauzy.FractalCloud(m=2, depth=n - 1, phi=1.618,
+                               labels=np.ones(n, dtype=np.uint8),
+                               unreduced=line, reduced=line % 1.0)
+    for mode in ("subtile", "outer", "both"):
+        with pytest.raises(ValueError, match="too large"):
+            box_dim_boundary(cloud, (15, 16), mode)
+        assert box_dim_boundary(cloud, (15, 16), mode, "torus").levels == (15, 16)
+
+
 def test_box_dim_degenerate_full_cover_has_no_boundary():
     n = 64
     grid = np.stack(
@@ -260,6 +322,28 @@ def test_load_points_csv(tmp_path):
     with pytest.raises(ValueError, match="row 2"):
         with open(bad) as fh:
             load_points_csv(fh)
+
+
+def test_corner_sweep_reuses_its_buffers():
+    # a fresh interpreter, where glibc still maps every block above 128 KB
+    # on its own: slab temporaries allocated per slab would fault on every
+    # slab (about 75 000 minor faults for this call)
+    script = (
+        "import resource\n"
+        "from mbonacci import discrepancy, numeration, rotation\n"
+        "systems = tuple(numeration.make_system(m, 256) for m in (2, 3, 5))\n"
+        "pts = rotation.halton_points(rotation.HaltonConfig(systems), 256)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "report = discrepancy.star_disc_multi(pts)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert report.exact\n"
+        "print(after - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mbonacci.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert int(out.stdout) < 5000
 
 
 def test_report_runtime_recorded():
