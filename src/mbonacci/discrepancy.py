@@ -251,10 +251,10 @@ def _letter_cells(cloud: FractalCloud, level: int, coords: str) -> list[np.ndarr
     these shifted right by level - l.
     """
     side = 1 << level
-    pts = cloud.reduced if coords == "torus" else cloud.unreduced
     cells = []
     for letter in range(1, cloud.m + 1):
-        c = np.floor(np.ascontiguousarray(pts[cloud.labels == letter].T) * side)
+        pts = cloud.letter_points(letter, reduced=coords == "torus")
+        c = np.floor(np.ascontiguousarray(pts.T) * side)
         c = c.astype(np.int64)
         if coords == "torus":
             np.minimum(c, side - 1, out=c)

@@ -9,7 +9,7 @@ point-in-fractal test would be boundary-fragile.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,59 +29,37 @@ DEFAULT_LEVEL_CAP = 10
 _REFERENCE_DEPTH = 2048
 
 
-def vdc(sys: MBonacciSystem, n: int) -> float:
-    """Digit-mirrored value sum(eps_j * phi^-(j+1)) in [0, 1)."""
-    return float(vdc_values(sys, [n])[0])
-
-
-# elements per double-double pass of the prefix fill; keeps the three
-# temporaries small and reused
-_FILL_BLOCK = 1 << 15
-
-
-def _dd_add(a_hi, a_lo, b_hi, b_lo, out_hi, out_lo, s, t, u) -> None:
-    """(out_hi, out_lo) = (a_hi + a_lo) + (b_hi + b_lo) in double-double.
+def _dd_add(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi + a_lo) + (b_hi + b_lo) in double-double, as a (hi, lo) pair.
 
     Knuth's two-sum of the high parts, the low parts added to its error,
     then a fast renormalisation (the sum is positive and dominates its
-    error).  s, t and u are scratch; every read of b comes before the
-    first write to out, so out may alias b.  Adding (0, 0) returns a
-    normalised pair unchanged.
+    error).  Works on floats and on arrays alike.  Adding (0, 0) returns
+    a normalised pair unchanged.
     """
-    np.add(a_hi, b_hi, out=s)
-    np.subtract(s, a_hi, out=t)
-    np.subtract(b_hi, t, out=u)
-    np.subtract(s, t, out=t)
-    np.subtract(a_hi, t, out=t)
-    np.add(t, u, out=t)
-    np.add(a_lo, b_lo, out=u)
-    np.add(t, u, out=t)
-    np.add(s, t, out=out_hi)
-    np.subtract(out_hi, s, out=s)
-    np.subtract(t, s, out=out_lo)
+    s = a_hi + b_hi
+    t = s - a_hi
+    t = (a_hi - (s - t)) + (b_hi - t) + (a_lo + b_lo)
+    hi = s + t
+    return hi, t - (hi - s)
 
 
-def _vdc_prefix(sys: MBonacciSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """vdc(0..count-1) as double-double (hi, lo) arrays, by prefix doubling.
+def vdc(sys: MBonacciSystem, n: int) -> float:
+    """Digit-mirrored value sum(eps_j * phi^-(j+1)) in [0, 1).
 
-    For F_k <= n < F_{k+1} the greedy expansion of n is the digit at k
-    plus the expansion of n - F_k < F_k, so
-    vdc(n) = phi^-(k+1) + vdc(n - F_k) fills each block from the prefix.
+    The powers of the greedy digits are added from the lowest position
+    up, as `vdc_values` adds them, so the two agree bit for bit.
     """
-    hi = np.zeros(count)
-    lo = np.zeros(count)
-    scratch = [np.empty(min(count, _FILL_BLOCK)) for _ in range(3)]
-    for k, (p_hi, p_lo) in enumerate(sys.neg_power_parts[:len(sys.basis) - 1]):
-        start = sys.basis[k]
-        if start >= count:
-            break
-        stop = min(sys.basis[k + 1], count)
-        for a in range(start, stop, _FILL_BLOCK):
-            b = min(a + _FILL_BLOCK, stop)
-            src = slice(a - start, b - start)
-            _dd_add(p_hi, p_lo, hi[src], lo[src], hi[a:b], lo[a:b],
-                    *(buf[:b - a] for buf in scratch))
-    return hi, lo
+    hi = lo = 0.0
+    for (p_hi, p_lo), d in zip(sys.neg_power_parts.tolist(), encode(sys, n).digits):
+        if d:
+            hi, lo = _dd_add(p_hi, p_lo, hi, lo)
+    return hi
+
+
+# elements per double-double pass of the prefix fill; keeps the
+# temporaries small
+_FILL_BLOCK = 1 << 15
 
 
 def vdc_values(sys: MBonacciSystem, ns) -> np.ndarray:
@@ -90,40 +68,48 @@ def vdc_values(sys: MBonacciSystem, ns) -> np.ndarray:
     Each value is a double-double sum of the (hi, lo) root powers rounded
     once to float64, so it is within half an ulp (plus about 2^-100
     relative) of the exact value: correctly rounded except next to a
-    rounding tie.  A count is filled in O(count) by prefix doubling.  For
-    an index array, the greedy digits at positions >= K are subtracted,
-    where F_K is about the number of indices, and the remainder is read
-    from a prefix table of length F_K; the powers of those digits are
-    then added from the lowest position up, as the prefix fill adds them,
-    so both forms agree bit for bit.
+    rounding tie.  Every form adds the powers of the greedy digits from
+    the lowest position up, so all forms agree bit for bit.
+
+    A count is filled in O(count) by prefix doubling: for
+    F_k <= n < F_{k+1} the greedy expansion of n is the digit at k plus
+    the expansion of n - F_k < F_k, so vdc(n) = phi^-(k+1) + vdc(n - F_k).
+    An index array subtracts its greedy digits from the top, then adds
+    their powers from the bottom.
     """
     if np.ndim(ns) == 0:
         count = int(ns)
         if count < 0 or count - 1 >= sys.basis[-1]:
             raise ValueError(f"count {count} out of basis coverage")
-        return _vdc_prefix(sys, count)[0]
+        hi = np.zeros(count)
+        lo = np.zeros(count)
+        for k, (p_hi, p_lo) in enumerate(sys.neg_power_parts[:len(sys.basis) - 1]):
+            start = sys.basis[k]
+            if start >= count:
+                break
+            stop = min(sys.basis[k + 1], count)
+            for a in range(start, stop, _FILL_BLOCK):
+                b = min(a + _FILL_BLOCK, stop)
+                hi[a:b], lo[a:b] = _dd_add(p_hi, p_lo, hi[a - start:b - start],
+                                           lo[a - start:b - start])
+        return hi
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
         return np.zeros(ns.shape)
     if ns.min() < 0 or ns.max() >= sys.basis[-1]:
         raise ValueError("n out of basis coverage")
-    width = bisect_right(sys.basis, int(ns.max()))
-    K = min(width, bisect_left(sys.basis, ns.size))
     rem = ns.copy()
     takes = []
-    for j in range(width - 1, K - 1, -1):
+    for j in range(bisect_right(sys.basis, int(ns.max())) - 1, -1, -1):
         take = rem >= sys.basis[j]
         np.subtract(rem, sys.basis[j], out=rem, where=take)
-        takes.append((j, take))
-    table_hi, table_lo = _vdc_prefix(sys, sys.basis[K])
-    acc_hi, acc_lo = table_hi[rem], table_lo[rem]
-    scratch = [np.empty(ns.shape) for _ in range(3)]
-    for j, take in reversed(takes):
+        takes.append(take)
+    hi = np.zeros(ns.shape)
+    lo = np.zeros(ns.shape)
+    for (p_hi, p_lo), take in zip(sys.neg_power_parts, reversed(takes)):
         if take.any():
-            p_hi, p_lo = sys.neg_power_parts[j]
-            _dd_add(np.where(take, p_hi, 0.0), np.where(take, p_lo, 0.0),
-                    acc_hi, acc_lo, acc_hi, acc_lo, *scratch)
-    return acc_hi
+            hi, lo = _dd_add(np.where(take, p_hi, 0.0), np.where(take, p_lo, 0.0), hi, lo)
+    return hi
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def test_vdc_values_correctly_rounded(m):
     sys = make_system(m, count)
     rng = np.random.default_rng(40 + m)
     # the count form on [0, count); the index form across the whole basis
-    # coverage, so that it subtracts digits above its prefix table
+    # coverage, up to its top digit
     for_count = rng.integers(0, count, size=3000)
     for_index = np.concatenate((
         rng.integers(0, sys.basis[-1], size=3000),
