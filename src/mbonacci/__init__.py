@@ -8,7 +8,7 @@ Submodules:
     rotation     sequence values, interval partitions, local discrepancies
     discrepancy  exact star discrepancy, decay fits, box dimensions
     cli          command-line interface
-    verify       self-check suite behind `mbonacci verify`
+    verify       the paper's identity checks: `mbonacci verify` and the acceptance gate
 
 Kept import-light on purpose: the CLI applies its thread cap before the
 numeric backends load.

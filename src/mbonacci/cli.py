@@ -24,9 +24,7 @@ class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
     output: str | None = None
-    fmt: str = "csv"
     digits: int = 15
-    threads: int | None = None
 
 
 def _read_config(path: str) -> dict:
@@ -428,9 +426,7 @@ def main(argv=None) -> int:
         command=args.command,
         parameters=params,
         output=getattr(args, "output", None),
-        fmt="csv",
         digits=digits,
-        threads=threads,
     )
     return run(cfg)
 

@@ -28,7 +28,7 @@ from math import prod
 
 import numpy as np
 
-from mbonacci.rauzy import FractalCloud
+from mbonacci.rauzy import FractalCloud, letter_count_grid
 
 DEFAULT_MAX_EXACT_OPS = 1 << 30
 
@@ -267,8 +267,7 @@ def _boundary_cells(letter_cells: list[np.ndarray], mode: str, torus_side: int |
 
     With `torus_side` the cells wrap around a torus of that many cells per
     axis; without it the grid is the cells' bounding box plus a one-cell
-    empty margin.  Each letter marks a boolean occupancy grid, and the
-    grids add up to the number of letters per cell.
+    empty margin.  `letter_count_grid` counts the letters in each cell.
     """
     d = letter_cells[0].shape[0]
     occupied = [c for c in letter_cells if c.shape[1]]
@@ -282,13 +281,7 @@ def _boundary_cells(letter_cells: list[np.ndarray], mode: str, torus_side: int |
         origin = (lo - 1)[:, None]
     if prod(dims) > 1 << 26:
         raise ValueError("occupancy grid too large for dense box counting")
-    letters = np.zeros(prod(dims), dtype=np.uint8)
-    occ = np.empty(prod(dims), dtype=bool)
-    for c in occupied:
-        occ[:] = False
-        occ[np.ravel_multi_index(c - origin, dims)] = True
-        letters += occ
-    letters = letters.reshape(dims)
+    letters = letter_count_grid(occupied, dims, origin)
     boundary = np.zeros(dims, dtype=bool)
     if mode in ("subtile", "both"):
         boundary |= letters >= 2

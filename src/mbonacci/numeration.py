@@ -63,7 +63,6 @@ class MBonacciSystem:
     basis: tuple[int, ...]
     phi: mpmath.mpf
     phi_float: float
-    phi_neg_powers: tuple[float, ...]
     neg_power_parts: np.ndarray
     precision: float
 
@@ -73,9 +72,9 @@ class MBonacciSystem:
 
     def neg_power(self, j: int) -> float:
         """phi**-j as float64 (j >= 1)."""
-        if not 1 <= j <= len(self.phi_neg_powers):
-            raise ValueError(f"power {j} beyond the cached range 1..{len(self.phi_neg_powers)}")
-        return self.phi_neg_powers[j - 1]
+        if not 1 <= j <= len(self.neg_power_parts):
+            raise ValueError(f"power {j} beyond the cached range 1..{len(self.neg_power_parts)}")
+        return float(self.neg_power_parts[j - 1, 0])
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,12 @@ def make_system(m: int, max_n: int, precision: float = DEFAULT_PRECISION) -> MBo
     npowers = max(len(terms), 48)
     with mpmath.workprec(bits):
         inv = 1 / phi
-        negs: list[float] = []
         parts = np.empty((npowers, 2), dtype=np.float64)
         p = mpmath.mpf(1)
         for j in range(npowers):
             p = p * inv
             hi = float(p)
             lo = float(p - mpmath.mpf(hi))
-            negs.append(hi)
             parts[j, 0] = hi
             parts[j, 1] = lo
         residual = abs(phi ** m - sum(phi ** j for j in range(m)))
@@ -137,7 +134,6 @@ def make_system(m: int, max_n: int, precision: float = DEFAULT_PRECISION) -> MBo
         basis=tuple(terms),
         phi=phi,
         phi_float=float(phi),
-        phi_neg_powers=tuple(negs),
         neg_power_parts=parts,
         precision=precision,
     )

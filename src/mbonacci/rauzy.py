@@ -10,6 +10,7 @@ geometric check is parameterised by a grid resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -147,7 +148,7 @@ def build_cloud(m: int, depth: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Fract
         phi=sys.phi_float,
         labels=word,
         unreduced=unreduced,
-        reduced=reduce_array(unreduced.copy()),
+        reduced=reduce_array(unreduced),
     )
 
 
@@ -208,6 +209,24 @@ def _cell_sets(point_sets: list[np.ndarray], resolution: float) -> list[np.ndarr
     maxs = np.max([ix.max(axis=0) for ix in idxs], axis=0)
     dims = maxs - mins + 1
     return [np.unique(_ravel(ix, mins, dims)) for ix in idxs]
+
+
+def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...],
+                      origin=0) -> np.ndarray:
+    """Number of letters with a point in each cell of a dense grid.
+
+    `letter_cells` holds one (d, count) int64 array of cell indices per
+    letter, and `origin` is the cell index of the grid's first corner.
+    Each letter marks a boolean occupancy grid, and the grids add up to a
+    uint8 count of shape `dims`.
+    """
+    letters = np.zeros(prod(dims), dtype=np.uint8)
+    occ = np.empty(prod(dims), dtype=bool)
+    for c in letter_cells:
+        occ[:] = False
+        occ[np.ravel_multi_index(c - origin, dims)] = True
+        letters += occ
+    return letters.reshape(dims)
 
 
 def _require_density(npoints: int, m: int, resolution: float, factor: float) -> None:
@@ -294,19 +313,20 @@ def tiling_check(
     """
     _require_density(cloud.size, m, resolution, density_factor)
     side = round(1.0 / resolution)
-    idx = np.minimum((cloud.reduced * side).astype(np.int64), side - 1)
-    dims = tuple([side] * (m - 1))
-    keys = np.ravel_multi_index(idx.T, dims)
-    total = side ** (m - 1)
-    covered = np.unique(keys).size
-    pair_keys = np.unique(keys * np.int64(m + 1) + cloud.labels)
-    cells_of_pairs, letter_counts = np.unique(pair_keys // (m + 1), return_counts=True)
-    overlap = int(np.count_nonzero(letter_counts >= 2))
+    cells = [
+        np.minimum((cloud.letter_points(letter, reduced=True).T * side).astype(np.int64),
+                   side - 1)
+        for letter in range(1, m + 1)
+    ]
+    letters = letter_count_grid(cells, (side,) * (m - 1))
+    total = letters.size
+    covered = int(np.count_nonzero(letters))
+    overlap = int(np.count_nonzero(letters >= 2))
     return TilingReport(
         m=m,
         resolution=resolution,
         total_cells=total,
-        covered_cells=int(covered),
+        covered_cells=covered,
         coverage=covered / total,
         overlap_cells=overlap,
         overlap_fraction=overlap / covered if covered else 0.0,

@@ -78,17 +78,6 @@ def incidence_matrix(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SubstitutionData:
-    m: int
-    images: tuple[tuple[int, ...], ...]
-    incidence: np.ndarray
-
-
-def substitution_data(m: int) -> SubstitutionData:
-    return SubstitutionData(m=m, images=substitution_images(m), incidence=incidence_matrix(m))
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Dominant eigendata of the incidence matrix.
 

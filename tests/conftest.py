@@ -16,8 +16,3 @@ def sys3():
 @pytest.fixture(scope="session")
 def cloud_m2_100k():
     return rauzy.build_cloud(2, 10 ** 5)
-
-
-@pytest.fixture(scope="session")
-def cloud_m3_1m():
-    return rauzy.build_cloud(3, 10 ** 6)

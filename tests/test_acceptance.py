@@ -1,270 +1,25 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance gate: every check in `mbonacci.verify.CHECKS` at full scale.
 
-Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines with timings; plain `pytest` runs them silently.
+`mbonacci verify --full` runs the same checks.  Each becomes one test,
+`test_criterion_<nn>_<name>`, that prints a PASS line; run
+`pytest tests/test_acceptance.py -v -s` to see the lines with timings.
 """
 
-import time
-
-import numpy as np
-import pytest
-
-from helpers import naive_star_disc
-from mbonacci import discrepancy, numeration, rauzy, rotation, spectral
-
-MS = (2, 3, 4, 5, 6)
+from mbonacci import verify
 
 
-def _report(num: int, label: str, detail: str, elapsed: float) -> None:
-    print(f"ACCEPTANCE {num:2d} PASS  {label}: {detail}  [{elapsed:.2f}s]")
+def _criterion(check: verify.Check):
+    def test():
+        result = verify.run_check(check, full=True)
+        assert result.passed, result.detail
+        print(f"ACCEPTANCE {check.number:2d} PASS  {check.name}: {result.detail}  "
+              f"[{result.seconds:.2f}s]")
+
+    test.__name__ = test.__qualname__ = (
+        f"test_criterion_{check.number:02d}_{check.name.replace(' ', '_')}")
+    return test
 
 
-def test_criterion_01_roundtrip_identity():
-    start = time.perf_counter()
-    for m in MS:
-        sys = numeration.make_system(m, 10 ** 6)
-        digits = numeration.digit_matrix(sys, 10 ** 6)
-        assert np.array_equal(
-            numeration.decode_matrix(sys, digits), np.arange(10 ** 6)
-        ), f"roundtrip broken for m={m}"
-        assert int(numeration.longest_one_run(digits).max()) < m, \
-            f"admissibility violated for m={m}"
-        rng = np.random.default_rng(m)
-        for n in rng.integers(0, 10 ** 6, size=50):
-            e = numeration.encode(sys, int(n))
-            assert numeration.decode(sys, e) == n
-            assert tuple(int(d) for d in digits[n][: len(e.digits)]) == e.digits
-    elapsed = time.perf_counter() - start
-    assert elapsed <= 30.0
-    _report(1, "numeration roundtrip", "decode(encode(n)) = n for n < 1e6, m in 2..6", elapsed)
-
-
-def test_criterion_02_word_lengths():
-    start = time.perf_counter()
-    for m in MS:
-        lengths = rauzy.word_lengths(m, 25)
-        basis = numeration.basis_prefix(m, 26)
-        assert lengths == basis, f"word lengths differ from basis terms at m={m}"
-    elapsed = time.perf_counter() - start
-    _report(2, "word-length identity", "|image^k(1)| = F_k exactly, k <= 25, m in 2..6", elapsed)
-
-
-def test_criterion_03_characteristic_identity():
-    start = time.perf_counter()
-    worst = 0.0
-    for m in MS:
-        sys = numeration.make_system(m, 10)
-        worst = max(worst, abs(sum(sys.phi_neg_powers[:m]) - 1.0))
-    assert worst <= 1e-12
-    elapsed = time.perf_counter() - start
-    _report(3, "characteristic identity", f"max |sum phi^-i - 1| = {worst:.2e}", elapsed)
-
-
-def test_criterion_04_rotation_conjugacy():
-    start = time.perf_counter()
-    worst = 0.0
-    for m in MS:
-        sys = numeration.make_system(m, 10 ** 4)
-        orbit = spectral.rotation_orbit(sys, 10 ** 4 + 1)
-        for n in range(10 ** 4 + 1):
-            direct = spectral.torus_reduce(
-                spectral.lattice_coords(m, sys.phi_float, [n] + [0] * (m - 1))
-            )
-            d = np.abs(direct.array() - orbit[n])
-            worst = max(worst, float(np.max(np.minimum(d, 1.0 - d))))
-        rng = np.random.default_rng(m + 40)
-        for n in rng.integers(0, 10 ** 4, size=100):
-            direct = spectral.torus_reduce(
-                spectral.lattice_coords(m, sys.phi_float, [int(n)] + [0] * (m - 1))
-            )
-            worst = max(worst, spectral.torus_distance(
-                direct, spectral.rotation_point([sys], int(n))
-            ))
-    assert worst <= 1e-9
-    ambient_worst = 0.0
-    for m in MS:
-        proj = spectral.ambient_projection(m)
-        sys = numeration.make_system(m, 10)
-        e = np.eye(m)
-        lhs = proj @ e[0]
-        rhs = sum(sys.neg_power(i) * (proj @ (e[0] - e[i - 1])) for i in range(2, m + 1))
-        ambient_worst = max(ambient_worst, float(np.max(np.abs(lhs - rhs))))
-    assert ambient_worst <= 1e-10
-    elapsed = time.perf_counter() - start
-    _report(4, "rotation conjugacy",
-            f"torus gap {worst:.2e} (n <= 1e4), ambient residual {ambient_worst:.2e}",
-            elapsed)
-
-
-def test_criterion_05_interval_partitions():
-    start = time.perf_counter()
-    for m in (2, 3, 4):
-        sys = numeration.make_system(m, numeration.basis_prefix(m, 13)[12] + 1)
-        for k in range(1, 13):
-            ivs = rotation.partition_Ck(sys, k)
-            assert len(ivs) == sys.basis[k]
-            assert ivs[0].left <= 1e-10
-            assert abs(ivs[-1].right - 1.0) <= 1e-10
-            worst_gap = max(abs(b.left - a.right) for a, b in zip(ivs[:-1], ivs[1:]))
-            assert worst_gap <= 1e-10
-            assert abs(sum(iv.length for iv in ivs) - 1.0) <= 1e-10
-    elapsed = time.perf_counter() - start
-    _report(5, "interval partitions", "F_k intervals tile [0,1), m in (2,3,4), k <= 12", elapsed)
-
-
-def test_criterion_06_interval_membership():
-    start = time.perf_counter()
-    worst_measure = 0.0
-    for m in (2, 3, 4):
-        sys = numeration.make_system(m, 10 ** 6)
-        rng = np.random.default_rng(600 + m)
-        for n in rng.integers(0, 10 ** 6, size=3400):
-            x = rotation.vdc(sys, int(n))
-            for k in range(13):
-                iv = rotation.interval_for(sys, int(n), k)
-                assert iv.contains(x, guard=1e-12), f"vdc({n}) escaped its interval (m={m}, k={k})"
-                lam = sys.neg_power(k) * sum(
-                    sys.neg_power(i) for i in range(1, m - iv.r + 1)
-                ) if k else sum(sys.neg_power(i) for i in range(1, m - iv.r + 1))
-                worst_measure = max(worst_measure, abs(iv.length - lam))
-    assert worst_measure <= 1e-10
-    elapsed = time.perf_counter() - start
-    _report(6, "interval membership",
-            f"10200 sampled n, k <= 12; worst measure gap {worst_measure:.2e}", elapsed)
-
-
-def test_criterion_07_tiling_and_set_equation(cloud_m2_100k, cloud_m3_1m):
-    start = time.perf_counter()
-    rep2 = rauzy.tiling_check(2, cloud_m2_100k, 2 ** -8)
-    rep3 = rauzy.tiling_check(3, cloud_m3_1m, 2 ** -5)
-    assert rep2.coverage == 1.0
-    assert rep3.coverage == 1.0
-    se2 = rauzy.set_equation_check(2, cloud_m2_100k, 1, 2 ** -8)
-    se3 = rauzy.set_equation_check(3, cloud_m3_1m, 1, 2 ** -6)
-    assert se2.max_ratio <= 0.05
-    assert se3.max_ratio <= 0.05
-    elapsed = time.perf_counter() - start
-    assert elapsed <= 180.0
-    _report(7, "tiling + set equation",
-            f"full coverage; set-equation ratios {se2.max_ratio:.4f} / {se3.max_ratio:.4f}",
-            elapsed)
-
-
-def test_criterion_08_letter_frequencies():
-    start = time.perf_counter()
-    worst = 0.0
-    for m in MS:
-        word = rauzy.fixed_point_prefix(m, 10 ** 5)
-        sys = numeration.make_system(m, 10)
-        freqs = np.bincount(word, minlength=m + 1)[1:] / word.size
-        for i in range(m):
-            worst = max(worst, abs(freqs[i] - sys.neg_power(i + 1)))
-    assert worst <= 1e-3
-    elapsed = time.perf_counter() - start
-    _report(8, "letter frequencies", f"worst gap to root powers {worst:.2e}", elapsed)
-
-
-def test_criterion_09_vdc_discrepancy_constant():
-    start = time.perf_counter()
-    worst = 0.0
-    for m in (2, 3):
-        sys = numeration.make_system(m, 10 ** 5)
-        values = rotation.vdc_values(sys, 10 ** 5)
-        for n in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5):
-            d = discrepancy.star_disc_1d(values[:n])
-            worst = max(worst, n * d / np.log(n))
-    assert worst <= 3.0
-    elapsed = time.perf_counter() - start
-    assert elapsed <= 60.0
-    _report(9, "1-D discrepancy", f"max N*D_N/log N = {worst:.3f} (m in 2,3)", elapsed)
-
-
-def test_criterion_10_boundary_dimensions(cloud_m2_100k, cloud_m3_1m):
-    start = time.perf_counter()
-    exponent = discrepancy.theorem_exponent((2, 3), (0.0, 1.09336))
-    assert abs(exponent - (-0.302213)) <= 1e-6
-    est3 = discrepancy.box_dim_boundary(cloud_m3_1m, (4, 5, 6, 7, 8, 9))
-    assert 0.94 <= est3.slope <= 1.25, f"m=3 estimate {est3.slope} outside window"
-    est2 = discrepancy.box_dim_boundary(cloud_m2_100k, (4, 5, 6, 7, 8, 9))
-    assert est2.slope <= 0.15, f"m=2 control {est2.slope} too steep"
-    elapsed = time.perf_counter() - start
-    assert elapsed <= 300.0
-    _report(10, "boundary dimensions",
-            f"exponent {exponent:.6f}; m=3 slope {est3.slope:.4f}; m=2 control {est2.slope:.4f}",
-            elapsed)
-
-
-def test_criterion_11_halton_decay():
-    start = time.perf_counter()
-    s2 = numeration.make_system(2, 2 ** 13)
-    s3 = numeration.make_system(3, 2 ** 13)
-    pts = rotation.halton_points(rotation.HaltonConfig(systems=(s2, s3)), 2 ** 13)
-    samples = []
-    for e in range(8, 14):
-        report = discrepancy.star_disc_multi(pts[: 2 ** e])
-        assert report.exact
-        samples.append((2 ** e, report.value))
-    slope, _, r2 = discrepancy.decay_fit(samples)
-    assert slope <= -0.30
-    elapsed = time.perf_counter() - start
-    assert elapsed <= 600.0
-    _report(11, "halton decay",
-            f"fitted exponent {slope:.4f} (r2={r2:.3f}) over N=2^8..2^13", elapsed)
-
-
-def test_criterion_12_multi_discrepancy_oracle():
-    start = time.perf_counter()
-    rng = np.random.default_rng(1212)
-    worst = 0.0
-    for trial in range(200):
-        s = 2 if trial % 2 == 0 else 3
-        n = int(rng.integers(1, 65))
-        pts = rng.random((n, s))
-        if trial % 9 == 0 and n >= 3:
-            pts[1] = pts[0]
-            pts[2, 0] = 0.0
-        got = discrepancy.star_disc_multi(pts).value
-        ref = naive_star_disc(pts)
-        worst = max(worst, abs(got - ref))
-    assert worst <= 1e-12
-    elapsed = time.perf_counter() - start
-    _report(12, "multi-D discrepancy", f"200 instances, worst |fast - naive| = {worst:.2e}",
-            elapsed)
-
-
-# frozen on first computation: local discrepancies for m=2 at N = F_22
-_FROZEN_DELTA_M2_F22 = {
-    0: 2.0800716704627575e-10,
-    1: 4.160143063369759e-10,
-    2: 6.240214733832516e-10,
-    3: 1.0400357658424397e-09,
-    4: 1.6640572253479036e-09,
-    5: 2.7040929911903433e-09,
-    6: 4.368150216538247e-09,
-}
-
-
-def test_criterion_13_local_discrepancies():
-    start = time.perf_counter()
-    sys2 = numeration.make_system(2, 10 ** 5)
-    sys3 = numeration.make_system(3, 10 ** 4)
-    for sys, N in ((sys2, 5000), (sys3, 5000)):
-        for k in range(0, 9):
-            counts = rotation.membership_counts(sys, k, N)
-            assert sum(counts.values()) == N, f"level-{k} memberships do not partition"
-            assert all(c >= 0 for c in counts.values())
-        rng = np.random.default_rng(13)
-        for n in rng.integers(0, N, size=25):
-            addr = rauzy.subtile_of(sys, int(n), 6)
-            assert rotation.membership_oracle(sys, int(n), addr)
-    N = sys2.basis[22]
-    assert N == 46368
-    for k in range(0, 7):
-        delta = rotation.local_discrepancy(sys2, k, N)
-        assert 0.0 <= delta <= 1.0
-        assert delta <= 50.0 / N
-        assert abs(delta - _FROZEN_DELTA_M2_F22[k]) <= 1e-12
-    elapsed = time.perf_counter() - start
-    _report(13, "local discrepancies",
-            f"partitions exact (k <= 8); delta_k at N=F_22 within 50/N and frozen values",
-            elapsed)
+for _check in verify.CHECKS:
+    _test = _criterion(_check)
+    globals()[_test.__name__] = _test

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 CMD = [sys.executable, "-m", "mbonacci"]
 
@@ -189,3 +190,31 @@ def test_verify_table_format(monkeypatch, capsys):
     assert rc == 1
     assert "PASS  alpha" in out and "FAIL  beta" in out
     assert "1/2 checks passed" in out
+
+
+def test_verify_reports_failed_and_over_budget_checks(monkeypatch, capsys):
+    from mbonacci import cli, verify
+
+    def fails(full):
+        assert 1 + 1 == 3, "arithmetic drifted by 1"
+
+    def slow(full):
+        time.sleep(0.02)
+        return "slow but right"
+
+    monkeypatch.setattr(verify, "CHECKS", (
+        verify.Check(1, "asserts", fails),
+        verify.Check(2, "crashes", lambda full: 1 / 0),
+        verify.Check(3, "slow", slow, budget=0.01),
+    ))
+    rc = cli.run(cli.RunConfig(command="verify", parameters={"full": True}))
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  asserts" in out and "arithmetic drifted by 1" in out
+    assert "FAIL  crashes" in out and "raised ZeroDivisionError" in out
+    assert "FAIL  slow" in out and "over its 0.01s budget" in out
+    assert "0/3 checks passed" in out
+    # the budget binds only at full scale
+    rc = cli.run(cli.RunConfig(command="verify", parameters={"full": False}))
+    out = capsys.readouterr().out
+    assert rc == 1 and "PASS  slow" in out and "1/3 checks passed" in out

@@ -223,6 +223,24 @@ def test_three_dimensional_torus_geometry_m4():
     assert se.max_ratio <= 0.05
 
 
+@pytest.mark.parametrize("m, depth, resolution", [
+    (2, 10 ** 5, 2 ** -8), (2, 10 ** 5, 2 ** -6),
+    (3, 2 * 10 ** 5, 2 ** -5), (4, 2 * 10 ** 5, 2 ** -3),
+])
+def test_tiling_counts_match_sorted_count(m, depth, resolution):
+    # the dense letter-count grid against a sort of (cell, letter) keys
+    cloud = build_cloud(m, depth)
+    side = round(1 / resolution)
+    idx = np.minimum((cloud.reduced * side).astype(np.int64), side - 1)
+    keys = np.ravel_multi_index(idx.T, (side,) * (m - 1))
+    pairs = np.unique(keys * (m + 1) + cloud.labels)
+    _, letters = np.unique(pairs // (m + 1), return_counts=True)
+    rep = tiling_check(m, cloud, resolution)
+    assert rep.total_cells == side ** (m - 1)
+    assert rep.covered_cells == letters.size
+    assert rep.overlap_cells == np.count_nonzero(letters >= 2)
+
+
 def test_density_guards():
     cloud = build_cloud(3, 2000)
     with pytest.raises(ValueError):
