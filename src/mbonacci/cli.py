@@ -38,8 +38,15 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"config line is not key=value: {raw.strip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             if key in _CONFIG_KEYS:
-                values[key] = int(val)
+                values[key] = _int_setting(f"config key {key}", val)
     return values
+
+
+def _int_setting(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _apply_thread_cap(threads: int | None) -> None:
@@ -160,6 +167,8 @@ def _cmd_disc(cfg: RunConfig) -> int:
     elif variant == "fit":
         ms = cfg.parameters["ms"]
         lo, hi = cfg.parameters["min_exp"], cfg.parameters["max_exp"]
+        if lo < 0:
+            raise ValueError(f"--min-exp must be >= 0, got {lo}")
         systems = tuple(numeration.make_system(m, 2 ** hi) for m in ms)
         pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), 2 ** hi)
         samples = []
@@ -243,10 +252,8 @@ def _cmd_local_disc(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    from mbonacci import verify
-
-    results = verify.run_checks(full=cfg.parameters.get("full", False))
+def _report_checks(cfg: RunConfig, results) -> int:
+    """One table row per check result and a tally; exit 1 on any FAIL."""
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -258,31 +265,23 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
+def _cmd_verify(cfg: RunConfig) -> int:
+    from mbonacci import verify
+
+    return _report_checks(cfg, verify.run_checks(full=cfg.parameters.get("full", False)))
+
+
+# the registry's criteria for the paper's worked example: the reference
+# exponent with the measured boundary dimensions, and the Halton decay
+_EXAMPLE_CRITERIA = (10, 11)
+
+
 def _cmd_reproduce(cfg: RunConfig) -> int:
-    from mbonacci import discrepancy, numeration, rauzy, rotation
+    from mbonacci import verify
 
-    quick = cfg.parameters.get("quick", False)
-    lines = []
-    exponent = discrepancy.theorem_exponent((2, 3), (0.0, 1.09336))
-    lines.append("reference bases (m1, m2) = (2, 3), boundary dimensions d = (0, 1.09336)")
-    lines.append(f"predicted decay exponent: {exponent:.6f}")
-
-    depth3, levels = (250000, (4, 5, 6, 7)) if quick else (10 ** 6, (4, 5, 6, 7, 8, 9))
-    est3 = discrepancy.box_dim_boundary(rauzy.build_cloud(3, depth3), levels)
-    est2 = discrepancy.box_dim_boundary(rauzy.build_cloud(2, 10 ** 5), levels)
-    lines.append(f"measured boundary dimension m=3: {est3.slope:.4f} (levels {levels[0]}..{levels[-1]})")
-    lines.append(f"measured boundary dimension m=2: {est2.slope:.4f} (interval control)")
-
-    top = 11 if quick else 13
-    systems = (numeration.make_system(2, 2 ** top), numeration.make_system(3, 2 ** top))
-    pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), 2 ** top)
-    samples = [(2 ** e, discrepancy.star_disc_multi(pts[: 2 ** e]).value)
-               for e in range(8, top + 1)]
-    slope, _, r2 = discrepancy.decay_fit(samples)
-    lines.append(f"measured halton decay exponent over N=2^8..2^{top}: {slope:.4f} (r2={r2:.3f})")
-    lines.append(f"consistent with the predicted upper bound: {slope <= exponent}")
-    _emit(cfg, "\n".join(lines) + "\n")
-    return 0
+    full = not cfg.parameters.get("quick", False)
+    return _report_checks(cfg, [verify.run_check(c, full) for c in verify.CHECKS
+                                if c.number in _EXAMPLE_CRITERIA])
 
 
 _HANDLERS = {
@@ -388,32 +387,39 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--quick", action="store_true", default=True)
     g.add_argument("--full", action="store_true", default=False)
 
-    p = sub.add_parser("reproduce-example", help="reference exponent and measured decay",
+    p = sub.add_parser("reproduce-example",
+                       help="criteria 10 and 11 of verify: reference exponent and measured decay",
                        parents=[common])
     p.add_argument("--quick", action="store_true", default=False)
 
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _settings(args) -> tuple[int | None, int]:
+    """Thread cap and digit count from the flags, the environment and the
+    config file, in that order of precedence."""
     config_path = getattr(args, "config", None)
     config_values = _read_config(config_path) if config_path else {}
     env_threads = os.environ.get(_THREAD_ENV)
     threads = getattr(args, "threads", None)
     if threads is None and env_threads is not None:
-        threads = int(env_threads)
+        threads = _int_setting(_THREAD_ENV, env_threads)
     if threads is None:
         threads = config_values.get("threads")
     digits = getattr(args, "digits", None)
     if digits is None:
         digits = config_values.get("digits", 15)
     if digits < 1 or digits > 30:
-        print("error: --digits must be in 1..30", file=sys.stderr)
-        return 2
+        raise ValueError("--digits must be in 1..30")
+    return threads, digits
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
+        threads, digits = _settings(args)
         _apply_thread_cap(threads)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

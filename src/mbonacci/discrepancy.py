@@ -21,7 +21,6 @@ past it the same sweep runs on a subsampled grid and gives a lower bound.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
@@ -38,8 +37,6 @@ class DiscrepancyReport:
     N: int
     value: float
     method: str
-    dims: int
-    runtime: float
     exact: bool = True
 
 
@@ -188,14 +185,12 @@ def star_disc_multi(
         raise ValueError("empty point set")
     if not np.all((pts >= 0.0) & (pts < 1.0)):
         raise ValueError("points must lie in [0, 1)^s")
-    start = time.perf_counter()
     cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
     cells = prod(len(c) for c in cands)
     if cells <= max_exact_ops:
         value = _corner_sweep(pts, cands, full_grid=True)
         method = "exact_corner_sweep" if s == 2 else "exact_corner_grid"
-        return DiscrepancyReport(N=n, value=value, method=method,
-                                 dims=s, runtime=time.perf_counter() - start)
+        return DiscrepancyReport(N=n, value=value, method=method)
     if not fallback:
         raise ValueError(
             f"exact corner enumeration needs {cells:.2g} grid cells, over the budget "
@@ -205,7 +200,7 @@ def star_disc_multi(
     cands = [_subsample(c, limit) for c in cands]
     value = _corner_sweep(pts, cands, full_grid=False)
     return DiscrepancyReport(N=n, value=value, method="corner_subsample_lower_bound",
-                             dims=s, runtime=time.perf_counter() - start, exact=False)
+                             exact=False)
 
 
 def decay_fit(samples) -> tuple[float, float, float]:
@@ -242,81 +237,52 @@ class DimensionEstimate:
     mode: str
 
 
-def _letter_cells(cloud: FractalCloud, level: int, coords: str) -> list[np.ndarray]:
-    """Integer cells of side 2^-level holding the points of each letter, one
-    (m - 1, count) int64 array per letter: cells of the reduced torus
-    ("torus") or of the plain lattice coordinates ("ambient").
+def _letter_cells(cloud: FractalCloud, level: int) -> list[np.ndarray]:
+    """Integer cells of side 2^-level of the plain lattice coordinates
+    holding the points of each letter, one (m - 1, count) int64 array per
+    letter.
 
     Scaling by 2^level is exact, so the cells at a coarser level l are
     these shifted right by level - l.
     """
     side = 1 << level
-    cells = []
-    for letter in range(1, cloud.m + 1):
-        pts = cloud.letter_points(letter, reduced=coords == "torus")
-        c = np.floor(np.ascontiguousarray(pts.T) * side)
-        c = c.astype(np.int64)
-        if coords == "torus":
-            np.minimum(c, side - 1, out=c)
-        cells.append(c)
-    return cells
+    return [np.floor(np.ascontiguousarray(cloud.letter_points(letter).T) * side).astype(np.int64)
+            for letter in range(1, cloud.m + 1)]
 
 
-def _boundary_cells(letter_cells: list[np.ndarray], mode: str, torus_side: int | None) -> int:
-    """Boundary cells among the occupied cells of each letter.
-
-    With `torus_side` the cells wrap around a torus of that many cells per
-    axis; without it the grid is the cells' bounding box plus a one-cell
-    empty margin.  `letter_count_grid` counts the letters in each cell.
-    """
-    d = letter_cells[0].shape[0]
-    occupied = [c for c in letter_cells if c.shape[1]]
-    if torus_side is not None:
-        dims = (torus_side,) * d
-        origin = np.zeros((d, 1), dtype=np.int64)
-    else:
-        lo = np.min([c.min(axis=1) for c in occupied], axis=0)
-        hi = np.max([c.max(axis=1) for c in occupied], axis=0)
-        dims = tuple(int(x) for x in hi - lo + 3)
-        origin = (lo - 1)[:, None]
-    if prod(dims) > 1 << 26:
-        raise ValueError("occupancy grid too large for dense box counting")
-    letters = letter_count_grid(occupied, dims, origin)
-    boundary = np.zeros(dims, dtype=bool)
+def _boundary_cells(letter_cells: list[np.ndarray], mode: str) -> int:
+    """Boundary cells among the occupied cells of each letter, on the
+    cells' bounding box plus a one-cell empty margin, where
+    `letter_count_grid` counts the letters in each cell."""
+    letters = letter_count_grid(letter_cells)
+    boundary = np.zeros(letters.shape, dtype=bool)
     if mode in ("subtile", "both"):
         boundary |= letters >= 2
     if mode in ("outer", "both"):
         holes = letters == 0
-        near_hole = np.zeros(dims, dtype=bool)
-        for axis in range(d):
-            # wrap-around of roll is the right adjacency on the torus and
-            # harmless on the ambient grid, whose margin ring is empty
+        near_hole = np.zeros(letters.shape, dtype=bool)
+        for axis in range(letters.ndim):
+            # the margin ring is empty, so the wrap-around of roll is harmless
             near_hole |= np.roll(holes, 1, axis=axis)
             near_hole |= np.roll(holes, -1, axis=axis)
         boundary |= near_hole & ~holes
     return int(np.count_nonzero(boundary))
 
 
-def box_dim_boundary(
-    cloud: FractalCloud,
-    levels,
-    mode: str = "both",
-    coords: str = "ambient",
-) -> DimensionEstimate:
+def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> DimensionEstimate:
     """Box-counting dimension of the cloud's boundary structure.
 
     A cell of side 2^-level is a boundary cell when it is occupied but has
     an unoccupied face-neighbour ("outer" rule), or when points of two or
     more letters land in it ("subtile" rule); "both" takes the union.  The
-    default grid lives in plain lattice coordinates anchored at 0, where
-    the cloud is a bounded region with genuine exterior; on the reduced
-    torus ("torus") the cloud covers every cell at practical depths, so
-    only the letter rule can fire there.
+    grid lives in plain lattice coordinates anchored at 0, where the cloud
+    is a bounded region with genuine exterior.  (On the reduced torus the
+    cloud covers every cell at practical depths, so only the letter rule
+    could fire there, and that count is `rauzy.tiling_check`'s
+    `overlap_cells`.)
     """
     if mode not in ("subtile", "outer", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    if coords not in ("ambient", "torus"):
-        raise ValueError(f"unknown coords {coords!r}")
     levels = tuple(int(l) for l in levels)
     if not levels or any(l < 1 for l in levels):
         raise ValueError("levels must be positive integers")
@@ -326,12 +292,8 @@ def box_dim_boundary(
             f"cloud of {cloud.size} points too sparse for level {finest} "
             f"(needs at least one point per cell on average)"
         )
-    cells = _letter_cells(cloud, finest, coords)
-    counts = tuple(
-        _boundary_cells([c >> (finest - l) for c in cells], mode,
-                        1 << l if coords == "torus" else None)
-        for l in levels
-    )
+    cells = _letter_cells(cloud, finest)
+    counts = tuple(_boundary_cells([c >> (finest - l) for c in cells], mode) for l in levels)
     xs = np.array([l for l, c in zip(levels, counts) if c > 0], dtype=np.float64)
     ys = np.array([np.log2(c) for c in counts if c > 0])
     if xs.size < 2:
@@ -360,10 +322,8 @@ def theorem_exponent(ms, dims) -> float:
     if any(m < 2 for m in ms):
         raise ValueError("all m must be >= 2")
     for m, d in zip(ms, dims):
-        if d < 0:
-            raise ValueError(f"dimension {d} negative")
-        if d >= m - 1:
-            raise ValueError(f"boundary dimension {d} must be strictly below m-1={m - 1}")
+        if not 0.0 <= d < m - 1:  # also false for NaN
+            raise ValueError(f"boundary dimension {d} must lie in [0, m-1={m - 1})")
     return max(d - (m - 1) for m, d in zip(ms, dims)) / sum(m - 1 for m in ms)
 
 

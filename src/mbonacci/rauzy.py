@@ -65,13 +65,6 @@ def word_lengths(m: int, k_max: int) -> list[int]:
     return lengths
 
 
-def word_length_check(m: int, k: int) -> bool:
-    """True iff the k-fold image of 1 has exactly F_k letters."""
-    lengths = word_lengths(m, k)
-    basis = numeration.basis_prefix(m, k + 1)
-    return lengths[k] == basis[k]
-
-
 @dataclass(frozen=True)
 class PrefixSuffixEdge:
     """Edge of the prefix-suffix graph; prefix_len is 0 (empty) or 1."""
@@ -192,34 +185,30 @@ def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
 # grid rasterisation
 # ---------------------------------------------------------------------------
 
-def _cell_index(points: np.ndarray, resolution: float) -> np.ndarray:
-    return np.floor(points / resolution).astype(np.int64)
+# dense grids above this many cells are refused rather than allocated
+MAX_GRID_CELLS = 1 << 26
 
 
-def _ravel(idx: np.ndarray, mins: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    if np.prod(dims.astype(np.float64)) > 2 ** 62:
-        raise ValueError("grid too fine to rasterise")
-    return np.ravel_multi_index((idx - mins).T, tuple(int(d) for d in dims))
-
-
-def _cell_sets(point_sets: list[np.ndarray], resolution: float) -> list[np.ndarray]:
-    """Unique occupied-cell keys for several point sets on one shared grid."""
-    idxs = [_cell_index(p, resolution) for p in point_sets]
-    mins = np.min([ix.min(axis=0) for ix in idxs], axis=0)
-    maxs = np.max([ix.max(axis=0) for ix in idxs], axis=0)
-    dims = maxs - mins + 1
-    return [np.unique(_ravel(ix, mins, dims)) for ix in idxs]
-
-
-def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...],
+def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | None = None,
                       origin=0) -> np.ndarray:
     """Number of letters with a point in each cell of a dense grid.
 
     `letter_cells` holds one (d, count) int64 array of cell indices per
-    letter, and `origin` is the cell index of the grid's first corner.
-    Each letter marks a boolean occupancy grid, and the grids add up to a
-    uint8 count of shape `dims`.
+    letter (or per point set).  The grid has shape `dims` with its first
+    corner at cell index `origin`.  Without `dims` it is the bounding box
+    of the cells plus one empty cell on every side, so every occupied cell
+    has all its face-neighbours in the grid.  Grids of more than
+    MAX_GRID_CELLS cells raise a ValueError.  Each letter marks a boolean
+    occupancy grid, and the grids add up to a uint8 count.
     """
+    if dims is None:
+        occupied = [c for c in letter_cells if c.shape[1]]
+        lo = np.min([c.min(axis=1) for c in occupied], axis=0) - 1
+        hi = np.max([c.max(axis=1) for c in occupied], axis=0) + 1
+        dims = tuple(int(x) for x in hi - lo + 1)
+        origin = lo[:, None]
+    if prod(dims) > MAX_GRID_CELLS:
+        raise ValueError(f"occupancy grid of {prod(dims):.3g} cells too large for a dense count")
     letters = np.zeros(prod(dims), dtype=np.uint8)
     occ = np.empty(prod(dims), dtype=bool)
     for c in letter_cells:
@@ -278,11 +267,10 @@ def set_equation_check(
 
     ratios: dict[int, float] = {}
     for letter in range(1, m + 1):
-        lhs = cloud.letter_points(letter)
-        rhs = approx(letter, k)
-        cells_l, cells_r = _cell_sets([lhs, rhs], resolution)
-        sym = np.setxor1d(cells_l, cells_r, assume_unique=True).size
-        union = np.union1d(cells_l, cells_r).size
+        sides = (cloud.letter_points(letter), approx(letter, k))
+        grid = letter_count_grid([np.floor(p.T / resolution).astype(np.int64) for p in sides])
+        sym = int(np.count_nonzero(grid == 1))
+        union = int(np.count_nonzero(grid))
         ratios[letter] = sym / union if union else 0.0
     return SetEquationReport(m=m, k=k, resolution=resolution, ratios=ratios,
                              max_ratio=max(ratios.values()))

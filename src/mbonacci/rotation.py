@@ -9,9 +9,7 @@ point-in-fractal test would be boundary-fragile.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,12 +19,9 @@ from mbonacci.numeration import (
     ones_run_from,
     trailing_ones_before,
 )
-from mbonacci.rauzy import SubtileAddress, build_cloud
-from mbonacci.spectral import TorusPoint, contraction_matrix, torus_reduce
+from mbonacci.rauzy import SubtileAddress
 
 DEFAULT_LEVEL_CAP = 10
-
-_REFERENCE_DEPTH = 2048
 
 
 def _dd_add(a_hi, a_lo, b_hi, b_lo):
@@ -62,53 +57,31 @@ def vdc(sys: MBonacciSystem, n: int) -> float:
 _FILL_BLOCK = 1 << 15
 
 
-def vdc_values(sys: MBonacciSystem, ns) -> np.ndarray:
-    """Van der Corput values for a count (meaning 0..count-1) or an index array.
+def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
+    """Van der Corput values of 0..count-1.
 
     Each value is a double-double sum of the (hi, lo) root powers rounded
     once to float64, so it is within half an ulp (plus about 2^-100
     relative) of the exact value: correctly rounded except next to a
-    rounding tie.  Every form adds the powers of the greedy digits from
-    the lowest position up, so all forms agree bit for bit.
+    rounding tie.
 
-    A count is filled in O(count) by prefix doubling: for
+    The values are filled in O(count) by prefix doubling: for
     F_k <= n < F_{k+1} the greedy expansion of n is the digit at k plus
     the expansion of n - F_k < F_k, so vdc(n) = phi^-(k+1) + vdc(n - F_k).
-    An index array subtracts its greedy digits from the top, then adds
-    their powers from the bottom.
     """
-    if np.ndim(ns) == 0:
-        count = int(ns)
-        if count < 0 or count - 1 >= sys.basis[-1]:
-            raise ValueError(f"count {count} out of basis coverage")
-        hi = np.zeros(count)
-        lo = np.zeros(count)
-        for k, (p_hi, p_lo) in enumerate(sys.neg_power_parts[:len(sys.basis) - 1]):
-            start = sys.basis[k]
-            if start >= count:
-                break
-            stop = min(sys.basis[k + 1], count)
-            for a in range(start, stop, _FILL_BLOCK):
-                b = min(a + _FILL_BLOCK, stop)
-                hi[a:b], lo[a:b] = _dd_add(p_hi, p_lo, hi[a - start:b - start],
-                                           lo[a - start:b - start])
-        return hi
-    ns = np.asarray(ns, dtype=np.int64)
-    if ns.size == 0:
-        return np.zeros(ns.shape)
-    if ns.min() < 0 or ns.max() >= sys.basis[-1]:
-        raise ValueError("n out of basis coverage")
-    rem = ns.copy()
-    takes = []
-    for j in range(bisect_right(sys.basis, int(ns.max())) - 1, -1, -1):
-        take = rem >= sys.basis[j]
-        np.subtract(rem, sys.basis[j], out=rem, where=take)
-        takes.append(take)
-    hi = np.zeros(ns.shape)
-    lo = np.zeros(ns.shape)
-    for (p_hi, p_lo), take in zip(sys.neg_power_parts, reversed(takes)):
-        if take.any():
-            hi, lo = _dd_add(np.where(take, p_hi, 0.0), np.where(take, p_lo, 0.0), hi, lo)
+    if count < 0 or count - 1 >= sys.basis[-1]:
+        raise ValueError(f"count {count} out of basis coverage")
+    hi = np.zeros(count)
+    lo = np.zeros(count)
+    for k, (p_hi, p_lo) in enumerate(sys.neg_power_parts[:len(sys.basis) - 1]):
+        start = sys.basis[k]
+        if start >= count:
+            break
+        stop = min(sys.basis[k + 1], count)
+        for a in range(start, stop, _FILL_BLOCK):
+            b = min(a + _FILL_BLOCK, stop)
+            hi[a:b], lo[a:b] = _dd_add(p_hi, p_lo, hi[a - start:b - start],
+                                       lo[a - start:b - start])
     return hi
 
 
@@ -130,11 +103,6 @@ class HaltonConfig:
     @property
     def dims(self) -> int:
         return len(self.systems)
-
-
-def halton(cfg: HaltonConfig, n: int) -> np.ndarray:
-    """Component-wise van der Corput vector for one index."""
-    return np.array([vdc(s, n) for s in cfg.systems])
 
 
 def halton_points(cfg: HaltonConfig, count: int) -> np.ndarray:
@@ -199,33 +167,6 @@ def partition_Ck(sys: MBonacciSystem, k: int) -> list[CkInterval]:
     intervals = [interval_for(sys, n, k) for n in range(count)]
     intervals.sort(key=lambda iv: iv.left)
     return intervals
-
-
-@lru_cache(maxsize=8)
-def _reference_point(m: int) -> tuple[float, ...]:
-    """Fixed interior point of the letter-1 subtile, in unreduced lattice
-    coordinates: the first label-1 cloud point at or after the middle of a
-    fixed-depth cloud."""
-    cloud = build_cloud(m, _REFERENCE_DEPTH)
-    i = _REFERENCE_DEPTH // 2
-    while cloud.labels[i] != 1:
-        i += 1
-    return tuple(float(c) for c in cloud.unreduced[i])
-
-
-def default_offset(sys: MBonacciSystem, k: int, N: int) -> TorusPoint:
-    """Deterministic interior offset for boundary-free counting.
-
-    With L the level covering N - 1 and M = max(k, L), the offset is the
-    M-fold contraction of a fixed interior reference point of the letter-1
-    subtile, so it shrinks like phi^-M and never depends on runtime state.
-    """
-    if k < 1 or N < 1:
-        raise ValueError("k and N must be >= 1")
-    L = bisect_right(sys.basis, N - 1)
-    M = max(k, L)
-    mat = np.linalg.matrix_power(contraction_matrix(sys.m, sys.phi_float), M)
-    return torus_reduce(mat @ np.array(_reference_point(sys.m)))
 
 
 def membership_oracle(sys: MBonacciSystem, n: int, addr: SubtileAddress) -> bool:

@@ -199,25 +199,16 @@ def contraction_matrix(m: int, phi: float) -> np.ndarray:
     return mat
 
 
-def rotation_point(systems, n: int, offsets=None) -> TorusPoint:
-    """Concatenated rotation orbit point: frac(n * (phi^-2..phi^-m) + offset)
-    per system, each block evaluated from n directly at extended precision."""
+def rotation_point(systems, n: int) -> TorusPoint:
+    """Concatenated rotation orbit point: frac(n * (phi^-2..phi^-m)) per
+    system, each block evaluated from n directly at extended precision."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    if offsets is None:
-        offsets = [None] * len(systems)
-    if len(offsets) != len(systems):
-        raise ValueError("offsets length must match systems")
     out: list[float] = []
-    for sys_i, off in zip(systems, offsets):
-        off_coords = (0.0,) * (sys_i.m - 1) if off is None else tuple(off.coords)
-        if len(off_coords) != sys_i.m - 1:
-            raise ValueError("offset dimension mismatch")
-        bits = work_bits(sys_i.precision)
-        with mpmath.workprec(bits):
-            for i, o in zip(range(2, sys_i.m + 1), off_coords):
-                v = mpmath.frac(n * sys_i.phi ** -i + o)
-                f = float(v)
+    for sys_i in systems:
+        with mpmath.workprec(work_bits(sys_i.precision)):
+            for i in range(2, sys_i.m + 1):
+                f = float(mpmath.frac(n * sys_i.phi ** -i))
                 out.append(0.0 if f >= 1.0 else f)
     return TorusPoint(tuple(out))
 
@@ -233,8 +224,8 @@ def _split(hi: float) -> tuple[float, float]:
     return hi1, hi - hi1
 
 
-def precise_frac_multiples(ns: np.ndarray, hi: float, lo: float, offset: float = 0.0) -> np.ndarray:
-    """frac(n * (hi + lo) + offset) for an int array n < 2^26.
+def precise_frac_multiples(ns: np.ndarray, hi: float, lo: float) -> np.ndarray:
+    """frac(n * (hi + lo)) for an int array n < 2^26.
 
     hi is split so both partial products are exact; only the final
     recombination rounds.
@@ -246,7 +237,7 @@ def precise_frac_multiples(ns: np.ndarray, hi: float, lo: float, offset: float =
     a = nf * hi1
     a -= np.floor(a)
     s = a + nf * hi2
-    s += nf * lo + offset
+    s += nf * lo
     s -= np.floor(s)
     s[s >= 1.0] = 0.0
     return s
@@ -264,12 +255,10 @@ def precise_multiples_minus(ns: np.ndarray, hi: float, lo: float, subtract: np.n
     return out
 
 
-def rotation_orbit(system, count: int, offset: TorusPoint | None = None) -> np.ndarray:
+def rotation_orbit(system, count: int) -> np.ndarray:
     """First `count` rotation points of one system as a (count, m-1) array."""
     ns = np.arange(count, dtype=np.int64)
-    off = (0.0,) * (system.m - 1) if offset is None else offset.coords
     cols = []
-    for i, o in zip(range(2, system.m + 1), off):
-        hi, lo = system.neg_power_parts[i - 1]
-        cols.append(precise_frac_multiples(ns, float(hi), float(lo), float(o)))
+    for hi, lo in system.neg_power_parts[1:system.m]:
+        cols.append(precise_frac_multiples(ns, float(hi), float(lo)))
     return np.stack(cols, axis=1)

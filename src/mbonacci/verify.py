@@ -1,5 +1,6 @@
 """The paper's identities as one registry of checks, run by the `verify`
-CLI command and by the acceptance gate (`tests/test_acceptance.py`).
+CLI command and by the acceptance gate (`tests/test_acceptance.py`);
+`reproduce-example` runs criteria 10 and 11.
 
 `CHECKS` holds one entry per acceptance criterion.  A check asserts its
 identity at quick scale (seconds) or full scale (the gate) and returns a

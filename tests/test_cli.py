@@ -142,6 +142,12 @@ def test_config_file_sets_digits(tmp_path):
     cfg.write_text("digits=4\n# comment line\n")
     out = run_cli("--config", str(cfg), "seq", "vdc", "--m", "2", "--count", "2")
     assert out.stdout.strip().split("\n")[2] == "1,0.6180"
+    # a missing file and a non-integer value are usage errors, not crashes
+    cfg.write_text("digits=abc\n")
+    for path in (str(tmp_path / "missing.cfg"), str(cfg)):
+        out = run_cli("--config", path, "seq", "vdc", "--m", "2", "--count", "2")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
 def test_threads_env_and_flag_accepted():
@@ -153,6 +159,11 @@ def test_threads_env_and_flag_accepted():
     assert out.returncode == 0
     out = run_cli("--threads", "0", "expand", "--m", "2", "--n", "1")
     assert out.returncode == 2
+    env = dict(os.environ, MBONACCI_THREADS="abc")
+    out = subprocess.run(CMD + ["expand", "--m", "2", "--n", "4"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: MBONACCI_THREADS") and "Traceback" not in out.stderr
 
 
 def test_bad_flags_exit_2():
@@ -168,6 +179,12 @@ def test_module_error_exit_1():
     assert "pairwise distinct" in out.stderr
     out = run_cli("expand", "--m", "1", "--n", "3")
     assert out.returncode == 1
+    out = run_cli("exponent", "--ms", "2,3", "--dims", "nan,1")
+    assert out.returncode == 1 and out.stdout == ""
+    assert "boundary dimension nan" in out.stderr
+    out = run_cli("disc", "fit", "--ms", "2,3", "--min-exp", "-1")
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    assert "--min-exp must be >= 0" in out.stderr
 
 
 def test_output_flag_writes_file(tmp_path):
@@ -218,3 +235,37 @@ def test_verify_reports_failed_and_over_budget_checks(monkeypatch, capsys):
     rc = cli.run(cli.RunConfig(command="verify", parameters={"full": False}))
     out = capsys.readouterr().out
     assert rc == 1 and "PASS  slow" in out and "1/3 checks passed" in out
+
+
+def test_reproduce_example_quick():
+    out = run_cli("reproduce-example", "--quick")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.strip().split("\n")
+    assert lines[0].startswith("PASS  boundary dimensions") and "exponent -0.302213" in lines[0]
+    assert lines[1].startswith("PASS  halton decay")
+    assert lines[2] == "2/2 checks passed"
+
+
+def test_reproduce_example_reads_the_registry(monkeypatch, capsys):
+    from mbonacci import cli, verify
+
+    def fails(full):
+        assert full, "ran at quick scale"
+
+    def must_not_run(full):
+        raise AssertionError("only criteria 10 and 11 belong to the example")
+
+    monkeypatch.setattr(verify, "CHECKS", (
+        verify.Check(9, "other", must_not_run),
+        verify.Check(10, "ten", lambda full: f"full={full}"),
+        verify.Check(11, "eleven", fails),
+    ))
+    rc = cli.run(cli.RunConfig(command="reproduce-example", parameters={"quick": True}))
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "PASS  ten" in out and "full=False" in out
+    assert "FAIL  eleven" in out and "ran at quick scale" in out
+    assert "other" not in out and "1/2 checks passed" in out
+    rc = cli.run(cli.RunConfig(command="reproduce-example", parameters={"quick": False}))
+    out = capsys.readouterr().out
+    assert rc == 0 and "full=True" in out and "2/2 checks passed" in out

@@ -15,7 +15,6 @@ from mbonacci.rauzy import (
     substitute,
     subtile_of,
     tiling_check,
-    word_length_check,
     word_lengths,
 )
 from mbonacci.spectral import lattice_coords, rotation_point, torus_distance, torus_reduce
@@ -45,9 +44,7 @@ def test_fixed_point_is_fixed():
 def test_word_length_examples():
     assert word_lengths(2, 5)[5] == 13
     assert word_lengths(3, 4)[4] == 13
-    assert word_length_check(2, 5)
-    assert word_length_check(3, 4)
-    assert word_length_check(4, 0)
+    assert word_lengths(4, 0) == [1]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -239,6 +236,30 @@ def test_tiling_counts_match_sorted_count(m, depth, resolution):
     assert rep.total_cells == side ** (m - 1)
     assert rep.covered_cells == letters.size
     assert rep.overlap_cells == np.count_nonzero(letters >= 2)
+
+
+@pytest.mark.parametrize("m, depth, k, resolution", [
+    (2, 10 ** 5, 1, 2 ** -8), (2, 10 ** 5, 2, 2 ** -8),
+    (3, 2 * 10 ** 5, 1, 2 ** -5), (4, 2 * 10 ** 5, 1, 2 ** -3),
+])
+def test_set_equation_matches_sorted_cells(m, depth, k, resolution):
+    # the dense two-set count against sorted cell-key sets of both sides
+    from mbonacci.spectral import contraction_matrix
+
+    cloud = build_cloud(m, depth)
+    mat = contraction_matrix(m, cloud.phi)
+    gamma = np.asarray(lattice_coords(m, cloud.phi, [1] + [0] * (m - 1)))
+    sides = {letter: cloud.letter_points(letter) for letter in range(1, m + 1)}
+    for _ in range(k):
+        sides = {letter: (np.concatenate(list(sides.values())) @ mat.T if letter == 1
+                          else sides[letter - 1] @ mat.T + gamma)
+                 for letter in range(1, m + 1)}
+    rep = set_equation_check(m, cloud, k, resolution)
+    for letter, rhs in sides.items():
+        cells = [{tuple(c) for c in np.floor(p / resolution).astype(np.int64).tolist()}
+                 for p in (cloud.letter_points(letter), rhs)]
+        want = len(cells[0] ^ cells[1]) / len(cells[0] | cells[1])
+        assert rep.ratios[letter] == want, (m, k, letter)
 
 
 def test_density_guards():

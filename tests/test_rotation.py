@@ -1,14 +1,14 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
 from helpers import ulp_error, vdc_mpmath
 from mbonacci import numeration, rotation
 from mbonacci.numeration import encode, make_system
-from mbonacci.rauzy import subtile_of
+from mbonacci.rauzy import build_cloud, subtile_of
 from mbonacci.rotation import (
     HaltonConfig,
-    default_offset,
-    halton,
     halton_points,
     interval_for,
     level_addresses,
@@ -19,6 +19,7 @@ from mbonacci.rotation import (
     vdc,
     vdc_values,
 )
+from mbonacci.spectral import torus_reduce
 
 
 def test_vdc_examples(sys2):
@@ -38,7 +39,7 @@ def test_vdc_values_in_unit_interval(sys2, sys3):
 def test_vdc_bulk_matches_scalar(sys3):
     rng = np.random.default_rng(2)
     ns = rng.integers(0, 10 ** 6, size=100)
-    bulk = vdc_values(sys3, ns)
+    bulk = vdc_values(sys3, 10 ** 6)[ns]
     for n, v in zip(ns, bulk):
         assert abs(vdc(sys3, int(n)) - v) < 1e-12
 
@@ -53,15 +54,15 @@ def test_vdc_values_correctly_rounded(m):
     count = 10 ** 6
     sys = make_system(m, count)
     rng = np.random.default_rng(40 + m)
-    # the count form on [0, count); the index form across the whole basis
+    # the bulk form on [0, count); the scalar form across the whole basis
     # coverage, up to its top digit
     for_count = rng.integers(0, count, size=3000)
-    for_index = np.concatenate((
+    for_scalar = np.concatenate((
         rng.integers(0, sys.basis[-1], size=3000),
         [0, 1, count - 1, sys.basis[-1] - 1],
     ))
     cases = ((for_count, vdc_values(sys, count)[for_count]),
-             (for_index, vdc_values(sys, for_index)))
+             (for_scalar, [vdc(sys, int(n)) for n in for_scalar]))
     for ns, got in cases:
         exact = vdc_mpmath(m, sys.basis, ns)
         worst = max(ulp_error(float(g), e) for g, e in zip(got, exact))
@@ -73,23 +74,17 @@ def test_vdc_forms_agree_bit_for_bit(m):
     sys = make_system(m, 10 ** 6)
     rng = np.random.default_rng(m)
     table = vdc_values(sys, 200000)
-    ns = rng.integers(0, 200000, size=5000)
-    assert np.array_equal(vdc_values(sys, ns), table[ns])
-    assert np.array_equal(vdc_values(sys, np.arange(200000)), table)
-    for n in ns[:200]:
+    assert np.array_equal(vdc_values(sys, 1000), table[:1000])
+    for n in rng.integers(0, 200000, size=200):
         assert vdc(sys, int(n)) == table[n]
 
 
 def test_vdc_values_validation():
     sys = make_system(2, 100)
     assert vdc_values(sys, 0).shape == (0,)
-    assert vdc_values(sys, np.array([], dtype=np.int64)).shape == (0,)
     top = sys.basis[-1]
     assert vdc_values(sys, top).shape == (top,)
     for bad in (-1, top + 1):
-        with pytest.raises(ValueError):
-            vdc_values(sys, bad)
-    for bad in ([-1], [0, top]):
         with pytest.raises(ValueError):
             vdc_values(sys, bad)
     with pytest.raises(ValueError):
@@ -97,20 +92,20 @@ def test_vdc_values_validation():
 
 
 def test_halton_examples(sys2, sys3):
-    cfg = HaltonConfig(systems=(sys2, sys3))
-    assert np.allclose(halton(cfg, 0), [0.0, 0.0])
-    got = halton(cfg, 1)
-    assert abs(got[0] - 0.61803) < 1e-5
-    assert abs(got[1] - 0.54369) < 1e-5
-    single = HaltonConfig(systems=(sys2,))
-    assert halton(single, 7)[0] == vdc(sys2, 7)
+    pts = halton_points(HaltonConfig(systems=(sys2, sys3)), 2)
+    assert np.allclose(pts[0], [0.0, 0.0])
+    assert abs(pts[1, 0] - 0.61803) < 1e-5
+    assert abs(pts[1, 1] - 0.54369) < 1e-5
+    single = halton_points(HaltonConfig(systems=(sys2,)), 8)
+    assert single.shape == (8, 1)
+    assert single[7, 0] == vdc(sys2, 7)
 
 
 def test_halton_points_match_scalar(sys2, sys3):
     cfg = HaltonConfig(systems=(sys2, sys3))
     pts = halton_points(cfg, 50)
     for n in (0, 1, 49):
-        assert np.array_equal(pts[n], halton(cfg, n))
+        assert pts[n].tolist() == [vdc(s, n) for s in cfg.systems]
 
 
 def test_halton_config_validation(sys2, sys3):
@@ -196,39 +191,20 @@ def test_partition_refines(m):
             assert len(holders) == 1
 
 
-def test_default_offset_deterministic(sys2):
-    a = default_offset(sys2, 3, 100)
-    b = default_offset(sys2, 3, 100)
-    assert a == b
-    assert all(0.0 <= c < 1.0 for c in a.coords)
-    with pytest.raises(ValueError):
-        default_offset(sys2, 0, 100)
-
-
-def test_default_offset_contracts(sys2, sys3):
-    # the k-fold contraction shrinks volumes by phi^-k, hence lengths by
-    # roughly phi^(-k/(m-1)); check the geometric trend in torus metric
-    for sys in (sys2, sys3):
-        norms = []
-        for k in (4, 8, 12):
-            c = default_offset(sys, k, 2).array()
-            norms.append(float(np.linalg.norm(np.minimum(c, 1.0 - c))))
-        rate = sys.phi_float ** (-1.0 / (sys.m - 1))
-        assert norms[2] < norms[1] < norms[0]
-        for a, b, span in ((norms[0], norms[1], 4), (norms[1], norms[2], 4)):
-            assert b / a < 5.0 * rate ** span
-        assert norms[2] <= 10.0 * rate ** 12
-
-
 def test_shifted_rotation_matches_digit_membership_m2(sys2, cloud_m2_100k):
-    # the deterministic offset keeps every shifted orbit point inside the
+    # a small interior offset keeps every shifted orbit point inside the
     # interior of its level-1 cell, so geometric membership (arc test
     # against the transformed subcloud hull) must agree with the digit rule
     from mbonacci.spectral import contraction_matrix, lattice_coords, rotation_orbit
 
     k, N = 1, 50
-    offset = default_offset(sys2, k, N)
     mat = contraction_matrix(2, cloud_m2_100k.phi)
+    # the offset: a fixed label-1 point from the middle of a depth-2048
+    # cloud, contracted M = max(k, L) times, with L the level covering N - 1
+    ref = build_cloud(2, 2048)
+    i = 1024 + int(np.argmax(ref.labels[1024:] == 1))
+    M = max(k, bisect_right(sys2.basis, N - 1))
+    offset = torus_reduce(np.linalg.matrix_power(mat, M) @ ref.unreduced[i])
     gamma = np.asarray(lattice_coords(2, cloud_m2_100k.phi, [1, 0]))
     cell1 = (cloud_m2_100k.letter_points(1) @ mat.T + gamma) % 1.0
     lo, hi = float(cell1.min()), float(cell1.max())
@@ -239,16 +215,6 @@ def test_shifted_rotation_matches_digit_membership_m2(sys2, cloud_m2_100k):
         geometric = lo <= shifted[n, 0] <= hi
         digit = encode(sys2, n).digit(0) == 1
         assert geometric == digit, f"membership mismatch at n={n}"
-
-
-def test_rotation_orbit_applies_offset(sys3):
-    from mbonacci.spectral import TorusPoint, rotation_orbit
-
-    off = TorusPoint((0.25, 0.75))
-    plain = rotation_orbit(sys3, 40)
-    moved = rotation_orbit(sys3, 40, offset=off)
-    recon = (plain + off.array()) % 1.0
-    assert np.max(np.abs(moved - recon)) < 1e-12
 
 
 def test_membership_oracle_examples(sys2):

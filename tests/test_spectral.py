@@ -172,12 +172,10 @@ def test_rotation_point_examples(sys2):
     assert abs(got - (2.0 - sys2.phi_float)) < 1e-12
 
 
-def test_rotation_point_offsets(sys2, sys3):
-    off = (TorusPoint((0.25,)), TorusPoint((0.1, 0.9)))
-    pt = rotation_point([sys2, sys3], 0, offsets=list(off))
-    assert pt.coords == (0.25, 0.1, 0.9)
-    with pytest.raises(ValueError):
-        rotation_point([sys2], 3, offsets=[])
+def test_rotation_point_concatenates_systems(sys2, sys3):
+    pt = rotation_point([sys2, sys3], 5)
+    assert pt.dim == 3
+    assert pt.coords == rotation_point([sys2], 5).coords + rotation_point([sys3], 5).coords
 
 
 def test_conjugacy_lattice_route_vs_rotation(sys2, sys3):
