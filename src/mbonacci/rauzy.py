@@ -189,18 +189,18 @@ def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
 MAX_GRID_CELLS = 1 << 26
 
 
-def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | None = None,
-                      origin=0) -> np.ndarray:
+def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Number of letters with a point in each cell of a dense grid.
 
     `letter_cells` holds one (d, count) int64 array of cell indices per
-    letter (or per point set).  The grid has shape `dims` with its first
-    corner at cell index `origin`.  Without `dims` it is the bounding box
-    of the cells plus one empty cell on every side, so every occupied cell
-    has all its face-neighbours in the grid.  Grids of more than
+    letter (or per point set).  Given `dims`, the grid has that shape with
+    its first corner at cell index 0.  Without `dims` it is the bounding
+    box of the cells plus one empty cell on every side, so every occupied
+    cell has all its face-neighbours in the grid.  Grids of more than
     MAX_GRID_CELLS cells raise a ValueError.  Each letter marks a boolean
     occupancy grid, and the grids add up to a uint8 count.
     """
+    origin = 0
     if dims is None:
         occupied = [c for c in letter_cells if c.shape[1]]
         lo = np.min([c.min(axis=1) for c in occupied], axis=0) - 1
