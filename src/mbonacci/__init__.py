@@ -7,6 +7,7 @@ Submodules:
     rauzy        fixed-point words, fractal clouds, tiling checks
     rotation     sequence values, interval partitions, local discrepancies
     discrepancy  exact star discrepancy, decay fits, box dimensions
+    textio       the one CSV writer: fixed-digit rows streamed in chunks
     cli          command-line interface
     verify       the paper's identity checks: `mbonacci verify` and the acceptance gate
 

@@ -9,6 +9,7 @@ byte-identical (reports that include wall-clock timing excepted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -73,19 +74,19 @@ def _levels(text: str) -> list[int]:
     return _int_list(text)
 
 
-def _open_output(cfg: RunConfig):
+@contextlib.contextmanager
+def _output(cfg: RunConfig):
+    """The stream a command writes to: stdout for no path or `-`, else the file."""
     if cfg.output in (None, "-"):
-        return sys.stdout, False
-    return open(cfg.output, "w"), True
+        yield sys.stdout
+        return
+    with open(cfg.output, "w") as fh:
+        yield fh
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    stream, close = _open_output(cfg)
-    try:
+    with _output(cfg) as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
 
 
 def _emit_json(cfg: RunConfig, payload: dict) -> None:
@@ -111,28 +112,23 @@ def _cmd_expand(cfg: RunConfig) -> int:
 
 
 def _cmd_seq(cfg: RunConfig) -> int:
-    from mbonacci import numeration, rotation
+    from mbonacci import numeration, rotation, textio
 
     count = cfg.parameters["count"]
-    d = cfg.digits
     if cfg.parameters["variant"] == "vdc":
         sys_m = numeration.make_system(cfg.parameters["m"], count)
-        values = rotation.vdc_values(sys_m, count)
-        rows = ["n,value"]
-        rows += [f"{n},{values[n]:.{d}f}" for n in range(count)]
+        header, cols = ["n", "value"], [rotation.vdc_values(sys_m, count)]
     else:
         ms = cfg.parameters["ms"]
         systems = tuple(numeration.make_system(m, count) for m in ms)
         pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), count)
-        rows = ["n," + ",".join(f"v{i + 1}" for i in range(len(ms)))]
-        rows += [f"{n}," + ",".join(f"{v:.{d}f}" for v in pts[n]) for n in range(count)]
-    _emit(cfg, "\n".join(rows) + "\n")
+        header, cols = ["n"] + [f"v{i + 1}" for i in range(len(ms))], list(pts.T)
+    with _output(cfg) as stream:
+        textio.write_csv(stream, header, [range(count)], cols, cfg.digits)
     return 0
 
 
 def _cmd_fractal(cfg: RunConfig) -> int:
-    import io
-
     from mbonacci import rauzy
 
     cloud = rauzy.build_cloud(cfg.parameters["m"], cfg.parameters["depth"])
@@ -140,9 +136,8 @@ def _cmd_fractal(cfg: RunConfig) -> int:
     if ppm_path:
         rauzy.export_cloud_ppm(cloud, ppm_path, size=cfg.parameters.get("size", 512))
     if cfg.output is not None or not ppm_path:
-        buf = io.StringIO()
-        rauzy.export_cloud_csv(cloud, buf, digits=cfg.digits)
-        _emit(cfg, buf.getvalue())
+        with _output(cfg) as stream:
+            rauzy.export_cloud_csv(cloud, stream, digits=cfg.digits)
     return 0
 
 

@@ -296,7 +296,9 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
     counts = tuple(_boundary_cells([c >> (finest - l) for c in cells], mode) for l in levels)
     xs = np.array([l for l, c in zip(levels, counts) if c > 0], dtype=np.float64)
     ys = np.array([np.log2(c) for c in counts if c > 0])
-    if xs.size < 2:
+    # equal counts have slope exactly 0, which the least-squares fit
+    # returns only up to rounding
+    if xs.size < 2 or np.all(ys == ys[0]):
         return DimensionEstimate(levels=levels, counts=counts, slope=0.0, stderr=0.0, mode=mode)
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)

@@ -66,10 +66,6 @@ class MBonacciSystem:
     neg_power_parts: np.ndarray
     precision: float
 
-    def coverage(self) -> int:
-        """Largest n this system can expand (exclusive bound is basis[-1])."""
-        return self.basis[-1] - 1
-
     def neg_power(self, j: int) -> float:
         """phi**-j as float64 (j >= 1)."""
         if not 1 <= j <= len(self.neg_power_parts):

@@ -23,6 +23,7 @@ from mbonacci.spectral import (
     reduce_array,
     substitution_images,
 )
+from mbonacci.textio import write_csv
 
 DEFAULT_MAX_DEPTH = 4_000_000
 
@@ -337,11 +338,8 @@ _PALETTE = (
 
 def export_cloud_csv(cloud: FractalCloud, stream, digits: int = 15) -> None:
     """Write `n,label,c1,...,c(m-1)` rows with fixed decimal places."""
-    cols = ",".join(f"c{i}" for i in range(1, cloud.m))
-    stream.write(f"n,label,{cols}\n")
-    for n in range(cloud.size):
-        coords = ",".join(f"{c:.{digits}f}" for c in cloud.reduced[n])
-        stream.write(f"{n},{int(cloud.labels[n])},{coords}\n")
+    header = ["n", "label"] + [f"c{i}" for i in range(1, cloud.m)]
+    write_csv(stream, header, [range(cloud.size), cloud.labels], list(cloud.reduced.T), digits)
 
 
 def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytes:

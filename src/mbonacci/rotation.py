@@ -245,6 +245,8 @@ def membership_counts(sys: MBonacciSystem, k: int, N: int) -> dict[tuple[tuple[i
 def local_discrepancy(sys: MBonacciSystem, k: int, N: int, cap: int = DEFAULT_LEVEL_CAP) -> float:
     """Worst deviation, over level-k addresses, of the empirical index
     frequency from the subtile measure phi^-(k + letter)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if k > cap:
         raise ValueError(f"k={k} above the enumeration cap {cap}")
     if N < 1:

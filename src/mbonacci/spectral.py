@@ -83,14 +83,12 @@ class SpectralData:
 
     `right` is sum-normalised, which makes its entries exactly
     phi^-1, ..., phi^-m; `left` is scaled so its first entry is 1.
-    `rotation_vector` is (phi^-2, ..., phi^-m).
     """
 
     m: int
     phi: float
     right: np.ndarray
     left: np.ndarray
-    rotation_vector: np.ndarray
 
 
 def spectral_data(m: int, precision: float = DEFAULT_PRECISION) -> SpectralData:
@@ -102,8 +100,7 @@ def spectral_data(m: int, precision: float = DEFAULT_PRECISION) -> SpectralData:
         for _ in range(m - 1):
             left.append(phi * left[-1] - 1)
         left_f = np.array([float(x) for x in left])
-        rot = np.array([float(phi ** -i) for i in range(2, m + 1)])
-    return SpectralData(m=m, phi=float(phi), right=right, left=left_f, rotation_vector=rot)
+    return SpectralData(m=m, phi=float(phi), right=right, left=left_f)
 
 
 def ambient_projection(m: int, precision: float = DEFAULT_PRECISION) -> np.ndarray:
@@ -126,10 +123,6 @@ class TorusPoint:
 
     def array(self) -> np.ndarray:
         return np.array(self.coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
 
 def torus_reduce(c) -> TorusPoint:

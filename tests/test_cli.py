@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 CMD = [sys.executable, "-m", "mbonacci"]
 
 
@@ -185,6 +187,8 @@ def test_module_error_exit_1():
     out = run_cli("disc", "fit", "--ms", "2,3", "--min-exp", "-1")
     assert out.returncode == 1 and "Traceback" not in out.stderr
     assert "--min-exp must be >= 0" in out.stderr
+    out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
+    assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
 
 
 def test_output_flag_writes_file(tmp_path):
@@ -192,6 +196,41 @@ def test_output_flag_writes_file(tmp_path):
     out = run_cli("seq", "vdc", "--m", "2", "--count", "4", "-o", str(path))
     assert out.returncode == 0 and out.stdout == ""
     assert path.read_text().startswith("n,value\n0,")
+
+
+def _rows(header, int_cols, float_cols, d):
+    """Row-by-row CSV rendering, the reference for the chunked writer."""
+    lines = [",".join(header)]
+    for n in range(len(int_cols[0])):
+        fields = [str(int(c[n])) for c in int_cols] + [f"{c[n]:.{d}f}" for c in float_cols]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("digits", [1, 15, 30])
+def test_csv_writer_crosses_chunk_boundary(tmp_path, capsys, digits):
+    from mbonacci import cli, numeration, rauzy, rotation, textio
+
+    count = textio.CHUNK_ROWS + 3
+    vdc = rotation.vdc_values(numeration.make_system(3, count), count)
+    systems = tuple(numeration.make_system(m, count) for m in (2, 3))
+    pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), count)
+    cloud = rauzy.build_cloud(3, count - 1)
+    cases = [
+        (["seq", "vdc", "--m", "3", "--count", str(count)],
+         _rows(["n", "value"], [range(count)], [vdc], digits)),
+        (["seq", "halton", "--ms", "2,3", "--count", str(count)],
+         _rows(["n", "v1", "v2"], [range(count)], list(pts.T), digits)),
+        (["fractal", "--m", "3", "--depth", str(count - 1)],
+         _rows(["n", "label", "c1", "c2"], [range(count), cloud.labels],
+               list(cloud.reduced.T), digits)),
+    ]
+    for argv, expected in cases:
+        path = tmp_path / "out.csv"
+        assert cli.main(argv + ["--digits", str(digits), "-o", str(path)]) == 0
+        assert path.read_bytes() == expected.encode()
+        assert cli.main(argv + ["--digits", str(digits)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_verify_table_format(monkeypatch, capsys):

@@ -184,6 +184,9 @@ def test_box_dim_m2_control(cloud_m2_100k):
     est = box_dim_boundary(cloud_m2_100k, range(4, 10))
     assert est.slope <= 0.15
     assert all(c >= 1 for c in est.counts)
+    # every level counts the same cells, so the slope is 0 without rounding
+    assert len(set(est.counts)) == 1
+    assert est.slope == 0.0 and est.stderr == 0.0
 
 
 def test_box_dim_counts_grow(cloud_m2_100k):
