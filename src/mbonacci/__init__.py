@@ -10,9 +10,6 @@ Submodules:
     textio       the one CSV writer: fixed-digit rows streamed in chunks
     cli          command-line interface
     verify       the paper's identity checks: `mbonacci verify` and the acceptance gate
-
-Kept import-light on purpose: the CLI applies its thread cap before the
-numeric backends load.
 """
 
 __version__ = "0.1.0"

@@ -15,8 +15,9 @@ ranks (Dobkin, Eppstein and Mitchell, ACM TOG 1996).  One sweep serves
 every s >= 2: it walks axis 0 in rank order and carries the cumulative
 count plane over the other axes, so it costs O(prod_j len(cands_j)) with
 a few vectorised operations per corner cell, holding temporaries of at
-most about 2^15 cells at a time.  `max_exact_ops` bounds that cell count;
-past it the same sweep runs on a subsampled grid and gives a lower bound.
+most about 2^15 cells at a time.  DEFAULT_MAX_EXACT_OPS bounds that cell
+count; past it the same sweep runs on a subsampled grid and gives a lower
+bound.
 """
 
 from __future__ import annotations
@@ -165,16 +166,12 @@ def _subsample(cands: np.ndarray, limit: int) -> np.ndarray:
     return np.unique(np.concatenate((sub, [1.0])))
 
 
-def star_disc_multi(
-    points,
-    max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
-    fallback: bool = True,
-) -> DiscrepancyReport:
+def star_disc_multi(points, fallback: bool = True) -> DiscrepancyReport:
     """Star discrepancy of an s-dimensional point set, s >= 2.
 
     Exact while the corner grid, prod_j (distinct coordinates on axis j plus
-    the ends 0 and 1) cells, fits the budget `max_exact_ops`; beyond it,
-    either raises or (default) reports a lower bound from a subsampled
+    the ends 0 and 1) cells, fits the budget DEFAULT_MAX_EXACT_OPS; beyond
+    it, either raises or (default) reports a lower bound from a subsampled
     corner grid of at most that many cells, flagged as not exact.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -187,16 +184,17 @@ def star_disc_multi(
         raise ValueError("points must lie in [0, 1)^s")
     cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
     cells = prod(len(c) for c in cands)
-    if cells <= max_exact_ops:
+    budget = DEFAULT_MAX_EXACT_OPS
+    if cells <= budget:
         value = _corner_sweep(pts, cands, full_grid=True)
         method = "exact_corner_sweep" if s == 2 else "exact_corner_grid"
         return DiscrepancyReport(N=n, value=value, method=method)
     if not fallback:
         raise ValueError(
-            f"exact corner enumeration needs {cells:.2g} grid cells, over the budget "
-            f"{max_exact_ops:.2g}; use fewer points or allow the fallback"
+            f"an exact value at N = {n} needs {cells} corner-grid cells, over the "
+            f"budget of {budget}; use fewer points (disc fit: lower --max-exp)"
         )
-    limit = int(max_exact_ops ** (1.0 / s))
+    limit = int(budget ** (1.0 / s))
     cands = [_subsample(c, limit) for c in cands]
     value = _corner_sweep(pts, cands, full_grid=False)
     return DiscrepancyReport(N=n, value=value, method="corner_subsample_lower_bound",

@@ -8,27 +8,21 @@ contains m consecutive ones.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
+# residual tolerance of the dominant root
 DEFAULT_PRECISION = 1e-30
 
-# 60 significant bits beyond a float64 mantissa.
-_MIN_WORK_BITS = 113
+# binary working precision of the root and its powers: the 99 bits of
+# DEFAULT_PRECISION plus 20 guard bits
+WORK_BITS = 119
 
 # Hard cap on basis length; loud failure beats a runaway allocation.
 _MAX_BASIS_TERMS = 512
-
-
-def work_bits(precision: float) -> int:
-    """Binary working precision needed to certify a residual tolerance."""
-    if precision <= 0.0:
-        raise ValueError("precision must be positive")
-    return max(_MIN_WORK_BITS, int(-math.log2(precision)) + 20)
 
 
 def basis_prefix(m: int, count: int) -> list[int]:
@@ -64,7 +58,6 @@ class MBonacciSystem:
     phi: mpmath.mpf
     phi_float: float
     neg_power_parts: np.ndarray
-    precision: float
 
     def neg_power(self, j: int) -> float:
         """phi**-j as float64 (j >= 1)."""
@@ -90,7 +83,7 @@ class Expansion:
         return self.digits[j] if 0 <= j < len(self.digits) else 0
 
 
-def make_system(m: int, max_n: int, precision: float = DEFAULT_PRECISION) -> MBonacciSystem:
+def make_system(m: int, max_n: int) -> MBonacciSystem:
     """Build the numeration context covering expansions of 0..max_n."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -108,10 +101,9 @@ def make_system(m: int, max_n: int, precision: float = DEFAULT_PRECISION) -> MBo
     # slack terms so root powers exist well past the digit range
     terms = basis_prefix(m, len(terms) + m + 2)
 
-    phi = dominant_root(m, precision)
-    bits = work_bits(precision)
+    phi = dominant_root(m)
     npowers = max(len(terms), 48)
-    with mpmath.workprec(bits):
+    with mpmath.workprec(WORK_BITS):
         inv = 1 / phi
         parts = np.empty((npowers, 2), dtype=np.float64)
         p = mpmath.mpf(1)
@@ -122,8 +114,8 @@ def make_system(m: int, max_n: int, precision: float = DEFAULT_PRECISION) -> MBo
             parts[j, 0] = hi
             parts[j, 1] = lo
         residual = abs(phi ** m - sum(phi ** j for j in range(m)))
-        if residual > precision:
-            raise RuntimeError(f"root residual {residual} exceeds precision {precision}")
+        if residual > DEFAULT_PRECISION:
+            raise RuntimeError(f"root residual {residual} exceeds {DEFAULT_PRECISION}")
     parts.setflags(write=False)
     return MBonacciSystem(
         m=m,
@@ -131,7 +123,6 @@ def make_system(m: int, max_n: int, precision: float = DEFAULT_PRECISION) -> MBo
         phi=phi,
         phi_float=float(phi),
         neg_power_parts=parts,
-        precision=precision,
     )
 
 

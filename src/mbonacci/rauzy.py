@@ -10,6 +10,7 @@ geometric check is parameterised by a grid resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -96,8 +97,9 @@ class FractalCloud:
     """Labelled point approximation of the fractal and its letter subtiles.
 
     Point n is the projection of the abelianisation of the first n
-    fixed-point letters, stored both unreduced (plain lattice coordinates)
-    and reduced to the torus.  Its label is fixed-point letter n+1.
+    fixed-point letters, stored unreduced (plain lattice coordinates);
+    `reduced`, the same points on the torus, is computed on first use.
+    Its label is fixed-point letter n+1.
     """
 
     m: int
@@ -105,18 +107,22 @@ class FractalCloud:
     phi: float
     labels: np.ndarray      # uint8, shape (depth+1,)
     unreduced: np.ndarray   # float64, shape (depth+1, m-1)
-    reduced: np.ndarray     # float64, shape (depth+1, m-1)
 
     @property
     def size(self) -> int:
         return self.depth + 1
+
+    @cached_property
+    def reduced(self) -> np.ndarray:
+        """The points reduced to the torus, float64 of shape (depth+1, m-1)."""
+        return reduce_array(self.unreduced)
 
     def letter_points(self, letter: int, reduced: bool = False) -> np.ndarray:
         pts = self.reduced if reduced else self.unreduced
         return pts[self.labels == letter]
 
 
-def build_cloud(m: int, depth: int, max_depth: int = DEFAULT_MAX_DEPTH) -> FractalCloud:
+def build_cloud(m: int, depth: int) -> FractalCloud:
     """Cloud of the first depth+1 projected prefixes.
 
     Coordinate i-1 of point n is n * phi^-i minus the count of letter i
@@ -125,8 +131,8 @@ def build_cloud(m: int, depth: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Fract
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > max_depth:
-        raise ValueError(f"depth {depth} beyond the memory budget {max_depth}")
+    if depth > DEFAULT_MAX_DEPTH:
+        raise ValueError(f"depth {depth} beyond the memory budget {DEFAULT_MAX_DEPTH}")
     sys = numeration.make_system(m, max_n=max(depth, 2))
     word = fixed_point_prefix(m, depth + 1)
     ns = np.arange(depth + 1, dtype=np.int64)
@@ -135,14 +141,12 @@ def build_cloud(m: int, depth: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Fract
         counts = np.concatenate(([0], np.cumsum(word[:depth] == i, dtype=np.int64)))
         hi, lo = sys.neg_power_parts[i - 1]
         cols.append(precise_multiples_minus(ns, float(hi), float(lo), counts))
-    unreduced = np.stack(cols, axis=1)
     return FractalCloud(
         m=m,
         depth=depth,
         phi=sys.phi_float,
         labels=word,
-        unreduced=unreduced,
-        reduced=reduce_array(unreduced),
+        unreduced=np.stack(cols, axis=1),
     )
 
 
@@ -219,8 +223,12 @@ def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | No
     return letters.reshape(dims)
 
 
-def _require_density(npoints: int, m: int, resolution: float, factor: float) -> None:
-    need = factor * resolution ** -(m - 1)
+# points per grid cell that the tiling and set-equation checks require
+_MIN_POINTS_PER_CELL = 100.0
+
+
+def _require_density(npoints: int, m: int, resolution: float) -> None:
+    need = _MIN_POINTS_PER_CELL * resolution ** -(m - 1)
     if npoints < need:
         raise ValueError(
             f"cloud of {npoints} points too sparse for resolution {resolution} "
@@ -237,26 +245,20 @@ class SetEquationReport:
     max_ratio: float
 
 
-def set_equation_check(
-    m: int,
-    cloud: FractalCloud,
-    k: int,
-    resolution: float,
-    density_factor: float = 100.0,
-) -> SetEquationReport:
+def set_equation_check(m: int, cloud: FractalCloud, k: int,
+                       resolution: float) -> SetEquationReport:
     """Grid comparison of each letter subcloud against its decomposition.
 
     The subtile of letter 1 is the contraction of the whole cloud; the
     subtile of letter i > 1 is the contraction of subtile i-1 translated
     by the projection of e_1.  Iterating k times and rasterising both
     sides on a shared grid gives a symmetric-difference cell ratio.
-    `density_factor` scales the points-per-cell admission heuristic.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    _require_density(cloud.size, m, resolution, density_factor)
+    _require_density(cloud.size, m, resolution)
     mat = contraction_matrix(m, cloud.phi)
-    gamma = np.asarray(lattice_coords(m, cloud.phi, [1] + [0] * (m - 1)))
+    gamma = lattice_coords(m, cloud.phi, [1] + [0] * (m - 1))
 
     def approx(letter: int, level: int) -> np.ndarray:
         if level == 0:
@@ -288,19 +290,14 @@ class TilingReport:
     overlap_fraction: float
 
 
-def tiling_check(
-    m: int,
-    cloud: FractalCloud,
-    resolution: float,
-    density_factor: float = 100.0,
-) -> TilingReport:
+def tiling_check(m: int, cloud: FractalCloud, resolution: float) -> TilingReport:
     """Coverage and letter-overlap statistics of the reduced cloud.
 
     Full coverage of the torus grid witnesses the fundamental-domain
     property at this resolution; the fraction of cells claimed by two or
     more letters bounds how visible the subtile boundaries are.
     """
-    _require_density(cloud.size, m, resolution, density_factor)
+    _require_density(cloud.size, m, resolution)
     side = round(1.0 / resolution)
     cells = [
         np.minimum((cloud.letter_points(letter, reduced=True).T * side).astype(np.int64),
@@ -349,6 +346,8 @@ def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytes:
     one-dimensional case renders as a strip.  Higher dimensions are not
     renderable in this format.
     """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     if cloud.m == 3:
         width = height = size
         img = np.full((height, width, 3), 255, dtype=np.uint8)

@@ -20,6 +20,7 @@ from mbonacci.numeration import (
     trailing_ones_before,
 )
 from mbonacci.rauzy import SubtileAddress
+from mbonacci.spectral import MAX_PRECISE_INDEX
 
 DEFAULT_LEVEL_CAP = 10
 
@@ -37,6 +38,12 @@ def _dd_add(a_hi, a_lo, b_hi, b_lo):
     t = (a_hi - (s - t)) + (b_hi - t) + (a_lo + b_lo)
     hi = s + t
     return hi, t - (hi - s)
+
+
+def _require_count(count: int) -> None:
+    """Refuse a count past the exact-index range before allocating for it."""
+    if count > MAX_PRECISE_INDEX:
+        raise ValueError(f"count {count} above the limit 2^26 = {MAX_PRECISE_INDEX}")
 
 
 def vdc(sys: MBonacciSystem, n: int) -> float:
@@ -69,6 +76,7 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
     F_k <= n < F_{k+1} the greedy expansion of n is the digit at k plus
     the expansion of n - F_k < F_k, so vdc(n) = phi^-(k+1) + vdc(n - F_k).
     """
+    _require_count(count)
     if count < 0 or count - 1 >= sys.basis[-1]:
         raise ValueError(f"count {count} out of basis coverage")
     hi = np.zeros(count)
@@ -107,6 +115,7 @@ class HaltonConfig:
 
 def halton_points(cfg: HaltonConfig, count: int) -> np.ndarray:
     """(count, s) array of the first `count` Halton vectors."""
+    _require_count(count)
     pts = np.empty((count, cfg.dims))
     for i, s in enumerate(cfg.systems):
         pts[:, i] = vdc_values(s, count)
@@ -242,15 +251,16 @@ def membership_counts(sys: MBonacciSystem, k: int, N: int) -> dict[tuple[tuple[i
     return counts
 
 
-def local_discrepancy(sys: MBonacciSystem, k: int, N: int, cap: int = DEFAULT_LEVEL_CAP) -> float:
+def local_discrepancy(sys: MBonacciSystem, k: int, N: int) -> float:
     """Worst deviation, over level-k addresses, of the empirical index
     frequency from the subtile measure phi^-(k + letter)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k > cap:
-        raise ValueError(f"k={k} above the enumeration cap {cap}")
+    if k > DEFAULT_LEVEL_CAP:
+        raise ValueError(f"k={k} above the enumeration cap {DEFAULT_LEVEL_CAP}")
     if N < 1:
         raise ValueError("N must be >= 1")
+    _require_count(N)
     counts = membership_counts(sys, k, N)
     delta = 0.0
     for (_, letter), cnt in counts.items():

@@ -16,25 +16,27 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from mbonacci.numeration import DEFAULT_PRECISION, work_bits
+from mbonacci.numeration import DEFAULT_PRECISION, WORK_BITS
 
 _DEKKER = float(2 ** 27 + 1)
+
+# Newton steps allowed after bisection; a few suffice
+_NEWTON_STEPS = 200
 
 # exact integer-times-float products in the helpers below need n < 2^26
 MAX_PRECISE_INDEX = 1 << 26
 
 
-def dominant_root(m: int, precision: float = DEFAULT_PRECISION, max_iter: int = 200) -> mpmath.mpf:
+def dominant_root(m: int) -> mpmath.mpf:
     """Root of x^m = x^{m-1} + ... + x + 1 in (1, 2).
 
-    Bisection brackets the root, Newton refines it at extended working
-    precision.  Raises if the residual does not reach `precision` within
-    the iteration cap.
+    Bisection brackets the root, Newton refines it at WORK_BITS working
+    precision.  Raises if the residual does not reach DEFAULT_PRECISION
+    within the step cap.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    bits = work_bits(precision)
-    with mpmath.workprec(bits):
+    with mpmath.workprec(WORK_BITS):
 
         def f(x):
             return x ** m - sum(x ** j for j in range(m))
@@ -50,14 +52,11 @@ def dominant_root(m: int, precision: float = DEFAULT_PRECISION, max_iter: int = 
             else:
                 hi = mid
         x = (lo + hi) / 2
-        for _ in range(max_iter):
-            if abs(f(x)) <= precision:
+        for _ in range(_NEWTON_STEPS):
+            if abs(f(x)) <= DEFAULT_PRECISION:
                 return +x
             x = x - f(x) / fprime(x)
-        raise RuntimeError(
-            f"dominant_root(m={m}) did not reach residual {precision}; "
-            "precision is likely set below the working range"
-        )
+        raise RuntimeError(f"dominant_root(m={m}) did not reach residual {DEFAULT_PRECISION}")
 
 
 def substitution_images(m: int) -> tuple[tuple[int, ...], ...]:
@@ -91,10 +90,9 @@ class SpectralData:
     left: np.ndarray
 
 
-def spectral_data(m: int, precision: float = DEFAULT_PRECISION) -> SpectralData:
-    phi = dominant_root(m, precision)
-    bits = work_bits(precision)
-    with mpmath.workprec(bits):
+def spectral_data(m: int) -> SpectralData:
+    phi = dominant_root(m)
+    with mpmath.workprec(WORK_BITS):
         right = np.array([float(phi ** -i) for i in range(1, m + 1)])
         left = [mpmath.mpf(1)]
         for _ in range(m - 1):
@@ -103,10 +101,10 @@ def spectral_data(m: int, precision: float = DEFAULT_PRECISION) -> SpectralData:
     return SpectralData(m=m, phi=float(phi), right=right, left=left_f)
 
 
-def ambient_projection(m: int, precision: float = DEFAULT_PRECISION) -> np.ndarray:
+def ambient_projection(m: int) -> np.ndarray:
     """Matrix of the projection of R^m along the expanding eigenvector
     onto the contracting hyperplane: P = I - u v^T / (v . u)."""
-    data = spectral_data(m, precision)
+    data = spectral_data(m)
     u, v = data.right, data.left
     return np.eye(m) - np.outer(u, v) / float(v @ u)
 
@@ -150,7 +148,7 @@ def torus_distance(a, b) -> float:
     return float(np.max(np.minimum(d, 1.0 - d))) if d.size else 0.0
 
 
-def lattice_coords(m: int, phi, x):
+def lattice_coords(m: int, phi: float, x) -> np.ndarray:
     """Coordinates of the projected integer vector x in the lattice basis.
 
     Writing pi for the projection along the expanding eigenvector and
@@ -158,16 +156,11 @@ def lattice_coords(m: int, phi, x):
     (i = 2..m) combines with pi(e_i) = pi(e_1) - b_{i-1} and linearity to
     give coordinate i-1 of pi(x) as (sum_j x_j) phi^-i - x_i.  No linear
     system is solved per point.
-
-    `phi` may be a float (returns a float64 array) or an mpmath value
-    (returns a list of mpmath values at the ambient working precision).
     """
     x = list(x)
     if len(x) != m:
         raise ValueError(f"x must have length m={m}")
     total = sum(x)
-    if isinstance(phi, mpmath.mpf):
-        return [total * phi ** -i - x[i - 1] for i in range(2, m + 1)]
     phi = float(phi)
     powers = np.array([phi ** -i for i in range(2, m + 1)])
     return total * powers - np.array(x[1:], dtype=np.float64)
@@ -199,7 +192,7 @@ def rotation_point(systems, n: int) -> TorusPoint:
         raise ValueError("n must be a natural number")
     out: list[float] = []
     for sys_i in systems:
-        with mpmath.workprec(work_bits(sys_i.precision)):
+        with mpmath.workprec(WORK_BITS):
             for i in range(2, sys_i.m + 1):
                 f = float(mpmath.frac(n * sys_i.phi ** -i))
                 out.append(0.0 if f >= 1.0 else f)

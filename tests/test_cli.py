@@ -105,18 +105,27 @@ def test_disc_file(tmp_path):
 def test_disc_reports_inexact_values(monkeypatch, capsys):
     from mbonacci import cli, discrepancy
 
-    exact_kernel = discrepancy.star_disc_multi
-    monkeypatch.setattr(discrepancy, "star_disc_multi",
-                        lambda pts: exact_kernel(pts, max_exact_ops=5000))
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 5000)
+    sweep = discrepancy._corner_sweep
+    grids = []
+
+    def recording_sweep(points, cands, full_grid):
+        grids.append(full_grid)
+        return sweep(points, cands, full_grid)
+
+    monkeypatch.setattr(discrepancy, "_corner_sweep", recording_sweep)
     assert cli.main(["disc", "multi", "--ms", "2,3", "--count", "128"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["exact"] is False
     assert payload["method"] == "corner_subsample_lower_bound"
-    # 65^2 grid cells fit the budget at N = 64, 129^2 do not at N = 128
+    # 65^2 grid cells fit the budget at N = 64, 129^2 do not at N = 128,
+    # and fit refuses there without sweeping a subsampled grid
+    grids.clear()
     rc = cli.main(["disc", "fit", "--ms", "2,3", "--min-exp", "4", "--max-exp", "8"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert "N = 128" in captured.err
+    assert "N = 128" in captured.err and "--max-exp" in captured.err
+    assert grids == [True, True, True]
 
 
 def test_dim_json():
@@ -139,40 +148,15 @@ def test_fractal_csv_and_ppm(tmp_path):
     assert ppm_path.read_bytes().startswith(b"P6\n32 32\n255\n")
 
 
-def test_config_file_sets_digits(tmp_path):
-    cfg = tmp_path / "mb.cfg"
-    cfg.write_text("digits=4\n# comment line\n")
-    out = run_cli("--config", str(cfg), "seq", "vdc", "--m", "2", "--count", "2")
-    assert out.stdout.strip().split("\n")[2] == "1,0.6180"
-    # a missing file and a non-integer value are usage errors, not crashes
-    cfg.write_text("digits=abc\n")
-    for path in (str(tmp_path / "missing.cfg"), str(cfg)):
-        out = run_cli("--config", path, "seq", "vdc", "--m", "2", "--count", "2")
-        assert out.returncode == 2 and out.stdout == ""
-        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
-
-
-def test_threads_env_and_flag_accepted():
-    env = dict(os.environ, MBONACCI_THREADS="2")
-    out = subprocess.run(CMD + ["expand", "--m", "2", "--n", "4"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    out = run_cli("--threads", "1", "seq", "vdc", "--m", "2", "--count", "2")
-    assert out.returncode == 0
-    out = run_cli("--threads", "0", "expand", "--m", "2", "--n", "1")
-    assert out.returncode == 2
-    env = dict(os.environ, MBONACCI_THREADS="abc")
-    out = subprocess.run(CMD + ["expand", "--m", "2", "--n", "4"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 2
-    assert out.stderr.startswith("error: MBONACCI_THREADS") and "Traceback" not in out.stderr
-
-
 def test_bad_flags_exit_2():
     out = run_cli("expand", "--m", "2")
     assert out.returncode == 2
     out = run_cli("nonsense")
     assert out.returncode == 2
+    for digits in ("0", "31"):
+        out = run_cli("seq", "vdc", "--m", "2", "--count", "2", "--digits", digits)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "--digits" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_module_error_exit_1():
@@ -189,6 +173,20 @@ def test_module_error_exit_1():
     assert "--min-exp must be >= 0" in out.stderr
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
+    # huge counts are refused before anything is allocated
+    huge = str(10 ** 12)
+    for argv, count in [
+        (("seq", "vdc", "--m", "2", "--count", huge), huge),
+        (("seq", "halton", "--ms", "2,3", "--count", huge), huge),
+        (("disc", "1d", "--m", "2", "--count", huge), huge),
+        (("local-disc", "--m", "2", "--k", "3", "--count", huge), huge),
+        (("disc", "fit", "--ms", "2,3", "--max-exp", "36"), str(2 ** 36)),
+    ]:
+        out = run_cli(*argv)
+        assert out.returncode == 1 and out.stdout == "", argv
+        assert f"count {count}" in out.stderr and "Traceback" not in out.stderr, argv
+    out = run_cli("fractal", "--m", "3", "--depth", "100", "--ppm", os.devnull, "--size", "0")
+    assert out.returncode == 1 and "size must be >= 1, got 0" in out.stderr
 
 
 def test_output_flag_writes_file(tmp_path):
@@ -241,7 +239,7 @@ def test_verify_table_format(monkeypatch, capsys):
         verify.CheckResult("beta", False, "broken", 0.02),
     ]
     monkeypatch.setattr(verify, "run_checks", lambda full=False: fake)
-    rc = cli.run(cli.RunConfig(command="verify", parameters={"full": False}))
+    rc = cli.main(["verify"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "PASS  alpha" in out and "FAIL  beta" in out
@@ -263,7 +261,7 @@ def test_verify_reports_failed_and_over_budget_checks(monkeypatch, capsys):
         verify.Check(2, "crashes", lambda full: 1 / 0),
         verify.Check(3, "slow", slow, budget=0.01),
     ))
-    rc = cli.run(cli.RunConfig(command="verify", parameters={"full": True}))
+    rc = cli.main(["verify", "--full"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL  asserts" in out and "arithmetic drifted by 1" in out
@@ -271,7 +269,7 @@ def test_verify_reports_failed_and_over_budget_checks(monkeypatch, capsys):
     assert "FAIL  slow" in out and "over its 0.01s budget" in out
     assert "0/3 checks passed" in out
     # the budget binds only at full scale
-    rc = cli.run(cli.RunConfig(command="verify", parameters={"full": False}))
+    rc = cli.main(["verify", "--quick"])
     out = capsys.readouterr().out
     assert rc == 1 and "PASS  slow" in out and "1/3 checks passed" in out
 
@@ -299,12 +297,12 @@ def test_reproduce_example_reads_the_registry(monkeypatch, capsys):
         verify.Check(10, "ten", lambda full: f"full={full}"),
         verify.Check(11, "eleven", fails),
     ))
-    rc = cli.run(cli.RunConfig(command="reproduce-example", parameters={"quick": True}))
+    rc = cli.main(["reproduce-example", "--quick"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "PASS  ten" in out and "full=False" in out
     assert "FAIL  eleven" in out and "ran at quick scale" in out
     assert "other" not in out and "1/2 checks passed" in out
-    rc = cli.run(cli.RunConfig(command="reproduce-example", parameters={"quick": False}))
+    rc = cli.main(["reproduce-example"])
     out = capsys.readouterr().out
     assert rc == 0 and "full=True" in out and "2/2 checks passed" in out

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import naive_star_disc
 import mbonacci
-from mbonacci import numeration, rauzy, rotation
+from mbonacci import discrepancy, numeration, rauzy, rotation
 from mbonacci.discrepancy import (
     _subsample,
     box_dim_boundary,
@@ -122,16 +122,17 @@ def test_star_disc_multi_s4_vs_oracle():
         assert abs(report.value - naive_star_disc(pts)) <= 1e-12
 
 
-def test_star_disc_multi_budget_and_fallback():
+def test_star_disc_multi_budget_and_fallback(monkeypatch):
     rng = np.random.default_rng(5)
     pts = rng.random((40, 3))
     exact = star_disc_multi(pts)
-    bounded = star_disc_multi(pts, max_exact_ops=1000)
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 1000)
+    bounded = star_disc_multi(pts)
     assert not bounded.exact
     assert bounded.method == "corner_subsample_lower_bound"
     assert bounded.value <= exact.value + 1e-12
-    with pytest.raises(ValueError):
-        star_disc_multi(pts, max_exact_ops=1000, fallback=False)
+    with pytest.raises(ValueError, match="N = 40"):
+        star_disc_multi(pts, fallback=False)
     # the bound is the exact maximum over its own (subsampled) corner grid
     limit = int(1000 ** (1 / 3))
     cands = [_subsample(np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))), limit)
@@ -145,6 +146,7 @@ def test_star_disc_multi_budget_and_fallback():
         best = max(best, vol - inside_open / len(pts), inside_closed / len(pts) - vol)
     assert bounded.value == best
     # the cell count is checked before any sweep runs
+    monkeypatch.undo()
     start = time.perf_counter()
     with pytest.raises(ValueError):
         star_disc_multi(rng.random((100_000, 2)), fallback=False)
@@ -246,6 +248,8 @@ def test_dense_boundary_cells_match_sorted_count(m, depth, levels):
         got = box_dim_boundary(cloud, levels, mode).counts
         want = tuple(_sorted_boundary_cells(cloud, l, mode) for l in levels)
         assert got == want, (m, mode)
+    # box counting reads only the unreduced points
+    assert "reduced" not in cloud.__dict__
 
 
 def test_dense_boundary_grid_guard():
@@ -255,7 +259,7 @@ def test_dense_boundary_grid_guard():
     line = np.linspace(0.0, 2000.0, n, endpoint=False)[:, None]
     cloud = rauzy.FractalCloud(m=2, depth=n - 1, phi=1.618,
                                labels=np.ones(n, dtype=np.uint8),
-                               unreduced=line, reduced=line % 1.0)
+                               unreduced=line)
     for mode in ("subtile", "outer", "both"):
         with pytest.raises(ValueError, match="too large"):
             box_dim_boundary(cloud, (15, 16), mode)
@@ -275,7 +279,7 @@ def test_box_dim_degenerate_full_cover_has_no_boundary():
     cloud = rauzy.FractalCloud(
         m=3, depth=len(grid) - 1, phi=1.839,
         labels=np.ones(len(grid), dtype=np.uint8),
-        unreduced=grid.copy(), reduced=grid.copy(),
+        unreduced=grid.copy(),
     )
     est = box_dim_boundary(cloud, (2, 3, 4, 5), mode="subtile")
     assert est.counts == (0, 0, 0, 0)

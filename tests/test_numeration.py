@@ -43,8 +43,6 @@ def test_make_system_rejects_bad_input():
         make_system(1, 10)
     with pytest.raises(ValueError):
         make_system(3, 0)
-    with pytest.raises(ValueError):
-        make_system(2, 10, precision=0.0)
 
 
 def test_encode_examples(sys2, sys3):

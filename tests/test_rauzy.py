@@ -183,14 +183,6 @@ def test_set_equation_level_two(cloud_m2_100k):
     assert rep3.max_ratio <= 0.06
 
 
-def test_set_equation_density_factor_override():
-    cloud = build_cloud(3, 30000)
-    with pytest.raises(ValueError):
-        set_equation_check(3, cloud, 1, 2 ** -5)
-    rep = set_equation_check(3, cloud, 1, 2 ** -5, density_factor=20.0)
-    assert rep.max_ratio <= 0.2
-
-
 def test_tiling_m2(cloud_m2_100k):
     rep = tiling_check(2, cloud_m2_100k, 2 ** -8)
     assert rep.coverage == 1.0
@@ -270,11 +262,12 @@ def test_density_guards():
         set_equation_check(3, cloud, 1, 2 ** -6)
 
 
-def test_build_cloud_validation():
+def test_build_cloud_validation(monkeypatch):
     with pytest.raises(ValueError):
         build_cloud(3, 0)
-    with pytest.raises(ValueError):
-        build_cloud(3, 100, max_depth=50)
+    monkeypatch.setattr(rauzy, "DEFAULT_MAX_DEPTH", 50)
+    with pytest.raises(ValueError, match="depth 100 beyond the memory budget 50"):
+        build_cloud(3, 100)
 
 
 def test_csv_export_format():
@@ -300,3 +293,6 @@ def test_ppm_render():
     fake = build_cloud(4, 1000)
     with pytest.raises(ValueError):
         render_cloud_ppm(fake)
+    for cloud, size in ((cloud3, 0), (cloud2, 0), (cloud3, -3)):
+        with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
+            render_cloud_ppm(cloud, size=size)

@@ -114,14 +114,6 @@ def test_lattice_coords_examples():
     assert np.allclose(got, [phi3 ** -2 - 1.0, phi3 ** -3], atol=1e-14)
 
 
-def test_lattice_coords_mpmath_route():
-    phi = dominant_root(3)
-    with mpmath.workprec(120):
-        vals = lattice_coords(3, phi, [2, -1, 3])
-        floats = lattice_coords(3, float(phi), [2, -1, 3])
-        assert max(abs(float(a) - b) for a, b in zip(vals, floats)) < 1e-13
-
-
 def test_lattice_coords_matches_ambient_projection():
     rng = np.random.default_rng(5)
     for m in range(2, 7):
