@@ -5,7 +5,7 @@ Submodules:
     numeration   greedy digit expansions over the m-bonacci basis
     spectral     dominant root, incidence matrix, lattice coordinates
     rauzy        fixed-point words, fractal clouds, tiling checks
-    rotation     sequence values, interval partitions, local discrepancies
+    rotation     sequence values, interval partitions, subtile addresses, local discrepancies
     discrepancy  exact star discrepancy, decay fits, box dimensions
     textio       the one CSV writer: fixed-digit rows streamed in chunks
     cli          command-line interface

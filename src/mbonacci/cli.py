@@ -16,10 +16,25 @@ import time
 from mbonacci import discrepancy, numeration, rauzy, rotation, textio, verify
 
 
+def _int(text: str) -> int:
+    # argparse would name the converter function in its message, not the type
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _digits(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if not 1 <= value <= 30:
         raise argparse.ArgumentTypeError(f"must be in 1..30, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -80,7 +95,7 @@ def _cmd_seq(args) -> int:
         header, cols = ["n", "value"], [rotation.vdc_values(sys_m, count)]
     else:
         systems = tuple(numeration.make_system(m, count) for m in args.ms)
-        pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), count)
+        pts = rotation.halton_points(systems, count)
         header, cols = ["n"] + [f"v{i + 1}" for i in range(len(args.ms))], list(pts.T)
     with _output(args) as stream:
         textio.write_csv(stream, header, [range(count)], cols, args.digits)
@@ -107,7 +122,7 @@ def _cmd_disc(args) -> int:
     elif args.variant == "multi":
         count = args.count
         systems = tuple(numeration.make_system(m, count) for m in args.ms)
-        pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), count)
+        pts = rotation.halton_points(systems, count)
         report = discrepancy.star_disc_multi(pts)
         payload = {"method": report.method, "N": count, "s": len(args.ms),
                    "value": report.value, "exact": report.exact}
@@ -116,7 +131,7 @@ def _cmd_disc(args) -> int:
         if lo < 0:
             raise ValueError(f"--min-exp must be >= 0, got {lo}")
         systems = tuple(numeration.make_system(m, 2 ** hi) for m in ms)
-        pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), 2 ** hi)
+        pts = rotation.halton_points(systems, 2 ** hi)
         samples = []
         for e in range(lo, hi + 1):
             n = 2 ** e
@@ -235,10 +250,10 @@ def _build_parser() -> argparse.ArgumentParser:
     seq_sub = p.add_subparsers(dest="variant", required=True)
     q = seq_sub.add_parser("vdc", parents=[common])
     q.add_argument("--m", type=int, required=True)
-    q.add_argument("--count", type=int, required=True)
+    q.add_argument("--count", type=_count, required=True)
     q = seq_sub.add_parser("halton", parents=[common])
     q.add_argument("--ms", type=_int_list, required=True)
-    q.add_argument("--count", type=int, required=True)
+    q.add_argument("--count", type=_count, required=True)
 
     p = sub.add_parser("fractal", help="export a fractal cloud (CSV and/or PPM)",
                        parents=[common])
@@ -253,10 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     disc_sub = p.add_subparsers(dest="variant", required=True)
     q = disc_sub.add_parser("1d", parents=[common])
     q.add_argument("--m", type=int, required=True)
-    q.add_argument("--count", type=int, required=True)
+    q.add_argument("--count", type=_count, required=True)
     q = disc_sub.add_parser("multi", parents=[common])
     q.add_argument("--ms", type=_int_list, required=True)
-    q.add_argument("--count", type=int, required=True)
+    q.add_argument("--count", type=_count, required=True)
     q = disc_sub.add_parser("fit", parents=[common])
     q.add_argument("--ms", type=_int_list, required=True)
     q.add_argument("--min-exp", type=int, default=8)
@@ -283,13 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_local_disc)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
 
     p = sub.add_parser("verify", help="run the invariant check suite", parents=[common])
     p.set_defaults(handler=_cmd_verify)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--quick", action="store_true", default=True)
-    g.add_argument("--full", action="store_true", default=False)
+    p.add_argument("--full", action="store_true")
 
     p = sub.add_parser("reproduce-example",
                        help="criteria 10 and 11 of verify: reference exponent and measured decay",

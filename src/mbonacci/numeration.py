@@ -166,32 +166,6 @@ def is_admissible(m: int, digits) -> bool:
     return True
 
 
-def trailing_ones_before(e: Expansion, k: int) -> int:
-    """Length r of the maximal all-ones run in positions k-1, k-2, ...
-
-    Digits at negative index count as zero, so r = 0 whenever k = 0 or
-    the digit at k-1 is zero.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    r = 0
-    j = k - 1
-    while j >= 0 and e.digit(j) == 1:
-        r += 1
-        j -= 1
-    return r
-
-
-def ones_run_from(e: Expansion, k: int) -> int:
-    """Length of the all-ones run starting at position k (possibly zero)."""
-    t = 0
-    j = k
-    while e.digit(j) == 1:
-        t += 1
-        j += 1
-    return t
-
-
 # ---------------------------------------------------------------------------
 # bulk paths (vectorised; used by measurement runs over large n ranges)
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from math import prod
 import numpy as np
 
 from mbonacci import numeration
-from mbonacci.numeration import MBonacciSystem, encode, ones_run_from, trailing_ones_before
 from mbonacci.spectral import (
     contraction_matrix,
     lattice_coords,
@@ -148,42 +147,6 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
         labels=word,
         unreduced=np.stack(cols, axis=1),
     )
-
-
-@dataclass(frozen=True)
-class SubtileAddress:
-    """Level-k subtile address: the first k digits plus a terminal letter.
-
-    `trailing_ones` is the length r of the all-ones digit run just below
-    position k; letters 1..m-r are the admissible terminal letters at this
-    digit prefix.
-    """
-
-    m: int
-    level: int
-    digits: tuple[int, ...]
-    letter: int
-    trailing_ones: int
-
-    @property
-    def allowed_letters(self) -> tuple[int, ...]:
-        return tuple(range(1, self.m - self.trailing_ones + 1))
-
-
-def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
-    """Address of the level-k subtile containing the orbit point of n.
-
-    The digit prefix is read off the greedy expansion; the terminal letter
-    is one plus the length of the all-ones digit run starting at position k.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    e = encode(sys, n)
-    digits = tuple(e.digit(j) for j in range(k))
-    r = trailing_ones_before(e, k)
-    letter = ones_run_from(e, k) + 1
-    assert letter <= sys.m - r
-    return SubtileAddress(m=sys.m, level=k, digits=digits, letter=letter, trailing_ones=r)
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +313,24 @@ def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytes:
         raise ValueError(f"size must be >= 1, got {size}")
     if cloud.m == 3:
         width = height = size
-        img = np.full((height, width, 3), 255, dtype=np.uint8)
-        ix = np.minimum((cloud.reduced[:, 0] * width).astype(np.int64), width - 1)
-        iy = np.minimum((cloud.reduced[:, 1] * height).astype(np.int64), height - 1)
-        for letter in range(1, cloud.m + 1):
-            sel = cloud.labels == letter
-            img[height - 1 - iy[sel], ix[sel]] = _PALETTE[(letter - 1) % len(_PALETTE)]
     elif cloud.m == 2:
         width, height = size, max(8, size // 8)
-        img = np.full((height, width, 3), 255, dtype=np.uint8)
-        ix = np.minimum((cloud.reduced[:, 0] * width).astype(np.int64), width - 1)
-        for letter in range(1, cloud.m + 1):
-            sel = cloud.labels == letter
-            img[:, ix[sel]] = _PALETTE[(letter - 1) % len(_PALETTE)]
     else:
         raise ValueError("PPM rendering supports m = 2 or 3 only")
+    if width * height > MAX_GRID_CELLS:
+        raise ValueError(f"size {size} gives a {width} x {height} image, "
+                         f"above the limit of {MAX_GRID_CELLS} pixels")
+    img = np.full((height, width, 3), 255, dtype=np.uint8)
+    ix = np.minimum((cloud.reduced[:, 0] * width).astype(np.int64), width - 1)
+    if cloud.m == 3:
+        iy = height - 1 - np.minimum((cloud.reduced[:, 1] * height).astype(np.int64), height - 1)
+    for letter in range(1, cloud.m + 1):
+        sel = cloud.labels == letter
+        colour = _PALETTE[(letter - 1) % len(_PALETTE)]
+        if cloud.m == 3:
+            img[iy[sel], ix[sel]] = colour
+        else:
+            img[:, ix[sel]] = colour
     header = f"P6\n{width} {height}\n255\n".encode()
     return header + img.tobytes()
 

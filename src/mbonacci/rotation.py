@@ -1,6 +1,6 @@
 """Sequence side of the correspondence: van der Corput and Halton values,
-the level-k interval partitions, the digit-based subtile membership
-oracle, and local discrepancies.
+the level-k interval partitions, level-k subtile addresses, and local
+discrepancies.
 
 Counting never touches geometric boundaries: membership in a level-k
 subtile is decided entirely from digit strings, which is exact where a
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mbonacci.numeration import (
-    MBonacciSystem,
-    encode,
-    ones_run_from,
-    trailing_ones_before,
-)
-from mbonacci.rauzy import SubtileAddress
+from mbonacci.numeration import MBonacciSystem, encode
 from mbonacci.spectral import MAX_PRECISE_INDEX
 
 DEFAULT_LEVEL_CAP = 10
@@ -93,33 +87,61 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
     return hi
 
 
-@dataclass(frozen=True)
-class HaltonConfig:
-    """Component systems with pairwise distinct m."""
-
-    systems: tuple[MBonacciSystem, ...]
-
-    def __post_init__(self) -> None:
-        ms = [s.m for s in self.systems]
-        if not ms:
-            raise ValueError("at least one system required")
-        if len(set(ms)) != len(ms):
-            raise ValueError(f"m values must be pairwise distinct, got {ms}")
-        if any(m < 2 for m in ms):
-            raise ValueError("all m must be >= 2")
-
-    @property
-    def dims(self) -> int:
-        return len(self.systems)
-
-
-def halton_points(cfg: HaltonConfig, count: int) -> np.ndarray:
-    """(count, s) array of the first `count` Halton vectors."""
+def halton_points(systems, count: int) -> np.ndarray:
+    """(count, s) array of the first `count` Halton vectors, one column per
+    system; the systems' m values must be pairwise distinct."""
+    ms = [s.m for s in systems]
+    if not ms:
+        raise ValueError("at least one system required")
+    if len(set(ms)) != len(ms):
+        raise ValueError(f"m values must be pairwise distinct, got {ms}")
     _require_count(count)
-    pts = np.empty((count, cfg.dims))
-    for i, s in enumerate(cfg.systems):
+    pts = np.empty((count, len(ms)))
+    for i, s in enumerate(systems):
         pts[:, i] = vdc_values(s, count)
     return pts
+
+
+@dataclass(frozen=True)
+class SubtileAddress:
+    """Level-k subtile address: the first k digits plus a terminal letter.
+
+    `trailing_ones` is the length r of the all-ones digit run just below
+    position k; letters 1..m-r are the admissible terminal letters at this
+    digit prefix.
+    """
+
+    m: int
+    level: int
+    digits: tuple[int, ...]
+    letter: int
+    trailing_ones: int
+
+    @property
+    def allowed_letters(self) -> tuple[int, ...]:
+        return tuple(range(1, self.m - self.trailing_ones + 1))
+
+
+def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
+    """Address of the level-k subtile containing the orbit point of n.
+
+    The digit prefix is the first k digits of the greedy expansion, r the
+    run of ones at positions k-1, k-2, ..., and the terminal letter one
+    plus the run of ones from position k.  Every n has exactly one
+    address per level, so these memberships partition the index range.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    e = encode(sys, n)
+    digits = (e.digits + (0,) * k)[:k]
+    r = 0
+    while r < k and digits[k - 1 - r]:
+        r += 1
+    letter = 1
+    while e.digit(k + letter - 1):
+        letter += 1
+    assert letter <= sys.m - r
+    return SubtileAddress(m=sys.m, level=k, digits=digits, letter=letter, trailing_ones=r)
 
 
 @dataclass(frozen=True)
@@ -147,18 +169,16 @@ class CkInterval:
 
 
 def interval_for(sys: MBonacciSystem, n: int, k: int) -> CkInterval:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    e = encode(sys, n)
+    addr = subtile_of(sys, n, k)
     phi = sys.phi_float
     pos = [1.0]
     for _ in range(k):
         pos.append(pos[-1] * phi)
     mu = 0.0
     for j in range(k):
-        if e.digit(k - 1 - j):
+        if addr.digits[k - 1 - j]:
             mu += pos[j]
-    r = trailing_ones_before(e, k)
+    r = addr.trailing_ones
     width = pos[r] - sum(pos[i] for i in range(r))
     scale = sys.neg_power(k) if k else 1.0
     return CkInterval(n=n, k=k, mu=mu, r=r, left=mu * scale, right=(mu + width) * scale)
@@ -176,21 +196,6 @@ def partition_Ck(sys: MBonacciSystem, k: int) -> list[CkInterval]:
     intervals = [interval_for(sys, n, k) for n in range(count)]
     intervals.sort(key=lambda iv: iv.left)
     return intervals
-
-
-def membership_oracle(sys: MBonacciSystem, n: int, addr: SubtileAddress) -> bool:
-    """Exact combinatorial test for level-k subtile membership.
-
-    True iff the first k digits of n match the address and the all-ones
-    run starting at position k has length letter - 1.  Every n matches
-    exactly one address per level, so these memberships partition the
-    index range.
-    """
-    e = encode(sys, n)
-    k = addr.level
-    if any(e.digit(j) != addr.digits[j] for j in range(k)):
-        return False
-    return ones_run_from(e, k) + 1 == addr.letter
 
 
 def level_addresses(m: int, k: int) -> list[SubtileAddress]:

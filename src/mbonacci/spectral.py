@@ -109,32 +109,9 @@ def ambient_projection(m: int) -> np.ndarray:
     return np.eye(m) - np.outer(u, v) / float(v @ u)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Point of the (m-1)-torus in lattice-basis coordinates, each in [0, 1)."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(not (0.0 <= c < 1.0) for c in self.coords):
-            raise ValueError(f"coordinates must lie in [0,1): {self.coords}")
-
-    def array(self) -> np.ndarray:
-        return np.array(self.coords)
-
-
-def torus_reduce(c) -> TorusPoint:
-    """Reduce real coordinates mod 1; a value landing exactly on 1.0 maps to 0.0."""
-    arr = np.asarray(c, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
-    frac = arr - np.floor(arr)
-    frac[frac >= 1.0] = 0.0
-    return TorusPoint(tuple(float(x) for x in frac))
-
-
 def reduce_array(coords: np.ndarray) -> np.ndarray:
-    """Vectorised torus reduction for a (N, d) coordinate array."""
+    """Torus reduction of a coordinate array of any shape: the fractional
+    part, with a value landing exactly on 1.0 mapped to 0.0."""
     frac = coords - np.floor(coords)
     frac[frac >= 1.0] = 0.0
     return frac
@@ -142,9 +119,7 @@ def reduce_array(coords: np.ndarray) -> np.ndarray:
 
 def torus_distance(a, b) -> float:
     """Max-metric distance on the torus (coordinates wrapped mod 1)."""
-    pa = a.array() if isinstance(a, TorusPoint) else np.asarray(a, dtype=np.float64)
-    pb = b.array() if isinstance(b, TorusPoint) else np.asarray(b, dtype=np.float64)
-    d = np.abs(pa - pb) % 1.0
+    d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) % 1.0
     return float(np.max(np.minimum(d, 1.0 - d))) if d.size else 0.0
 
 
@@ -185,7 +160,7 @@ def contraction_matrix(m: int, phi: float) -> np.ndarray:
     return mat
 
 
-def rotation_point(systems, n: int) -> TorusPoint:
+def rotation_point(systems, n: int) -> np.ndarray:
     """Concatenated rotation orbit point: frac(n * (phi^-2..phi^-m)) per
     system, each block evaluated from n directly at extended precision."""
     if n < 0:
@@ -193,10 +168,8 @@ def rotation_point(systems, n: int) -> TorusPoint:
     out: list[float] = []
     for sys_i in systems:
         with mpmath.workprec(WORK_BITS):
-            for i in range(2, sys_i.m + 1):
-                f = float(mpmath.frac(n * sys_i.phi ** -i))
-                out.append(0.0 if f >= 1.0 else f)
-    return TorusPoint(tuple(out))
+            out.extend(float(mpmath.frac(n * sys_i.phi ** -i)) for i in range(2, sys_i.m + 1))
+    return reduce_array(np.array(out))
 
 
 # ---------------------------------------------------------------------------

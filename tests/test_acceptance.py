@@ -5,7 +5,11 @@
 `pytest tests/test_acceptance.py -v -s` to see the lines with timings.
 """
 
-from mbonacci import verify
+import dataclasses
+
+import pytest
+
+from mbonacci import rotation, verify
 
 
 def _criterion(check: verify.Check):
@@ -23,3 +27,38 @@ def _criterion(check: verify.Check):
 for _check in verify.CHECKS:
     _test = _criterion(_check)
     globals()[_test.__name__] = _test
+
+
+# Criterion 13 compares the scalar address `rotation.subtile_of` with the
+# bulk counts of `rotation._address_keys`; a wrong letter on either route
+# must fail it, at both scales.
+
+def _wrong_scalar_letter(monkeypatch):
+    subtile_of = rotation.subtile_of
+
+    def mutant(sys, n, k):
+        addr = subtile_of(sys, n, k)
+        return dataclasses.replace(addr, letter=addr.letter % sys.m + 1) if n == 1 else addr
+
+    monkeypatch.setattr(rotation, "subtile_of", mutant)
+
+
+def _wrong_bulk_letter(monkeypatch):
+    address_keys = rotation._address_keys
+
+    def mutant(sys, k, N):
+        keys, letters = address_keys(sys, k, N)
+        letters[1] = letters[1] % sys.m + 1
+        return keys, letters
+
+    monkeypatch.setattr(rotation, "_address_keys", mutant)
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("mutate", [_wrong_scalar_letter, _wrong_bulk_letter])
+def test_criterion_13_fails_on_a_wrong_letter(monkeypatch, mutate, full):
+    mutate(monkeypatch)
+    check = next(c for c in verify.CHECKS if c.number == 13)
+    result = verify.run_check(check, full=full)
+    assert not result.passed
+    assert "subtile_of and membership_counts differ" in result.detail

@@ -157,6 +157,23 @@ def test_bad_flags_exit_2():
         out = run_cli("seq", "vdc", "--m", "2", "--count", "2", "--digits", digits)
         assert out.returncode == 2 and out.stdout == ""
         assert "--digits" in out.stderr and "Traceback" not in out.stderr
+    # a count below 1 is refused by the parser, naming the flag
+    for argv in [
+        ("seq", "vdc", "--m", "2", "--count", "0"),
+        ("seq", "halton", "--ms", "2,3", "--count", "-2"),
+        ("disc", "1d", "--m", "2", "--count", "0"),
+        ("disc", "multi", "--ms", "2,3", "--count", "0"),
+        ("local-disc", "--m", "2", "--k", "1", "--count", "0"),
+    ]:
+        out = run_cli(*argv)
+        assert out.returncode == 2 and out.stdout == "", argv
+        assert "argument --count: must be >= 1" in out.stderr, argv
+        assert "max_n" not in out.stderr and "Traceback" not in out.stderr, argv
+    for flag in ("--count", "--digits"):
+        out = run_cli("seq", "vdc", "--m", "2", "--count", "5", flag, "1e5")
+        assert out.returncode == 2 and f"argument {flag}: invalid int value: '1e5'" in out.stderr
+    out = run_cli("verify", "--quick")
+    assert out.returncode == 2 and "unrecognized arguments: --quick" in out.stderr
 
 
 def test_module_error_exit_1():
@@ -187,6 +204,10 @@ def test_module_error_exit_1():
         assert f"count {count}" in out.stderr and "Traceback" not in out.stderr, argv
     out = run_cli("fractal", "--m", "3", "--depth", "100", "--ppm", os.devnull, "--size", "0")
     assert out.returncode == 1 and "size must be >= 1, got 0" in out.stderr
+    out = run_cli("fractal", "--m", "3", "--depth", "100", "--ppm", os.devnull,
+                  "--size", "100000")
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert "size 100000 gives a 100000 x 100000 image" in out.stderr
 
 
 def test_output_flag_writes_file(tmp_path):
@@ -212,7 +233,7 @@ def test_csv_writer_crosses_chunk_boundary(tmp_path, capsys, digits):
     count = textio.CHUNK_ROWS + 3
     vdc = rotation.vdc_values(numeration.make_system(3, count), count)
     systems = tuple(numeration.make_system(m, count) for m in (2, 3))
-    pts = rotation.halton_points(rotation.HaltonConfig(systems=systems), count)
+    pts = rotation.halton_points(systems, count)
     cloud = rauzy.build_cloud(3, count - 1)
     cases = [
         (["seq", "vdc", "--m", "3", "--count", str(count)],
@@ -269,7 +290,7 @@ def test_verify_reports_failed_and_over_budget_checks(monkeypatch, capsys):
     assert "FAIL  slow" in out and "over its 0.01s budget" in out
     assert "0/3 checks passed" in out
     # the budget binds only at full scale
-    rc = cli.main(["verify", "--quick"])
+    rc = cli.main(["verify"])
     out = capsys.readouterr().out
     assert rc == 1 and "PASS  slow" in out and "1/3 checks passed" in out
 

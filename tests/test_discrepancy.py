@@ -341,7 +341,7 @@ def test_corner_sweep_reuses_its_buffers():
         "import resource\n"
         "from mbonacci import discrepancy, numeration, rotation\n"
         "systems = tuple(numeration.make_system(m, 256) for m in (2, 3, 5))\n"
-        "pts = rotation.halton_points(rotation.HaltonConfig(systems), 256)\n"
+        "pts = rotation.halton_points(systems, 256)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "report = discrepancy.star_disc_multi(pts)\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"

@@ -12,8 +12,6 @@ from mbonacci.numeration import (
     is_admissible,
     longest_one_run,
     make_system,
-    ones_run_from,
-    trailing_ones_before,
 )
 
 
@@ -102,23 +100,6 @@ def test_is_admissible_examples():
     assert is_admissible(2, []) is True
     with pytest.raises(ValueError):
         is_admissible(2, [0, 3])
-
-
-def test_trailing_ones_examples():
-    e = Expansion((0, 0, 0, 1, 1))  # digits at positions 3 and 4
-    assert trailing_ones_before(e, 5) == 2
-    assert trailing_ones_before(Expansion(()), 7) == 0
-    assert trailing_ones_before(Expansion((1,)), 1) == 1
-    with pytest.raises(ValueError):
-        trailing_ones_before(e, -1)
-
-
-def test_ones_run_from():
-    e = Expansion((1, 1, 0, 1))
-    assert ones_run_from(e, 0) == 2
-    assert ones_run_from(e, 2) == 0
-    assert ones_run_from(e, 3) == 1
-    assert ones_run_from(e, 9) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbonacci import numeration, rauzy
-from mbonacci.numeration import encode, ones_run_from
+from mbonacci.numeration import encode
 from mbonacci.rauzy import (
     PrefixSuffixEdge,
     build_cloud,
@@ -13,11 +13,11 @@ from mbonacci.rauzy import (
     render_cloud_ppm,
     set_equation_check,
     substitute,
-    subtile_of,
     tiling_check,
     word_lengths,
 )
-from mbonacci.spectral import lattice_coords, rotation_point, torus_distance, torus_reduce
+from mbonacci.rotation import subtile_of
+from mbonacci.spectral import lattice_coords, reduce_array, rotation_point, torus_distance
 
 
 def test_substitute_single_letters():
@@ -94,16 +94,15 @@ def test_cloud_matches_abelianization_route(m):
     rng = np.random.default_rng(m)
     for n in rng.integers(0, 5000, size=40):
         counts = np.bincount(word[: int(n)], minlength=m + 1)[1:]
-        direct = torus_reduce(lattice_coords(m, cloud.phi, counts.tolist()))
-        assert torus_distance(direct, torus_reduce(cloud.reduced[int(n)])) <= 1e-9
+        direct = reduce_array(lattice_coords(m, cloud.phi, counts.tolist()))
+        assert torus_distance(direct, cloud.reduced[int(n)]) <= 1e-9
 
 
 def test_cloud_matches_rotation_orbit(sys3):
     cloud = build_cloud(3, 10 ** 4)
     rng = np.random.default_rng(17)
     for n in np.concatenate(([0, 1], rng.integers(0, 10 ** 4, size=40))):
-        assert torus_distance(torus_reduce(cloud.reduced[int(n)]),
-                              rotation_point([sys3], int(n))) <= 1e-9
+        assert torus_distance(cloud.reduced[int(n)], rotation_point([sys3], int(n))) <= 1e-9
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -122,7 +121,7 @@ def test_label_equals_level0_walk_letter(m):
     sys = numeration.make_system(m, 3000)
     word = fixed_point_prefix(m, 3001)
     for n in range(3000):
-        assert word[n] == ones_run_from(encode(sys, n), 0) + 1
+        assert word[n] == subtile_of(sys, n, 0).letter
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -295,4 +294,9 @@ def test_ppm_render():
         render_cloud_ppm(fake)
     for cloud, size in ((cloud3, 0), (cloud2, 0), (cloud3, -3)):
         with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
+            render_cloud_ppm(cloud, size=size)
+    # images past rauzy.MAX_GRID_CELLS pixels are refused before allocating:
+    # 8193^2 and 23174 * 2896 are the first sizes over 2^26 for m = 3 and 2
+    for cloud, size in ((cloud3, 8193), (cloud2, 23174), (cloud3, 100000)):
+        with pytest.raises(ValueError, match=f"size {size} gives a"):
             render_cloud_ppm(cloud, size=size)

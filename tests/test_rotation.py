@@ -6,20 +6,19 @@ import pytest
 from helpers import ulp_error, vdc_mpmath
 from mbonacci import numeration, rotation
 from mbonacci.numeration import encode, make_system
-from mbonacci.rauzy import build_cloud, subtile_of
+from mbonacci.rauzy import build_cloud
 from mbonacci.rotation import (
-    HaltonConfig,
     halton_points,
     interval_for,
     level_addresses,
     local_discrepancy,
     membership_counts,
-    membership_oracle,
     partition_Ck,
+    subtile_of,
     vdc,
     vdc_values,
 )
-from mbonacci.spectral import torus_reduce
+from mbonacci.spectral import reduce_array
 
 
 def test_vdc_examples(sys2):
@@ -92,27 +91,26 @@ def test_vdc_values_validation():
 
 
 def test_halton_examples(sys2, sys3):
-    pts = halton_points(HaltonConfig(systems=(sys2, sys3)), 2)
+    pts = halton_points((sys2, sys3), 2)
     assert np.allclose(pts[0], [0.0, 0.0])
     assert abs(pts[1, 0] - 0.61803) < 1e-5
     assert abs(pts[1, 1] - 0.54369) < 1e-5
-    single = halton_points(HaltonConfig(systems=(sys2,)), 8)
+    single = halton_points((sys2,), 8)
     assert single.shape == (8, 1)
     assert single[7, 0] == vdc(sys2, 7)
 
 
 def test_halton_points_match_scalar(sys2, sys3):
-    cfg = HaltonConfig(systems=(sys2, sys3))
-    pts = halton_points(cfg, 50)
+    pts = halton_points((sys2, sys3), 50)
     for n in (0, 1, 49):
-        assert pts[n].tolist() == [vdc(s, n) for s in cfg.systems]
+        assert pts[n].tolist() == [vdc(s, n) for s in (sys2, sys3)]
 
 
-def test_halton_config_validation(sys2, sys3):
-    with pytest.raises(ValueError):
-        HaltonConfig(systems=(sys2, sys2))
-    with pytest.raises(ValueError):
-        HaltonConfig(systems=())
+def test_halton_points_validation(sys2, sys3):
+    with pytest.raises(ValueError, match="m values must be pairwise distinct"):
+        halton_points((sys2, sys2), 4)
+    with pytest.raises(ValueError, match="at least one system required"):
+        halton_points((), 4)
 
 
 def test_interval_for_zero(sys2):
@@ -204,25 +202,33 @@ def test_shifted_rotation_matches_digit_membership_m2(sys2, cloud_m2_100k):
     ref = build_cloud(2, 2048)
     i = 1024 + int(np.argmax(ref.labels[1024:] == 1))
     M = max(k, bisect_right(sys2.basis, N - 1))
-    offset = torus_reduce(np.linalg.matrix_power(mat, M) @ ref.unreduced[i])
+    offset = reduce_array(np.linalg.matrix_power(mat, M) @ ref.unreduced[i])
     gamma = np.asarray(lattice_coords(2, cloud_m2_100k.phi, [1, 0]))
     cell1 = (cloud_m2_100k.letter_points(1) @ mat.T + gamma) % 1.0
     lo, hi = float(cell1.min()), float(cell1.max())
     assert hi - lo < 0.5  # the digit-one cell is a single arc, no wrap
     assert abs((hi - lo) - sys2.neg_power(2)) < 1e-3
-    shifted = (rotation_orbit(sys2, N) + offset.array()) % 1.0
+    shifted = (rotation_orbit(sys2, N) + offset) % 1.0
     for n in range(N):
         geometric = lo <= shifted[n, 0] <= hi
         digit = encode(sys2, n).digit(0) == 1
         assert geometric == digit, f"membership mismatch at n={n}"
 
 
-def test_membership_oracle_examples(sys2):
-    addr0 = subtile_of(sys2, 0, 3)
-    assert membership_oracle(sys2, 0, addr0)
-    # n = 4 has digit 1 at position 2; an address with an all-zero prefix
-    # at level 3 cannot match it
-    assert not membership_oracle(sys2, 4, addr0)
+def test_subtile_of_digit_runs(sys2, sys3):
+    # for m = 3, 20 = F_3 + F_4 = 7 + 13 has ones at positions 3 and 4
+    assert encode(sys3, 20).digits == (0, 0, 0, 1, 1)
+    assert [subtile_of(sys3, 20, k).trailing_ones for k in (5, 4, 3, 0)] == [2, 1, 0, 0]
+    assert subtile_of(sys3, 0, 7).trailing_ones == 0
+    assert subtile_of(sys2, 1, 1).trailing_ones == 1
+    # the letter is one plus the run of ones from position k: 10 = 1 + 2 + 7
+    assert encode(sys3, 10).digits == (1, 1, 0, 1)
+    assert [subtile_of(sys3, 10, k).letter for k in (0, 2, 3, 9)] == [3, 1, 2, 1]
+    # n = 4 = 1 + 3 has digit 1 at position 2, so it leaves the level-3 subtile of 0
+    assert subtile_of(sys2, 0, 3).digits == (0, 0, 0)
+    assert subtile_of(sys2, 4, 3).digits == (1, 0, 1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        subtile_of(sys3, 20, -1)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -231,10 +237,9 @@ def test_memberships_partition_indices(m):
     for k in (0, 1, 4, 8):
         addrs = level_addresses(m, k)
         for n in range(0, 600, 7):
-            hits = [a for a in addrs if membership_oracle(sys, n, a)]
-            assert len(hits) == 1
             own = subtile_of(sys, n, k)
-            assert (hits[0].digits, hits[0].letter) == (own.digits, own.letter)
+            hits = [a for a in addrs if (a.digits, a.letter) == (own.digits, own.letter)]
+            assert hits == [own]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -251,10 +256,11 @@ def test_level_addresses_counts_and_measures(m):
 def test_membership_counts_match_scalar(sys2):
     counts = membership_counts(sys2, 3, 400)
     assert sum(counts.values()) == 400
-    addrs = level_addresses(2, 3)
-    for a in addrs:
-        scalar = sum(1 for n in range(400) if membership_oracle(sys2, n, a))
-        assert counts[(a.digits, a.letter)] == scalar
+    scalar = dict.fromkeys(counts, 0)
+    for n in range(400):
+        a = subtile_of(sys2, n, 3)
+        scalar[a.digits, a.letter] += 1
+    assert counts == scalar
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
