@@ -13,6 +13,7 @@ from mbonacci.numeration import (
     longest_one_run,
     make_system,
 )
+from mbonacci.rotation import subtile_of
 
 
 def test_basis_prefix_fibonacci_like():
@@ -100,6 +101,23 @@ def test_is_admissible_examples():
     assert is_admissible(2, []) is True
     with pytest.raises(ValueError):
         is_admissible(2, [0, 3])
+
+
+def test_trailing_ones_examples(sys2, sys3):
+    # the run of ones just below position k is SubtileAddress.trailing_ones;
+    # for m = 3, 20 = F_3 + F_4 = 7 + 13 has ones at positions 3 and 4
+    assert encode(sys3, 20).digits == (0, 0, 0, 1, 1)
+    assert [subtile_of(sys3, 20, k).trailing_ones for k in (5, 4, 3, 0)] == [2, 1, 0, 0]
+    assert subtile_of(sys3, 0, 7).trailing_ones == 0
+    assert subtile_of(sys2, 1, 1).trailing_ones == 1
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        subtile_of(sys3, 20, -1)
+
+
+def test_ones_run_from(sys3):
+    # the letter is one plus the run of ones from position k: 10 = 1 + 2 + 7
+    assert encode(sys3, 10).digits == (1, 1, 0, 1)
+    assert [subtile_of(sys3, 10, k).letter for k in (0, 2, 3, 9)] == [3, 1, 2, 1]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
