@@ -16,12 +16,14 @@ every s >= 2: it walks axis 0 in rank order and carries the cumulative
 count plane over the other axes, so it costs O(prod_j len(cands_j)) with
 a few vectorised operations per corner cell, holding temporaries of at
 most about 2^15 cells at a time.  DEFAULT_MAX_EXACT_OPS bounds that cell
-count; past it the same sweep runs on a subsampled grid and gives a lower
-bound.
+count; past it the same sweep gives a lower bound on a subsampled grid of
+half as many cells, because there it counts closed and open boxes in two
+passes.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
@@ -172,7 +174,7 @@ def star_disc_multi(points, fallback: bool = True) -> DiscrepancyReport:
     Exact while the corner grid, prod_j (distinct coordinates on axis j plus
     the ends 0 and 1) cells, fits the budget DEFAULT_MAX_EXACT_OPS; beyond
     it, either raises or (default) reports a lower bound from a subsampled
-    corner grid of at most that many cells, flagged as not exact.
+    corner grid of at most half that many cells, flagged as not exact.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 2:
@@ -194,7 +196,7 @@ def star_disc_multi(points, fallback: bool = True) -> DiscrepancyReport:
             f"an exact value at N = {n} needs {cells} corner-grid cells, over the "
             f"budget of {budget}; use fewer points (disc fit: lower --max-exp)"
         )
-    limit = int(budget ** (1.0 / s))
+    limit = int((budget / 2) ** (1.0 / s))
     cands = [_subsample(c, limit) for c in cands]
     value = _corner_sweep(pts, cands, full_grid=False)
     return DiscrepancyReport(N=n, value=value, method="corner_subsample_lower_bound",
@@ -333,12 +335,15 @@ def load_points_csv(stream) -> np.ndarray:
     names = [h.strip() for h in header.split(",")]
     if not names or not all(n.startswith("x") for n in names):
         raise ValueError(f"expected header x1,...,xs, got {header!r}")
-    rows = [line.strip() for line in stream if line.strip()]
-    pts = np.array([[float(v) for v in row.split(",")] for row in rows])
-    if pts.ndim != 2 or pts.shape[1] != len(names):
+    with warnings.catch_warnings():
+        # a header-only file is refused below, without numpy's empty-input warning
+        warnings.simplefilter("ignore", UserWarning)
+        pts = np.loadtxt(stream, delimiter=",", ndmin=2, comments=None)
+    if len(pts) == 0 or pts.shape[1] != len(names):
         raise ValueError("malformed point rows")
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"point row {i + 1} has a non-finite value: {rows[i]!r}")
+        row = ",".join(map(repr, pts[i].tolist()))
+        raise ValueError(f"point row {i + 1} has a non-finite value: {row!r}")
     return pts

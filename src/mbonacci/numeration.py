@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-# residual tolerance of the dominant root
-DEFAULT_PRECISION = 1e-30
-
-# binary working precision of the root and its powers: the 99 bits of
-# DEFAULT_PRECISION plus 20 guard bits
-WORK_BITS = 119
+from mbonacci.spectral import DEFAULT_PRECISION, WORK_BITS, dominant_root
 
 # Hard cap on basis length; loud failure beats a runaway allocation.
 _MAX_BASIS_TERMS = 512
@@ -89,8 +84,6 @@ def make_system(m: int, max_n: int) -> MBonacciSystem:
         raise ValueError(f"m must be >= 2, got {m}")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    from mbonacci.spectral import dominant_root  # local import keeps the module graph acyclic
-
     terms = [1]
     k = 1
     while terms[-1] <= max_n:
@@ -170,7 +163,7 @@ def is_admissible(m: int, digits) -> bool:
 # bulk paths (vectorised; used by measurement runs over large n ranges)
 # ---------------------------------------------------------------------------
 
-def digit_matrix(sys: MBonacciSystem, ns, width: int | None = None) -> np.ndarray:
+def digit_matrix(sys: MBonacciSystem, ns) -> np.ndarray:
     """Greedy digit strings for many n at once.
 
     `ns` is an int array (or a count, meaning arange).  Returns a uint8
@@ -183,15 +176,10 @@ def digit_matrix(sys: MBonacciSystem, ns, width: int | None = None) -> np.ndarra
         ns = np.asarray(ns, dtype=np.int64)
     if ns.size and (ns.min() < 0 or ns.max() >= sys.basis[-1]):
         raise ValueError("n out of basis coverage")
-    need = bisect_right(sys.basis, int(ns.max())) if ns.size else 0
-    if width is None:
-        width = need
-    elif width < need:
-        raise ValueError(f"width {width} too small, need {need}")
-    # columns beyond `need` are zero padding, so width may exceed the basis
+    width = bisect_right(sys.basis, int(ns.max())) if ns.size else 0
     digits = np.zeros((ns.size, width), dtype=np.uint8)
     rem = ns.copy()
-    for j in range(need - 1, -1, -1):
+    for j in range(width - 1, -1, -1):
         f = sys.basis[j]
         take = rem >= f
         digits[take, j] = 1
@@ -203,11 +191,9 @@ def decode_matrix(sys: MBonacciSystem, digits: np.ndarray) -> np.ndarray:
     """Values of many digit strings at once (inverse of digit_matrix)."""
     width = digits.shape[1]
     if width > len(sys.basis):
-        if digits[:, len(sys.basis):].any():
-            raise ValueError("digit columns beyond the cached basis must be zero")
-        width = len(sys.basis)
+        raise ValueError("digit strings longer than the cached basis")
     basis = np.array(sys.basis[:width], dtype=np.int64)
-    return digits[:, :width].astype(np.int64) @ basis
+    return digits.astype(np.int64) @ basis
 
 
 def longest_one_run(digits: np.ndarray) -> np.ndarray:

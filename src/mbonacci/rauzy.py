@@ -208,8 +208,7 @@ class SetEquationReport:
     max_ratio: float
 
 
-def set_equation_check(m: int, cloud: FractalCloud, k: int,
-                       resolution: float) -> SetEquationReport:
+def set_equation_check(cloud: FractalCloud, k: int, resolution: float) -> SetEquationReport:
     """Grid comparison of each letter subcloud against its decomposition.
 
     The subtile of letter 1 is the contraction of the whole cloud; the
@@ -219,6 +218,7 @@ def set_equation_check(m: int, cloud: FractalCloud, k: int,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    m = cloud.m
     _require_density(cloud.size, m, resolution)
     mat = contraction_matrix(m, cloud.phi)
     gamma = lattice_coords(m, cloud.phi, [1] + [0] * (m - 1))
@@ -253,13 +253,14 @@ class TilingReport:
     overlap_fraction: float
 
 
-def tiling_check(m: int, cloud: FractalCloud, resolution: float) -> TilingReport:
+def tiling_check(cloud: FractalCloud, resolution: float) -> TilingReport:
     """Coverage and letter-overlap statistics of the reduced cloud.
 
     Full coverage of the torus grid witnesses the fundamental-domain
     property at this resolution; the fraction of cells claimed by two or
     more letters bounds how visible the subtile boundaries are.
     """
+    m = cloud.m
     _require_density(cloud.size, m, resolution)
     side = round(1.0 / resolution)
     cells = [

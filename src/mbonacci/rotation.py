@@ -117,10 +117,6 @@ class SubtileAddress:
     letter: int
     trailing_ones: int
 
-    @property
-    def allowed_letters(self) -> tuple[int, ...]:
-        return tuple(range(1, self.m - self.trailing_ones + 1))
-
 
 def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
     """Address of the level-k subtile containing the orbit point of n.

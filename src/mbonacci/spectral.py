@@ -1,5 +1,6 @@
-"""Linear-algebraic backbone: dominant root, incidence matrix, eigendata,
-and the lattice-coordinate form of the contracting projection.
+"""Linear-algebraic backbone: dominant root, incidence matrix, the
+projection along the expanding eigenvector, and the lattice-coordinate
+form of the contracting projection.
 
 All geometry downstream lives in coordinates with respect to the lattice
 basis pi(e_1 - e_2), ..., pi(e_1 - e_m) of the contracting hyperplane,
@@ -11,12 +12,15 @@ the rotation by (phi^-2, ..., phi^-m) on the standard torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath
 import numpy as np
 
-from mbonacci.numeration import DEFAULT_PRECISION, WORK_BITS
+# residual tolerance of the dominant root
+DEFAULT_PRECISION = 1e-30
+
+# binary working precision of the root and its powers: the 99 bits of
+# DEFAULT_PRECISION plus 20 guard bits
+WORK_BITS = 119
 
 _DEKKER = float(2 ** 27 + 1)
 
@@ -76,36 +80,20 @@ def incidence_matrix(m: int) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    """Dominant eigendata of the incidence matrix.
+def ambient_projection(sys) -> np.ndarray:
+    """Matrix of the projection of R^m along the expanding eigenvector
+    onto the contracting hyperplane: P = I - u v^T / (v . u).
 
-    `right` is sum-normalised, which makes its entries exactly
-    phi^-1, ..., phi^-m; `left` is scaled so its first entry is 1.
+    u is the right eigenvector phi^-1, ..., phi^-m, read from the
+    system's root powers; v is the left eigenvector 1, phi - 1, ...
     """
-
-    m: int
-    phi: float
-    right: np.ndarray
-    left: np.ndarray
-
-
-def spectral_data(m: int) -> SpectralData:
-    phi = dominant_root(m)
+    m = sys.m
+    u = sys.neg_power_parts[:m, 0]
     with mpmath.workprec(WORK_BITS):
-        right = np.array([float(phi ** -i) for i in range(1, m + 1)])
         left = [mpmath.mpf(1)]
         for _ in range(m - 1):
-            left.append(phi * left[-1] - 1)
-        left_f = np.array([float(x) for x in left])
-    return SpectralData(m=m, phi=float(phi), right=right, left=left_f)
-
-
-def ambient_projection(m: int) -> np.ndarray:
-    """Matrix of the projection of R^m along the expanding eigenvector
-    onto the contracting hyperplane: P = I - u v^T / (v . u)."""
-    data = spectral_data(m)
-    u, v = data.right, data.left
+            left.append(sys.phi * left[-1] - 1)
+        v = np.array([float(x) for x in left])
     return np.eye(m) - np.outer(u, v) / float(v @ u)
 
 
@@ -173,33 +161,14 @@ def rotation_point(systems, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# split-arithmetic helpers for bulk orbits: frac(n * alpha) and
-# n * alpha - integer, accurate to a few float64 ulps for n < 2^26
+# split arithmetic for bulk orbits: n * alpha - integer, accurate to a
+# few float64 ulps for n < 2^26
 # ---------------------------------------------------------------------------
 
 def _split(hi: float) -> tuple[float, float]:
     t = hi * _DEKKER
     hi1 = t - (t - hi)
     return hi1, hi - hi1
-
-
-def precise_frac_multiples(ns: np.ndarray, hi: float, lo: float) -> np.ndarray:
-    """frac(n * (hi + lo)) for an int array n < 2^26.
-
-    hi is split so both partial products are exact; only the final
-    recombination rounds.
-    """
-    if ns.size and int(ns.max()) >= MAX_PRECISE_INDEX:
-        raise ValueError("index too large for the exact-product fast path")
-    hi1, hi2 = _split(hi)
-    nf = ns.astype(np.float64)
-    a = nf * hi1
-    a -= np.floor(a)
-    s = a + nf * hi2
-    s += nf * lo
-    s -= np.floor(s)
-    s[s >= 1.0] = 0.0
-    return s
 
 
 def precise_multiples_minus(ns: np.ndarray, hi: float, lo: float, subtract: np.ndarray) -> np.ndarray:
@@ -213,11 +182,3 @@ def precise_multiples_minus(ns: np.ndarray, hi: float, lo: float, subtract: np.n
     out += nf * lo
     return out
 
-
-def rotation_orbit(system, count: int) -> np.ndarray:
-    """First `count` rotation points of one system as a (count, m-1) array."""
-    ns = np.arange(count, dtype=np.int64)
-    cols = []
-    for hi, lo in system.neg_power_parts[1:system.m]:
-        cols.append(precise_frac_multiples(ns, float(hi), float(lo)))
-    return np.stack(cols, axis=1)

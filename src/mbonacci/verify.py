@@ -108,15 +108,14 @@ def _conjugacy(full: bool) -> str:
     worst = ambient = 0.0
     for m in MS:
         sys = numeration.make_system(m, n_max)
-        orbit = spectral.rotation_orbit(sys, n_max + 1)
+        orbit = rauzy.build_cloud(m, n_max).reduced
         for n in range(n_max + 1):
-            d = np.abs(_lattice_point(sys, n) - orbit[n])
-            worst = max(worst, float(np.max(np.minimum(d, 1.0 - d))))
+            worst = max(worst, spectral.torus_distance(_lattice_point(sys, n), orbit[n]))
         rng = np.random.default_rng(m + 40)
         for n in rng.integers(0, n_max, size=100):
             worst = max(worst, spectral.torus_distance(
                 _lattice_point(sys, int(n)), spectral.rotation_point([sys], int(n))))
-        proj = spectral.ambient_projection(m)
+        proj = spectral.ambient_projection(sys)
         e = np.eye(m)
         rhs = sum(sys.neg_power(i) * (proj @ (e[0] - e[i - 1])) for i in range(2, m + 1))
         ambient = max(ambient, float(np.max(np.abs(proj @ e[0] - rhs))))
@@ -163,12 +162,12 @@ def _interval_membership(full: bool) -> str:
 def _tiling(full: bool) -> str:
     cloud2 = rauzy.build_cloud(2, 10 ** 5)
     cloud3 = rauzy.build_cloud(3, 10 ** 6 if full else 2 * 10 ** 5)
-    rep2 = rauzy.tiling_check(2, cloud2, 2 ** -8)
-    rep3 = rauzy.tiling_check(3, cloud3, 2 ** -5)
+    rep2 = rauzy.tiling_check(cloud2, 2 ** -8)
+    rep3 = rauzy.tiling_check(cloud3, 2 ** -5)
     assert rep2.coverage == 1.0, f"m=2 coverage {rep2.coverage}"
     assert rep3.coverage == 1.0, f"m=3 coverage {rep3.coverage}"
-    se2 = rauzy.set_equation_check(2, cloud2, 1, 2 ** -8)
-    se3 = rauzy.set_equation_check(3, cloud3, 1, 2 ** -6 if full else 2 ** -5)
+    se2 = rauzy.set_equation_check(cloud2, 1, 2 ** -8)
+    se3 = rauzy.set_equation_check(cloud3, 1, 2 ** -6 if full else 2 ** -5)
     assert se2.max_ratio <= 0.05, f"m=2 set-equation ratio {se2.max_ratio:.4f}"
     assert se3.max_ratio <= 0.05, f"m=3 set-equation ratio {se3.max_ratio:.4f}"
     return f"full coverage; set-equation ratios {se2.max_ratio:.4f} / {se3.max_ratio:.4f}"
@@ -221,7 +220,7 @@ def _halton_decay(full: bool) -> str:
         samples.append((2 ** e, report.value))
     slope, _, r2 = discrepancy.decay_fit(samples)
     assert slope <= -0.30, f"halton exponent {slope:.4f}"
-    orbit = spectral.rotation_orbit(systems[0], 2 ** top)[:, 0]
+    orbit = rauzy.build_cloud(2, 2 ** top - 1).reduced[:, 0]
     rot_slope, _, _ = discrepancy.decay_fit(
         [(2 ** e, discrepancy.star_disc_1d(orbit[: 2 ** e])) for e in range(8, top + 1)])
     assert rot_slope <= -0.5, f"rotation exponent {rot_slope:.3f}"

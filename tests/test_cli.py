@@ -100,6 +100,13 @@ def test_disc_file(tmp_path):
         out = run_cli("disc", "file", "--input", str(path))
         assert out.returncode == 1
         assert "non-finite" in out.stderr and out.stdout == ""
+    # ragged rows, bad tokens, comment lines and a header alone
+    for text in ("x1,x2\n0.1,0.2\n0.3\n", "x1,x2\n0.1,abc\n", "x1,x2\n# c\n", "x1,x2\n"):
+        path.write_text(text)
+        out = run_cli("disc", "file", "--input", str(path))
+        assert out.returncode == 1 and out.stdout == "", text
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr, text
+        assert "Warning" not in out.stderr, text
 
 
 def test_disc_reports_inexact_values(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -133,11 +134,12 @@ def test_star_disc_multi_budget_and_fallback(monkeypatch):
     assert bounded.value <= exact.value + 1e-12
     with pytest.raises(ValueError, match="N = 40"):
         star_disc_multi(pts, fallback=False)
-    # the bound is the exact maximum over its own (subsampled) corner grid
-    limit = int(1000 ** (1 / 3))
+    # the bound is the exact maximum over its own (subsampled) corner grid,
+    # which gets half the budget because it is swept twice
+    limit = int((1000 / 2) ** (1 / 3))
     cands = [_subsample(np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))), limit)
              for j in range(3)]
-    assert np.prod([len(c) for c in cands]) <= 1000
+    assert 2 * np.prod([len(c) for c in cands]) <= 1000
     best = 0.0
     for corner in itertools.product(*cands):
         vol = corner[0] * corner[1] * corner[2]
@@ -331,6 +333,16 @@ def test_load_points_csv(tmp_path):
     with pytest.raises(ValueError, match="row 2"):
         with open(bad) as fh:
             load_points_csv(fh)
+    bad.write_text("x1,x2\n0.1,0.2\n0.3\n")
+    with pytest.raises(ValueError):
+        with open(bad) as fh:
+            load_points_csv(fh)
+    bad.write_text("x1,x2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="malformed"):
+            with open(bad) as fh:
+                load_points_csv(fh)
 
 
 def test_corner_sweep_reuses_its_buffers():

@@ -177,9 +177,3 @@ def test_greedy_maximality(m):
             flipped += sys.basis[j]
             assert flipped > n
 
-
-def test_digit_matrix_width_validation(sys2):
-    with pytest.raises(ValueError):
-        digit_matrix(sys2, 100, width=3)
-    wide = digit_matrix(sys2, 10, width=12)
-    assert wide.shape == (10, 12)

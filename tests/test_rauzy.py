@@ -102,7 +102,7 @@ def test_cloud_matches_rotation_orbit(sys3):
     cloud = build_cloud(3, 10 ** 4)
     rng = np.random.default_rng(17)
     for n in np.concatenate(([0, 1], rng.integers(0, 10 ** 4, size=40))):
-        assert torus_distance(cloud.reduced[int(n)], rotation_point([sys3], int(n))) <= 1e-9
+        assert torus_distance(cloud.reduced[int(n)], rotation_point([sys3], int(n))) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -139,13 +139,12 @@ def test_subtile_of_examples(sys2, sys3):
     addr = subtile_of(sys2, 0, 3)
     assert addr.digits == (0, 0, 0)
     assert addr.trailing_ones == 0
-    assert addr.allowed_letters == (1, 2)
     assert addr.letter == 1
 
     addr = subtile_of(sys3, 13, 5)  # 13 = F_4, digits 00001
     assert addr.digits == (0, 0, 0, 0, 1)
     assert addr.trailing_ones == 1
-    assert addr.allowed_letters == (1, 2)
+    assert 1 <= addr.letter <= 3 - addr.trailing_ones
 
     nu = sum(sys3.basis[j] for j, d in enumerate(addr.digits) if d)
     assert nu == 13
@@ -155,35 +154,35 @@ def test_subtile_letter_in_allowed_set(sys3):
     for n in range(300):
         for k in (0, 2, 5):
             addr = subtile_of(sys3, n, k)
-            assert addr.letter in addr.allowed_letters
+            assert 1 <= addr.letter <= 3 - addr.trailing_ones
 
 
 def test_set_equation_identity_at_k0(cloud_m2_100k):
-    rep = set_equation_check(2, cloud_m2_100k, 0, 2 ** -8)
+    rep = set_equation_check(cloud_m2_100k, 0, 2 ** -8)
     assert rep.max_ratio == 0.0
 
 
 def test_set_equation_m2(cloud_m2_100k):
-    rep = set_equation_check(2, cloud_m2_100k, 1, 2 ** -8)
+    rep = set_equation_check(cloud_m2_100k, 1, 2 ** -8)
     assert rep.max_ratio <= 0.05
 
 
 def test_set_equation_m3_quick():
     cloud = build_cloud(3, 2 * 10 ** 5)
-    rep = set_equation_check(3, cloud, 1, 2 ** -5)
+    rep = set_equation_check(cloud, 1, 2 ** -5)
     assert rep.max_ratio <= 0.05
 
 
 def test_set_equation_level_two(cloud_m2_100k):
-    rep2 = set_equation_check(2, cloud_m2_100k, 2, 2 ** -8)
+    rep2 = set_equation_check(cloud_m2_100k, 2, 2 ** -8)
     assert rep2.max_ratio <= 0.05
     cloud3 = build_cloud(3, 2 * 10 ** 5)
-    rep3 = set_equation_check(3, cloud3, 2, 2 ** -5)
+    rep3 = set_equation_check(cloud3, 2, 2 ** -5)
     assert rep3.max_ratio <= 0.06
 
 
 def test_tiling_m2(cloud_m2_100k):
-    rep = tiling_check(2, cloud_m2_100k, 2 ** -8)
+    rep = tiling_check(cloud_m2_100k, 2 ** -8)
     assert rep.coverage == 1.0
     assert rep.covered_cells == rep.total_cells == 256
 
@@ -193,9 +192,9 @@ def test_tiling_overlap_vanishes_with_finer_cells():
     # overlap region is nested upward; its fraction must shrink as the
     # grid refines, consistent with boundaries of measure zero
     cloud = build_cloud(3, 2 * 10 ** 5)
-    fine = tiling_check(3, cloud, 2 ** -5)
-    coarse = tiling_check(3, cloud, 2 ** -4)
-    coarser = tiling_check(3, cloud, 2 ** -3)
+    fine = tiling_check(cloud, 2 ** -5)
+    coarse = tiling_check(cloud, 2 ** -4)
+    coarser = tiling_check(cloud, 2 ** -3)
     assert fine.coverage == coarse.coverage == coarser.coverage == 1.0
     assert fine.overlap_fraction <= coarse.overlap_fraction <= coarser.overlap_fraction
 
@@ -204,10 +203,10 @@ def test_three_dimensional_torus_geometry_m4():
     # locks the n-dimensional cell bookkeeping: m=4 clouds live on a
     # 3-torus and still tile and satisfy the set equation at coarse grids
     cloud = build_cloud(4, 2 * 10 ** 5)
-    rep = tiling_check(4, cloud, 2 ** -3)
+    rep = tiling_check(cloud, 2 ** -3)
     assert rep.coverage == 1.0
     assert 0.0 < rep.overlap_fraction < 1.0
-    se = set_equation_check(4, cloud, 1, 2 ** -3)
+    se = set_equation_check(cloud, 1, 2 ** -3)
     assert se.max_ratio <= 0.05
 
 
@@ -223,7 +222,7 @@ def test_tiling_counts_match_sorted_count(m, depth, resolution):
     keys = np.ravel_multi_index(idx.T, (side,) * (m - 1))
     pairs = np.unique(keys * (m + 1) + cloud.labels)
     _, letters = np.unique(pairs // (m + 1), return_counts=True)
-    rep = tiling_check(m, cloud, resolution)
+    rep = tiling_check(cloud, resolution)
     assert rep.total_cells == side ** (m - 1)
     assert rep.covered_cells == letters.size
     assert rep.overlap_cells == np.count_nonzero(letters >= 2)
@@ -245,7 +244,7 @@ def test_set_equation_matches_sorted_cells(m, depth, k, resolution):
         sides = {letter: (np.concatenate(list(sides.values())) @ mat.T if letter == 1
                           else sides[letter - 1] @ mat.T + gamma)
                  for letter in range(1, m + 1)}
-    rep = set_equation_check(m, cloud, k, resolution)
+    rep = set_equation_check(cloud, k, resolution)
     for letter, rhs in sides.items():
         cells = [{tuple(c) for c in np.floor(p / resolution).astype(np.int64).tolist()}
                  for p in (cloud.letter_points(letter), rhs)]
@@ -256,9 +255,9 @@ def test_set_equation_matches_sorted_cells(m, depth, k, resolution):
 def test_density_guards():
     cloud = build_cloud(3, 2000)
     with pytest.raises(ValueError):
-        tiling_check(3, cloud, 2 ** -6)
+        tiling_check(cloud, 2 ** -6)
     with pytest.raises(ValueError):
-        set_equation_check(3, cloud, 1, 2 ** -6)
+        set_equation_check(cloud, 1, 2 ** -6)
 
 
 def test_build_cloud_validation(monkeypatch):

@@ -1,19 +1,23 @@
+import os
+import pkgutil
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
 
-from mbonacci import numeration, spectral
+import mbonacci
+from mbonacci import numeration, rauzy, spectral
 from mbonacci.spectral import (
     ambient_projection,
     contraction_matrix,
     dominant_root,
     incidence_matrix,
     lattice_coords,
-    precise_frac_multiples,
+    precise_multiples_minus,
     reduce_array,
-    rotation_orbit,
     rotation_point,
-    spectral_data,
     substitution_images,
     torus_distance,
 )
@@ -81,23 +85,28 @@ def test_incidence_characteristic_polynomial():
 
 def test_eigen_residuals_closed_form():
     for m in range(2, 7):
-        data = spectral_data(m)
+        sys = numeration.make_system(m, 10)
+        right = sys.neg_power_parts[:m, 0]
         mat = incidence_matrix(m).astype(np.float64)
-        assert np.max(np.abs(mat @ data.right - data.phi * data.right)) <= 1e-10
-        assert np.max(np.abs(data.left @ mat - data.phi * data.left)) <= 1e-10
-        assert abs(data.right.sum() - 1.0) <= 1e-12
-        assert np.all(data.right > 0) and np.all(data.left > 0)
+        assert np.max(np.abs(mat @ right - sys.phi_float * right)) <= 1e-10
+        assert abs(right.sum() - 1.0) <= 1e-12
+        assert np.all(right > 0)
+        # P commutes with the incidence matrix iff its v is the left eigenvector
+        proj = ambient_projection(sys)
+        assert np.max(np.abs(proj @ right)) <= 1e-12
+        assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
+        assert np.max(np.abs(proj @ mat - mat @ proj)) <= 1e-10
 
 
 def test_right_eigenvector_is_root_powers():
     # independent route: numpy's eigensolver, rescaled to unit sum
     for m in range(2, 7):
-        data = spectral_data(m)
+        sys = numeration.make_system(m, 10)
         vals, vecs = np.linalg.eig(incidence_matrix(m).astype(np.float64))
         i = int(np.argmax(vals.real))
         u = np.abs(vecs[:, i].real)
         u /= u.sum()
-        assert np.max(np.abs(u - data.right)) < 1e-10
+        assert np.max(np.abs(u - sys.neg_power_parts[:m, 0])) < 1e-10
 
 
 def test_lattice_coords_examples():
@@ -116,8 +125,9 @@ def test_lattice_coords_examples():
 def test_lattice_coords_matches_ambient_projection():
     rng = np.random.default_rng(5)
     for m in range(2, 7):
-        proj = ambient_projection(m)
-        phi = float(dominant_root(m))
+        sys = numeration.make_system(m, 10)
+        proj = ambient_projection(sys)
+        phi = sys.phi_float
         basis_vectors = [proj @ (np.eye(m)[0] - np.eye(m)[i]) for i in range(1, m)]
         for _ in range(10):
             x = rng.integers(-50, 50, size=m)
@@ -128,8 +138,9 @@ def test_lattice_coords_matches_ambient_projection():
 
 def test_projected_e1_expansion_in_ambient_space():
     for m in range(2, 7):
-        proj = ambient_projection(m)
-        phi = float(dominant_root(m))
+        sys = numeration.make_system(m, 10)
+        proj = ambient_projection(sys)
+        phi = sys.phi_float
         e = np.eye(m)
         lhs = proj @ e[0]
         rhs = sum(phi ** -i * (proj @ (e[0] - e[i - 1])) for i in range(2, m + 1))
@@ -174,24 +185,25 @@ def test_conjugacy_lattice_route_vs_rotation(sys2, sys3):
 
 
 def test_precise_frac_multiples_vs_mpmath(sys3):
+    # the bulk orbit is the reduced cloud: n * phi^-i minus integer letter counts
+    cloud = rauzy.build_cloud(3, 10 ** 6)
     rng = np.random.default_rng(3)
-    ns = rng.integers(0, 10 ** 6, size=100).astype(np.int64)
-    hi, lo = sys3.neg_power_parts[1]
-    got = precise_frac_multiples(ns, float(hi), float(lo))
     with mpmath.workprec(150):
-        for n, g in zip(ns, got):
-            exact = mpmath.frac(int(n) * sys3.phi ** -2)
-            assert abs(float(exact) - g) < 1e-13
+        for n in rng.integers(0, 10 ** 6, size=100):
+            exact = [float(mpmath.frac(int(n) * sys3.phi ** -i)) for i in (2, 3)]
+            assert torus_distance(exact, cloud.reduced[n]) < 1e-13
 
 
 def test_precise_helpers_reject_huge_indices(sys2):
     hi, lo = sys2.neg_power_parts[1]
+    ns = np.array([1 << 27], dtype=np.int64)
     with pytest.raises(ValueError):
-        precise_frac_multiples(np.array([1 << 27], dtype=np.int64), float(hi), float(lo))
+        precise_multiples_minus(ns, float(hi), float(lo), np.zeros(1, dtype=np.int64))
 
 
 def test_rotation_orbit_matches_scalar(sys3):
-    orbit = rotation_orbit(sys3, 500)
+    # the bulk orbit is the reduced cloud; it agrees with the scalar rotation point
+    orbit = rauzy.build_cloud(3, 500).reduced
     for n in (0, 1, 17, 499):
         assert torus_distance(orbit[n], rotation_point([sys3], n)) < 1e-12
 
@@ -213,3 +225,19 @@ def test_contraction_matrix_intertwines_incidence_action():
             lhs = mat @ np.asarray(lattice_coords(m, phi, x.tolist()))
             rhs = np.asarray(lattice_coords(m, phi, (inc @ x).tolist()))
             assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def test_spectral_is_a_leaf_module():
+    # each module imports on its own, and spectral pulls in no sibling
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mbonacci.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    names = [info.name for info in pkgutil.iter_modules(mbonacci.__path__)
+             if info.name != "__main__"]
+    assert "spectral" in names and "numeration" in names
+    for name in names:
+        subprocess.run([sys.executable, "-c", f"import mbonacci.{name}"], env=env, check=True)
+    script = ("import sys, mbonacci.spectral\n"
+              "print(sorted(m for m in sys.modules if m.startswith('mbonacci.')))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "['mbonacci.spectral']"
