@@ -120,6 +120,9 @@ def _cmd_disc(args) -> int:
         value = discrepancy.star_disc_1d(rotation.vdc_values(sys_m, count))
         payload = {"method": "exact1d", "N": count, "s": 1, "value": value}
     elif args.variant == "multi":
+        if len(args.ms) < 2:
+            raise ValueError(f"--ms needs at least two values, got {args.ms}; "
+                             f"use disc 1d for one")
         count = args.count
         systems = tuple(numeration.make_system(m, count) for m in args.ms)
         pts = rotation.halton_points(systems, count)

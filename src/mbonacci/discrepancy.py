@@ -286,6 +286,9 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
     levels = tuple(int(l) for l in levels)
     if not levels or any(l < 1 for l in levels):
         raise ValueError("levels must be positive integers")
+    if len(set(levels)) < 2:
+        raise ValueError(f"levels must hold at least two distinct values for a slope, "
+                         f"got {list(levels)}")
     finest = max(levels)
     if cloud.size < (1 << finest) ** (cloud.m - 1):
         raise ValueError(

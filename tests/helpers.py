@@ -77,3 +77,13 @@ def ulp_error(got: float, exact) -> float:
         return 0.0 if got == 0.0 else float("inf")
     _, exp = mpmath.frexp(exact)  # exact = mantissa * 2^exp, mantissa in [0.5, 1)
     return float(abs(mpmath.mpf(got) - exact) / mpmath.ldexp(1, exp - 53))
+
+
+def assert_same_lines(got: str, want: str) -> None:
+    """`got == want` for long texts, reporting the first differing line
+    (pytest's own diff of two texts of 10^4 lines takes minutes)."""
+    if got != want:
+        got, want = got.split("\n"), want.split("\n")
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                 min(len(got), len(want)))
+        raise AssertionError(f"line {i}: {got[i:i + 1]} != {want[i:i + 1]}")

@@ -5,6 +5,7 @@ import sys
 import time
 
 import pytest
+from helpers import assert_same_lines
 
 CMD = [sys.executable, "-m", "mbonacci"]
 
@@ -197,6 +198,13 @@ def test_module_error_exit_1():
     assert "--min-exp must be >= 0" in out.stderr
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
+    out = run_cli("disc", "multi", "--ms", "2", "--count", "10")
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert "--ms needs at least two values, got [2]; use disc 1d" in out.stderr
+    for levels in ("4", "4,4"):
+        out = run_cli("dim", "--m", "3", "--depth", "1000", "--levels", levels)
+        assert out.returncode == 1 and out.stdout == "", levels
+        assert "levels must hold at least two distinct values" in out.stderr, levels
     # huge counts are refused before anything is allocated
     huge = str(10 ** 12)
     for argv, count in [
@@ -233,7 +241,7 @@ def _rows(header, int_cols, float_cols, d):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("digits", [1, 15, 30])
+@pytest.mark.parametrize("digits", [1, 15, 16, 30])
 def test_csv_writer_crosses_chunk_boundary(tmp_path, capsys, digits):
     from mbonacci import cli, numeration, rauzy, rotation, textio
 
@@ -254,9 +262,9 @@ def test_csv_writer_crosses_chunk_boundary(tmp_path, capsys, digits):
     for argv, expected in cases:
         path = tmp_path / "out.csv"
         assert cli.main(argv + ["--digits", str(digits), "-o", str(path)]) == 0
-        assert path.read_bytes() == expected.encode()
+        assert_same_lines(path.read_bytes().decode(), expected)
         assert cli.main(argv + ["--digits", str(digits)]) == 0
-        assert capsys.readouterr().out == expected
+        assert_same_lines(capsys.readouterr().out, expected)
 
 
 def test_verify_table_format(monkeypatch, capsys):

@@ -208,9 +208,13 @@ def test_box_dim_modes_and_validation(cloud_m2_100k):
         box_dim_boundary(cloud_m2_100k, (4, 5), mode="bogus")
     with pytest.raises(ValueError):
         box_dim_boundary(cloud_m2_100k, ())
+    # one level, or one level twice, gives no slope
+    for levels in ((4,), (4, 4)):
+        with pytest.raises(ValueError, match="levels must hold at least two distinct"):
+            box_dim_boundary(cloud_m2_100k, levels)
     sparse = rauzy.build_cloud(3, 2000)
-    with pytest.raises(ValueError):
-        box_dim_boundary(sparse, (9,))
+    with pytest.raises(ValueError, match="too sparse"):
+        box_dim_boundary(sparse, (8, 9))
 
 
 def _sorted_boundary_cells(cloud, level, mode):
