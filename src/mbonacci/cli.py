@@ -118,7 +118,7 @@ def _cmd_disc(args) -> int:
         count = args.count
         sys_m = numeration.make_system(args.m, count)
         value = discrepancy.star_disc_1d(rotation.vdc_values(sys_m, count))
-        payload = {"method": "exact1d", "N": count, "s": 1, "value": value}
+        payload = {"method": "exact1d", "N": count, "s": 1, "value": value, "exact": True}
     elif args.variant == "multi":
         if len(args.ms) < 2:
             raise ValueError(f"--ms needs at least two values, got {args.ms}; "

@@ -11,14 +11,27 @@ count against the volume.  Enumerating both variants over all corners is
 therefore exact.
 
 On that grid the counts are cumulative sums of a histogram of the point
-ranks (Dobkin, Eppstein and Mitchell, ACM TOG 1996).  One sweep serves
-every s >= 2: it walks axis 0 in rank order and carries the cumulative
-count plane over the other axes, so it costs O(prod_j len(cands_j)) with
-a few vectorised operations per corner cell, holding temporaries of at
-most about 2^15 cells at a time.  DEFAULT_MAX_EXACT_OPS bounds that cell
-count; past it the same sweep gives a lower bound on a subsampled grid of
-half as many cells, because there it counts closed and open boxes in two
-passes.
+ranks (Dobkin, Eppstein and Mitchell, ACM TOG 1996).  The search splits
+the grid into blocks of t^s cells.  A streamed block pass counts the ranks
+divided by t; from the counts and volumes at each block's bottom and top
+corners it gets two exact corner values and an upper bound on every cell
+of the block (the grid case of Thiemard's delta-bracketing covers,
+J. Complexity 2001).  Each step of the cell formula is monotone in
+float64, so the bound holds for the float values, not only the real ones.
+A fine pass then evaluates the cells of the blocks whose bound exceeds the
+best corner value, in the oracle's arithmetic and in descending order of
+bound, and stops at the first block that cannot raise the maximum.  So
+the value equals that of evaluating every cell.  t starts where the grid
+has about as many blocks as a block has cells, and halves while a pass
+keeps blocks of more cells than it bounded blocks.  Once a block would hold fewer than 16
+cells (t < 4 at s = 2 and 3, t < 2 at s >= 4), the search runs at t = 1,
+where each block is one cell and the block pass is the plain sweep of
+every cell: where nothing prunes, the search costs about one plain sweep.
+Every pass holds temporaries of at most about 2^15 cells at a time.
+
+DEFAULT_MAX_EXACT_OPS bounds the grid's cell count; past it the same
+search gives a lower bound on a subsampled grid of half as many cells,
+because there it counts closed and open boxes from two sets of ranks.
 """
 
 from __future__ import annotations
@@ -56,37 +69,42 @@ def star_disc_1d(points) -> float:
 
 
 _CHUNK_CELLS = 1 << 15
+# blocks of fewer cells give way to the exact sweep (side 1): a block
+# pass bounds a block with about twice the work of evaluating a cell
+_MIN_BLOCK_CELLS = 16
+# a block pass that would keep blocks of more cells than it has blocks, or
+# more than _MAX_KEPT blocks (32 bytes each), gives way to a pass at half
+# the side.  So the fine pass evaluates at most a 16th of the grid's cells;
+# at 4 to 10 times the cost of a cell of the plain sweep, that costs less
+# than the sweep
+_MAX_KEPT = 1 << 14
 
 
-def _count_blocks(points, cands, side, rows):
-    """Cumulative counts on the rank grid, ``rows`` axis-0 indices at a time.
+def _count_blocks(ranks, shape, rows):
+    """Cumulative counts on a grid of `shape`, ``rows`` axis-0 indices at a time.
 
-    A point's rank on axis j is ``searchsorted(cands[j], x_j, side)``.  With
-    side "left" the point lies in the closed box of every corner whose index
-    is at least its rank on each axis; with side "right", in the open box.
+    ``ranks[j]`` holds each point's index on axis j, in range(shape[j]).
     Every axis of a yielded block has one leading slot: for the block
     starting at axis-0 index ``a``, ``block[1 + i, 1 + r]`` is the number of
-    points whose rank is at most ``(a + i, r)`` componentwise, ``block[0]``
+    points whose ranks are at most ``(a + i, r)`` componentwise, ``block[0]``
     is the same plane for index ``a - 1``, and the other leading slots read
-    0.  The candidates end at 1.0, so every rank is in range.  Counts are
-    exact integers held as float64.  The same buffer is yielded for every
-    block and is overwritten by the next one.
+    0.  Counts are exact integers held as float64.  The same buffer is
+    yielded for every block and is overwritten by the next one.
     """
-    plane_shape = tuple(len(c) + 1 for c in cands[1:])
+    plane_shape = tuple(size + 1 for size in shape[1:])
     plane = prod(plane_shape)
-    ranks = [np.searchsorted(c, points[:, j], side=side) for j, c in enumerate(cands)]
     keys = np.sort(np.ravel_multi_index(
-        [ranks[0]] + [r + 1 for r in ranks[1:]], (len(cands[0]),) + plane_shape))
+        [ranks[0]] + [r + 1 for r in ranks[1:]], (shape[0],) + plane_shape))
     counts = np.zeros((rows + 1,) + plane_shape)
-    for a in range(0, len(cands[0]), rows):
-        b = min(a + rows, len(cands[0]))
+    for a in range(0, shape[0], rows):
+        b = min(a + rows, shape[0])
         counts[0] = counts[rows]  # the previous block's last plane, 0 at first
         counts[1:] = 0.0
         lo, hi = np.searchsorted(keys, (a * plane, b * plane))
         np.add.at(counts.reshape(-1), keys[lo:hi] - (a - 1) * plane, 1.0)
         block = counts[:b - a + 1]
         new_rows = block[1:]
-        for axis in range(1, len(cands)):
+        for axis in range(1, len(shape)):
             np.cumsum(new_rows, axis=axis, out=new_rows)
         # few long rows: adding row by row beats cumsum's short strided loops
         for i in range(1, len(block)):
@@ -106,58 +124,234 @@ def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:prod(shape)].reshape(shape)
 
 
-def _corner_sweep(points: np.ndarray, cands: list[np.ndarray], full_grid: bool) -> float:
-    """max over corners c of max(closed(c)/n - vol(c), vol(c) - open(c)/n).
+def _volumes(xs, bufs):
+    """Outer product of the 1-D arrays `xs`, multiplied left to right as the
+    brute-force oracle does, alternating between the two flat `bufs`."""
+    vol = np.multiply(xs[0][:, None], xs[1][None, :],
+                      out=_view(bufs[0], (len(xs[0]), len(xs[1]))))
+    for j, x in enumerate(xs[2:], 1):
+        vol = np.multiply(vol[..., None], x, out=_view(bufs[j % 2], vol.shape + (len(x),)))
+    return vol
 
-    Walks axis 0 in rank order in blocks of axis-0 indices, keeping the
-    cumulative count plane over the other axes, and evaluates each block
-    in slabs along axis 1 of at most about _CHUNK_CELLS corners.  The slab
-    temporaries live in buffers allocated once per call, so the slabs
-    reuse the same pages.  On the full grid, where every coordinate is a
-    candidate, the open count at rank (a, b, ...) is the closed count at
-    (a-1, b-1, ...); on a subsampled grid it is counted from
-    ``side="right"`` ranks.  Volumes are multiplied left to right, as the
-    brute-force oracle does.
+
+def _block_shape(cands, side):
+    """Blocks of `side` corner indices per axis, the last one cut short by
+    the grid's end."""
+    return tuple(-(-len(c) // side) for c in cands)
+
+
+def _block_pass(closed_ranks, open_ranks, cands, n, side, best, cap):
+    """One streamed pass over the blocks of side**s corner cells.
+
+    Block B spans the corner indices B*side to min((B+1)*side, len) - 1 on
+    each axis, from its bottom corner lo to its top corner hi.  The ranks
+    divided by `side` count closed(hi), the points in the closed box at hi,
+    and open(lo), the points in the open box at lo.  So closed(hi)/n -
+    vol(hi) and vol(lo) - open(lo)/n are exact corner values, and they
+    raise `best`.  Every cell c of the block has closed(c) <= closed(hi),
+    open(c) >= open(lo) and vol(lo) <= vol(c) <= vol(hi).  The float
+    division, the left-to-right volume product and the subtraction are each
+    monotone, so the float64 bound max(closed(hi)/n - vol(lo), vol(hi) -
+    open(lo)/n) is at least the float value of every cell of the block.
+
+    Returns `best` and a list of (flat block index, bound, closed count
+    below lo, open count below lo) arrays for the blocks whose bound
+    exceeds it, or None in place of the list once more than `cap` blocks
+    are kept.  At side 1 each block is one cell, its bound is its value,
+    and the pass is the exact sweep.
+
+    The pass walks axis 0 in rank order in runs of axis-0 indices, keeping
+    the cumulative count plane over the other axes, and evaluates each run
+    in slabs along axis 1 of at most about _CHUNK_CELLS blocks.  The slab
+    temporaries live in buffers allocated once per call, so the slabs reuse
+    the same pages.
     """
-    n = len(points)
-    inner = prod(len(c) for c in cands[2:])
-    rows = max(1, _CHUNK_CELLS // (inner * len(cands[1])))
+    full_grid = open_ranks is closed_ranks
+    shape = _block_shape(cands, side)
+    lows = [c[::side] for c in cands]
+    highs = [c[np.minimum(np.arange(side - 1, size * side, side), len(c) - 1)]
+             for c, size in zip(cands, shape)]
+    inner = prod(shape[2:])
+    rows = max(1, _CHUNK_CELLS // (inner * shape[1]))
     step = max(1, _CHUNK_CELLS // (rows * inner))
     corner_cells = rows * step * inner
-    slab_cells = (rows + 1) * (step + 1) * prod(len(c) + 1 for c in cands[2:])
+    slab_cells = (rows + 1) * (step + 1) * prod(size + 1 for size in shape[2:])
     # volumes of s axes alternate between two buffers, the product over
     # the first j axes in one and over j + 1 in the other
     vol_bufs = (np.empty(corner_cells), np.empty(corner_cells))
     diff_buf = np.empty(corner_cells)
+    bound_buf = np.empty(corner_cells) if side > 1 else None
     closed_buf = np.empty(slab_cells)
     open_buf = closed_buf if full_grid else np.empty(slab_cells)
-    closed_blocks = _count_blocks(points, cands, "left", rows)
-    open_blocks = repeat(None) if full_grid else _count_blocks(points, cands, "right", rows)
-    shift = 0 if full_grid else 1
-    best = 0.0
-    for a, closed, opened in zip(range(0, len(cands[0]), rows), closed_blocks, open_blocks):
-        x = cands[0][a:a + len(closed) - 1]
-        for lo in range(0, len(cands[1]), step):
-            hi = min(lo + step, len(cands[1]))
-            vol = np.multiply(x[:, None], cands[1][None, lo:hi],
-                              out=_view(vol_bufs[0], (len(x), hi - lo)))
-            for j, c in enumerate(cands[2:], 1):
-                vol = np.multiply(vol[..., None], c,
-                                  out=_view(vol_bufs[j % 2], vol.shape + (len(c),)))
-            counts = closed[:, lo:hi + 1]
-            closed_slab = np.divide(counts, n, out=_view(closed_buf, counts.shape))
+    closed_blocks = _count_blocks(list((closed_ranks // side).T), shape, rows)
+    open_blocks = (repeat(None) if full_grid
+                   else _count_blocks(list((open_ranks // side).T), shape, rows))
+    found = []
+    kept = 0
+    for a, closed, opened in zip(range(0, shape[0], rows), closed_blocks, open_blocks):
+        b = a + len(closed) - 1
+        for lo in range(0, shape[1], step):
+            hi = min(lo + step, shape[1])
+            closed_counts = closed[:, lo:hi + 1]
+            closed_slab = np.divide(closed_counts, n, out=_view(closed_buf, closed_counts.shape))
             if full_grid:
-                open_slab = closed_slab
+                open_counts, open_slab = closed_counts, closed_slab
             else:
-                counts = opened[:, lo:hi + 1]
-                open_slab = np.divide(counts, n, out=_view(open_buf, counts.shape))
+                open_counts = opened[:, lo:hi + 1]
+                open_slab = np.divide(open_counts, n, out=_view(open_buf, open_counts.shape))
+            above, below = _window(closed_slab, 1), _window(open_slab, 0)
+            vol = _volumes([lows[0][a:b], lows[1][lo:hi]] + lows[2:], vol_bufs)
             diff = _view(diff_buf, vol.shape)
-            best = max(
-                best,
-                float(np.subtract(_window(closed_slab, 1), vol, out=diff).max()),
-                float(np.subtract(vol, _window(open_slab, shift), out=diff).max()),
-            )
+            if side == 1:
+                best = max(best, float(np.subtract(above, vol, out=diff).max()),
+                           float(np.subtract(vol, below, out=diff).max()))
+                continue
+            bound = np.subtract(above, vol, out=_view(bound_buf, vol.shape))
+            best = max(best, float(np.subtract(vol, below, out=diff).max()))
+            vol = _volumes([highs[0][a:b], highs[1][lo:hi]] + highs[2:], vol_bufs)
+            np.maximum(bound, np.subtract(vol, below, out=diff), out=bound)
+            best = max(best, float(np.subtract(above, vol, out=diff).max()))
+            hits = np.flatnonzero(bound > best)
+            if hits.size:
+                kept += hits.size
+                if kept > cap:
+                    return best, None
+                at = np.unravel_index(hits, vol.shape)
+                flat = np.ravel_multi_index((at[0] + a, at[1] + lo) + at[2:], shape)
+                found.append((flat, bound.reshape(-1)[hits], closed_counts[at], open_counts[at]))
+    return best, found
+
+
+def _local_counts(ranks, index, lo, hi, below, side):
+    """Cumulative counts over the cells of blocks, one leading slot per axis.
+
+    For block k, ``out[k, 1 + i]`` is the number of points whose ranks are
+    at most ``lo[k] + i`` componentwise, and the leading slots count the
+    ranks below ``lo[k]``.  ``below[k]`` is the number of points below
+    ``lo[k]`` on every axis; the others that count lie in one of the
+    block's axis slabs, ``lo[k, j] <= rank_j <= hi[k, j]``, which
+    `index` (see `_rank_index`) lists.  A point is taken from the first
+    axis whose slab holds it.
+    """
+    nb, s = lo.shape
+    size = side + 1
+    keys = []
+    for j, (order, starts) in enumerate(index):
+        start = starts[lo[:, j]]
+        lens = starts[hi[:, j] + 1] - start
+        block = np.repeat(np.arange(nb), lens)
+        point = order[np.arange(len(block)) + np.repeat(start - np.cumsum(lens) + lens, lens)]
+        key = block * size ** s
+        keep = np.ones(len(block), dtype=bool)
+        for i in range(s):
+            rank, first = ranks[point, i], lo[block, i]
+            if i < j:
+                keep &= rank < first  # local index 0
+                continue
+            if i > j:
+                keep &= rank <= hi[block, i]
+            key += np.maximum(rank - first + 1, 0) * size ** (s - 1 - i)
+        keys.append(key[keep])
+    counts = np.bincount(np.concatenate(keys), minlength=nb * size ** s)
+    counts = counts.astype(np.float64).reshape((nb,) + (size,) * s)
+    counts[(slice(None),) + (0,) * s] += below
+    # few short lines: adding slice by slice beats cumsum's strided loops
+    for axis in range(1, s + 1):
+        lines = np.moveaxis(counts, axis, 0)
+        for i in range(1, size):
+            lines[i] += lines[i - 1]
+    return counts
+
+
+def _rank_index(ranks, cands):
+    """Per axis j, the points in order of their rank on j, and for each
+    rank r the position in that order of the first point of rank >= r."""
+    index = []
+    for j, c in enumerate(cands):
+        order = np.argsort(ranks[:, j])
+        index.append((order, np.searchsorted(ranks[order, j], np.arange(len(c) + 1))))
+    return index
+
+
+def _block_values(closed_ranks, open_ranks, indexes, padded, n, side, lo, hi, below):
+    """max over the cells of the blocks with bottom corners `lo` and top
+    corners `hi` of max(closed(c)/n - vol(c), vol(c) - open(c)/n), in the
+    oracle's arithmetic.  `below` holds the closed and the open counts below
+    each `lo`.  A block cut off by the grid's end is evaluated at full side:
+    `padded` repeats the last candidate 1.0, so each extra cell repeats the
+    closed value of the last cell of its axis and has at most its open
+    value."""
+    closed = _local_counts(closed_ranks, indexes[0], lo, hi, below[0], side)
+    opened = (closed if open_ranks is closed_ranks
+              else _local_counts(open_ranks, indexes[1], lo, hi, below[1], side))
+    nb, s = lo.shape
+    steps = np.arange(side)
+    vol = padded[0][lo[:, :1] + steps]
+    for j in range(1, s):
+        x = padded[j][lo[:, j:j + 1] + steps]
+        vol = vol[..., None] * x.reshape((nb,) + (1,) * j + (side,))
+    above = closed[(slice(None),) + (slice(1, None),) * s] / n
+    under = opened[(slice(None),) + (slice(None, side),) * s] / n
+    return max(float((above - vol).max()), float((vol - under).max()))
+
+
+def _fine_pass(closed_ranks, open_ranks, cands, n, side, best, found):
+    """Raise `best` to the maximum over the cells of the blocks `found` by
+    `_block_pass`, visiting them in descending order of their bounds and
+    stopping at the first bound that is not above `best`."""
+    flat, bound, closed_below, open_below = (np.concatenate(column) for column in zip(*found))
+    order = np.argsort(-bound, kind="stable")
+    shape = _block_shape(cands, side)
+    lengths = np.array([len(c) for c in cands])
+    padded = [np.concatenate((c, np.full(side, c[-1]))) for c in cands]
+    rank_sets = (closed_ranks,) if open_ranks is closed_ranks else (closed_ranks, open_ranks)
+    indexes = [_rank_index(ranks, cands) for ranks in rank_sets]
+    batch = max(1, _CHUNK_CELLS // (side + 1) ** len(cands))
+    for start in range(0, len(order), batch):
+        take = order[start:start + batch]
+        take = take[bound[take] > best]
+        if not take.size:
+            break
+        lo = np.stack(np.unravel_index(flat[take], shape), axis=1) * side
+        hi = np.minimum(lo + side, lengths) - 1
+        best = max(best, _block_values(closed_ranks, open_ranks, indexes, padded, n, side,
+                                       lo, hi, (closed_below[take], open_below[take])))
     return best
+
+
+def _corner_sweep(points: np.ndarray, cands: list[np.ndarray], full_grid: bool) -> float:
+    """max over corners c of max(closed(c)/n - vol(c), vol(c) - open(c)/n).
+
+    A point's closed rank on axis j is ``searchsorted(cands[j], x_j)``: it
+    lies in the closed box of every corner whose index is at least that
+    rank on each axis.  Its open rank is ``searchsorted(..., side="right")
+    - 1``: it lies in the open box of every corner whose index exceeds that
+    rank.  On the full grid, where every coordinate is a candidate, the two
+    ranks are equal.  The candidates start at 0.0 and end at 1.0, so every
+    rank is in range.
+
+    A block pass bounds every block of side t and keeps those whose bound
+    exceeds the best exact corner value; the fine pass then evaluates
+    their cells.  t starts at the largest power of two for which the grid
+    has at least t^s blocks, and halves while a pass keeps too many; at
+    blocks of fewer than _MIN_BLOCK_CELLS cells the search runs at t = 1,
+    which is the exact sweep of every cell.
+    """
+    n, s = points.shape
+    closed = np.stack([np.searchsorted(c, points[:, j]) for j, c in enumerate(cands)], axis=1)
+    opened = closed if full_grid else np.stack(
+        [np.searchsorted(c, points[:, j], side="right") - 1 for j, c in enumerate(cands)], axis=1)
+    side = 1
+    while prod(_block_shape(cands, 2 * side)) >= (2 * side) ** s:
+        side *= 2
+    best = 0.0
+    while side > 1 and side ** s >= _MIN_BLOCK_CELLS:
+        cap = min(_MAX_KEPT, prod(_block_shape(cands, side)) // side ** s)
+        best, found = _block_pass(closed, opened, cands, n, side, best, cap)
+        if found is not None:
+            return _fine_pass(closed, opened, cands, n, side, best, found) if found else best
+        side //= 2
+    return _block_pass(closed, opened, cands, n, 1, best, 0)[0]
 
 
 def _subsample(cands: np.ndarray, limit: int) -> np.ndarray:
@@ -175,6 +369,14 @@ def star_disc_multi(points, fallback: bool = True) -> DiscrepancyReport:
     the ends 0 and 1) cells, fits the budget DEFAULT_MAX_EXACT_OPS; beyond
     it, either raises or (default) reports a lower bound from a subsampled
     corner grid of at most half that many cells, flagged as not exact.
+
+    Either grid is searched by blocks of t^s cells (see the module
+    docstring): a float64 bound that no cell of a block can exceed lets
+    the search skip every block whose bound is at most the best exact
+    corner value found, so the value equals (==) the maximum over every
+    cell in the brute-force oracle's arithmetic.  When too few blocks
+    prune, t falls to 1 and every cell is evaluated.  The budget counts
+    cells of the grid, not cells evaluated.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 2:

@@ -72,6 +72,17 @@ def test_local_disc_json():
     assert 0.0 <= payload["delta"] <= 1.0
 
 
+def test_disc_1d_json():
+    from mbonacci import discrepancy, numeration, rotation
+
+    out = run_cli("disc", "1d", "--m", "2", "--count", "1000")
+    payload = json.loads(out.stdout)
+    assert payload["method"] == "exact1d" and payload["N"] == 1000 and payload["s"] == 1
+    assert payload["exact"] is True
+    values = rotation.vdc_values(numeration.make_system(2, 1000), 1000)
+    assert payload["value"] == discrepancy.star_disc_1d(values)
+
+
 def test_disc_multi_json_schema():
     out = run_cli("disc", "multi", "--ms", "2,3", "--count", "128")
     payload = json.loads(out.stdout)

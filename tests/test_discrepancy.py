@@ -67,7 +67,7 @@ def test_star_disc_multi_matches_naive_oracle(s):
     for _ in range(15):
         n = int(rng.integers(1, 65))
         pts = rng.random((n, s))
-        assert abs(star_disc_multi(pts).value - naive_star_disc(pts)) <= 1e-12
+        assert star_disc_multi(pts).value == naive_star_disc(pts)
 
 
 def test_star_disc_multi_with_ties_and_edges():
@@ -78,9 +78,9 @@ def test_star_disc_multi_with_ties_and_edges():
         [0.75, 0.0],
         [0.25, 0.75],
     ])
-    assert abs(star_disc_multi(pts).value - naive_star_disc(pts)) <= 1e-12
+    assert star_disc_multi(pts).value == naive_star_disc(pts)
     pts3 = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [0.5, 0.25, 0.75]])
-    assert abs(star_disc_multi(pts3).value - naive_star_disc(pts3)) <= 1e-12
+    assert star_disc_multi(pts3).value == naive_star_disc(pts3)
     # duplicate points, zero coordinates and ties on the last axis: the
     # sweep does the oracle's arithmetic, so the values are equal
     rng = np.random.default_rng(2024)
@@ -105,13 +105,13 @@ def test_star_disc_multi_adversarial_patterns():
         np.concatenate([np.zeros((6, 2)), rng.random((30, 2))]),
     ]
     for pts in cases:
-        assert abs(star_disc_multi(pts).value - naive_star_disc(pts)) <= 1e-12
+        assert star_disc_multi(pts).value == naive_star_disc(pts)
 
 
 def test_star_disc_multi_larger_instance_vs_oracle():
     rng = np.random.default_rng(77)
     pts = rng.random((300, 2))
-    assert abs(star_disc_multi(pts).value - naive_star_disc(pts)) <= 1e-12
+    assert star_disc_multi(pts).value == naive_star_disc(pts)
 
 
 def test_star_disc_multi_s4_vs_oracle():
@@ -120,7 +120,7 @@ def test_star_disc_multi_s4_vs_oracle():
         pts = rng.random((n, 4))
         report = star_disc_multi(pts)
         assert report.method == "exact_corner_grid"
-        assert abs(report.value - naive_star_disc(pts)) <= 1e-12
+        assert report.value == naive_star_disc(pts)
 
 
 def test_star_disc_multi_budget_and_fallback(monkeypatch):
@@ -153,6 +153,115 @@ def test_star_disc_multi_budget_and_fallback(monkeypatch):
     with pytest.raises(ValueError):
         star_disc_multi(rng.random((100_000, 2)), fallback=False)
     assert time.perf_counter() - start < 5.0
+
+
+def _grid_oracle(pts, cands):
+    """Brute-force maximum over the corners of the grid `cands` of the
+    closed and open local discrepancies, in the arithmetic of
+    `naive_star_disc`."""
+    corners = np.stack([g.ravel() for g in np.meshgrid(*cands, indexing="ij")], axis=1)
+    n = len(pts)
+    closed = (pts[None] <= corners[:, None]).all(axis=2).sum(axis=1)
+    opened = (pts[None] < corners[:, None]).all(axis=2).sum(axis=1)
+    vol = corners.prod(axis=1)
+    return float(max(np.max(vol - opened / n), np.max(closed / n - vol)))
+
+
+def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
+    # keep every block a pass bounds and allow blocks of two cells, so the
+    # fine pass sees blocks that the best corner value does not rule out,
+    # blocks cut short by the grid's end and, on subsampled grids, open
+    # counts apart from closed ones; small chunks split both passes into
+    # many slabs and batches
+    block_pass, block_values = discrepancy._block_pass, discrepancy._block_values
+    sides, fine = [], []
+
+    def keep_all(closed, opened, cands, n, side, best, cap):
+        sides.append(side)
+        return block_pass(closed, opened, cands, n, side, best, 1 << 30)
+
+    def record_values(*args):
+        fine.append(len(args[6]))
+        return block_values(*args)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
+    monkeypatch.setattr(discrepancy, "_block_values", record_values)
+    monkeypatch.setattr(discrepancy, "_MIN_BLOCK_CELLS", 2)
+    monkeypatch.setattr(discrepancy, "_CHUNK_CELLS", 64)
+    rng = np.random.default_rng(1212)
+    for trial in range(45):
+        s = (2, 3, 4)[trial % 3]
+        n = int(rng.integers(8, (120, 40, 14)[s - 2]))
+        pts = rng.random((n, s))
+        pts[rng.integers(n)] = pts[0]
+        pts[rng.random((n, s)) < 0.2] = 0.0
+        pts[:, -1] = np.floor(pts[:, -1] * 4) / 4
+        assert star_disc_multi(pts).value == naive_star_disc(pts)
+        cands = [_subsample(np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))), n // 2)
+                 for j in range(s)]
+        assert discrepancy._corner_sweep(pts, cands, full_grid=False) == _grid_oracle(pts, cands)
+    assert set(sides) >= {2, 4} and len(fine) >= 45
+
+
+@pytest.mark.parametrize("ms, count, value", [
+    ((2, 3), 8192, 0.005104380873610148),
+    ((2, 3, 5), 256, 0.07052543571118836),
+])
+def test_star_disc_multi_frozen_halton_values(ms, count, value):
+    # computed by the whole-grid sweep of 9505e60, which evaluated every cell
+    systems = tuple(numeration.make_system(m, count) for m in ms)
+    report = star_disc_multi(rotation.halton_points(systems, count))
+    assert report.exact and report.value == value
+
+
+def _rank1_lattice(n, g):
+    k = np.arange(n)
+    return np.stack([k / n, (g * k % n) / n], axis=1)
+
+
+def test_rank1_lattice_where_blocks_hardly_prune():
+    # D = 3.5/N exactly, and almost every block's bound exceeds it, so the
+    # search falls back to evaluating every cell
+    assert star_disc_multi(_rank1_lattice(4096, 2583)).value == 3.5 / 4096
+    small = _rank1_lattice(256, 157)
+    assert star_disc_multi(small).value == naive_star_disc(small)
+
+
+@pytest.mark.parametrize("ms, count, budget, value", [
+    ((2, 3), 4096, 1 << 20, 0.005761274185685644),
+    ((2, 3, 5), 256, 1 << 22, 0.06970837871083368),
+])
+def test_subsampled_lower_bound_frozen(monkeypatch, ms, count, budget, value):
+    # computed by the whole-grid sweep of 9505e60 on the same subsampled grid
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
+    systems = tuple(numeration.make_system(m, count) for m in ms)
+    report = star_disc_multi(rotation.halton_points(systems, count))
+    assert report.method == "corner_subsample_lower_bound" and not report.exact
+    assert report.value == value
+
+
+def test_block_search_skips_almost_every_cell(monkeypatch):
+    # a return to evaluating the whole grid fails here, not only in timings
+    block_pass, block_values = discrepancy._block_pass, discrepancy._block_values
+    sides, cells = [], []
+
+    def record_pass(*args):
+        sides.append(args[4])
+        return block_pass(*args)
+
+    def record_values(*args):
+        lo, side = args[6], args[5]
+        cells.append(len(lo) * side ** lo.shape[1])
+        return block_values(*args)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
+    monkeypatch.setattr(discrepancy, "_block_values", record_values)
+    systems = tuple(numeration.make_system(m, 4096) for m in (2, 3))
+    pts = rotation.halton_points(systems, 4096)
+    assert star_disc_multi(pts).value == 0.006073280856525226
+    grid = np.prod([len(np.unique(np.concatenate((pts[:, j], [0.0, 1.0])))) for j in range(2)])
+    assert 1 not in sides
+    assert 0 < sum(cells) <= 0.05 * grid
 
 
 def test_decay_fit_exact_powers():
