@@ -16,12 +16,16 @@ import time
 from mbonacci import discrepancy, numeration, rauzy, rotation, textio, verify
 
 
-def _int(text: str) -> int:
+def _convert(convert, text: str):
     # argparse would name the converter function in its message, not the type
     try:
-        return int(text)
+        return convert(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+
+
+def _int(text: str) -> int:
+    return _convert(int, text)
 
 
 def _digits(text: str) -> int:
@@ -39,17 +43,19 @@ def _count(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return [_int(part) for part in text.split(",") if part]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return [_convert(float, part) for part in text.split(",") if part]
 
 
 def _levels(text: str) -> list[int]:
     if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (_int(end) for end in text.split("-", 1))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        return list(range(lo, hi + 1))
     return _int_list(text)
 
 
@@ -141,8 +147,11 @@ def _cmd_disc(args) -> int:
             if len(ms) == 1:
                 samples.append((n, discrepancy.star_disc_1d(pts[:n, 0])))
             else:
-                # only exact values are fitted: over budget raises, naming N
-                samples.append((n, discrepancy.star_disc_multi(pts[:n], fallback=False).value))
+                report = discrepancy.star_disc_multi(pts[:n])
+                if not report.exact:
+                    raise ValueError(f"no exact value at N = {n} within the work budget of "
+                                     f"{discrepancy.DEFAULT_MAX_EXACT_OPS}; lower --max-exp")
+                samples.append((n, report.value))
         exponent, _, r2 = discrepancy.decay_fit(samples)
         payload = {
             "method": "decay_fit",

@@ -23,22 +23,24 @@ best corner value, in the oracle's arithmetic and in descending order of
 bound, and stops at the first block that cannot raise the maximum.  So
 the value equals that of evaluating every cell.  t starts where the grid
 has about as many blocks as a block has cells, and halves while a pass
-keeps blocks of more cells than it bounded blocks.  Once a block would hold fewer than 16
-cells (t < 4 at s = 2 and 3, t < 2 at s >= 4), the search runs at t = 1,
-where each block is one cell and the block pass is the plain sweep of
-every cell: where nothing prunes, the search costs about one plain sweep.
-Every pass holds temporaries of at most about 2^15 cells at a time.
+keeps blocks of more cells than it bounded blocks.  Once a block would
+hold fewer than 16 cells (t < 4 at s = 2 and 3, t < 2 at s >= 4), the
+search runs at t = 1, where each block is one cell and the block pass is
+the plain sweep of every cell: where nothing prunes, the search costs
+about one plain sweep.  Every pass holds temporaries of at most about
+2^15 cells at a time.
 
-DEFAULT_MAX_EXACT_OPS bounds the grid's cell count; past it the same
-search gives a lower bound on a subsampled grid of half as many cells,
-because there it counts closed and open boxes from two sets of ranks.
+DEFAULT_MAX_EXACT_OPS bounds the work of each pass, in cells of the plain
+sweep: one per cell at t = 1, two per bounded block above it.  The finest
+pass that fits walks all its blocks; if it keeps too many for the fine
+pass, its best exact corner value is reported as a lower bound.  A grid
+of at most DEFAULT_MAX_EXACT_OPS cells fits every pass, so it is exact.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from math import prod
 
 import numpy as np
@@ -140,25 +142,27 @@ def _block_shape(cands, side):
     return tuple(-(-len(c) // side) for c in cands)
 
 
-def _block_pass(closed_ranks, open_ranks, cands, n, side, best, cap):
+def _block_pass(ranks, cands, n, side, best, cap, finish=False):
     """One streamed pass over the blocks of side**s corner cells.
 
     Block B spans the corner indices B*side to min((B+1)*side, len) - 1 on
     each axis, from its bottom corner lo to its top corner hi.  The ranks
     divided by `side` count closed(hi), the points in the closed box at hi,
-    and open(lo), the points in the open box at lo.  So closed(hi)/n -
-    vol(hi) and vol(lo) - open(lo)/n are exact corner values, and they
-    raise `best`.  Every cell c of the block has closed(c) <= closed(hi),
+    and open(lo), the points in the open box at lo, which are those in the
+    closed box one index lower on every axis.  So closed(hi)/n - vol(hi)
+    and vol(lo) - open(lo)/n are exact corner values, and they raise
+    `best`.  Every cell c of the block has closed(c) <= closed(hi),
     open(c) >= open(lo) and vol(lo) <= vol(c) <= vol(hi).  The float
     division, the left-to-right volume product and the subtraction are each
     monotone, so the float64 bound max(closed(hi)/n - vol(lo), vol(hi) -
     open(lo)/n) is at least the float value of every cell of the block.
 
-    Returns `best` and a list of (flat block index, bound, closed count
-    below lo, open count below lo) arrays for the blocks whose bound
-    exceeds it, or None in place of the list once more than `cap` blocks
-    are kept.  At side 1 each block is one cell, its bound is its value,
-    and the pass is the exact sweep.
+    Returns `best` and a list of (flat block index, bound, open count at
+    lo) arrays for the blocks whose bound exceeds it.  Once more than `cap`
+    blocks are kept the list is None, and the pass returns at once, or
+    with `finish` walks on through every block to raise `best`.  At side 1
+    each block is one cell, its bound is its value, and the pass is the
+    exact sweep.
 
     The pass walks axis 0 in rank order in runs of axis-0 indices, keeping
     the cumulative count plane over the other axes, and evaluates each run
@@ -166,7 +170,6 @@ def _block_pass(closed_ranks, open_ranks, cands, n, side, best, cap):
     temporaries live in buffers allocated once per call, so the slabs reuse
     the same pages.
     """
-    full_grid = open_ranks is closed_ranks
     shape = _block_shape(cands, side)
     lows = [c[::side] for c in cands]
     highs = [c[np.minimum(np.arange(side - 1, size * side, side), len(c) - 1)]
@@ -181,25 +184,17 @@ def _block_pass(closed_ranks, open_ranks, cands, n, side, best, cap):
     vol_bufs = (np.empty(corner_cells), np.empty(corner_cells))
     diff_buf = np.empty(corner_cells)
     bound_buf = np.empty(corner_cells) if side > 1 else None
-    closed_buf = np.empty(slab_cells)
-    open_buf = closed_buf if full_grid else np.empty(slab_cells)
-    closed_blocks = _count_blocks(list((closed_ranks // side).T), shape, rows)
-    open_blocks = (repeat(None) if full_grid
-                   else _count_blocks(list((open_ranks // side).T), shape, rows))
+    slab_buf = np.empty(slab_cells)
     found = []
     kept = 0
-    for a, closed, opened in zip(range(0, shape[0], rows), closed_blocks, open_blocks):
-        b = a + len(closed) - 1
+    blocks = _count_blocks(list((ranks // side).T), shape, rows)
+    for a, counts in zip(range(0, shape[0], rows), blocks):
+        b = a + len(counts) - 1
         for lo in range(0, shape[1], step):
             hi = min(lo + step, shape[1])
-            closed_counts = closed[:, lo:hi + 1]
-            closed_slab = np.divide(closed_counts, n, out=_view(closed_buf, closed_counts.shape))
-            if full_grid:
-                open_counts, open_slab = closed_counts, closed_slab
-            else:
-                open_counts = opened[:, lo:hi + 1]
-                open_slab = np.divide(open_counts, n, out=_view(open_buf, open_counts.shape))
-            above, below = _window(closed_slab, 1), _window(open_slab, 0)
+            slab_counts = counts[:, lo:hi + 1]
+            slab = np.divide(slab_counts, n, out=_view(slab_buf, slab_counts.shape))
+            above, below = _window(slab, 1), _window(slab, 0)
             vol = _volumes([lows[0][a:b], lows[1][lo:hi]] + lows[2:], vol_bufs)
             diff = _view(diff_buf, vol.shape)
             if side == 1:
@@ -211,14 +206,19 @@ def _block_pass(closed_ranks, open_ranks, cands, n, side, best, cap):
             vol = _volumes([highs[0][a:b], highs[1][lo:hi]] + highs[2:], vol_bufs)
             np.maximum(bound, np.subtract(vol, below, out=diff), out=bound)
             best = max(best, float(np.subtract(above, vol, out=diff).max()))
+            if found is None:
+                continue
             hits = np.flatnonzero(bound > best)
             if hits.size:
                 kept += hits.size
                 if kept > cap:
-                    return best, None
+                    if not finish:
+                        return best, None
+                    found = None
+                    continue
                 at = np.unravel_index(hits, vol.shape)
                 flat = np.ravel_multi_index((at[0] + a, at[1] + lo) + at[2:], shape)
-                found.append((flat, bound.reshape(-1)[hits], closed_counts[at], open_counts[at]))
+                found.append((flat, bound.reshape(-1)[hits], slab_counts[at]))
     return best, found
 
 
@@ -273,39 +273,35 @@ def _rank_index(ranks, cands):
     return index
 
 
-def _block_values(closed_ranks, open_ranks, indexes, padded, n, side, lo, hi, below):
+def _block_values(ranks, index, padded, n, side, lo, hi, below):
     """max over the cells of the blocks with bottom corners `lo` and top
     corners `hi` of max(closed(c)/n - vol(c), vol(c) - open(c)/n), in the
-    oracle's arithmetic.  `below` holds the closed and the open counts below
-    each `lo`.  A block cut off by the grid's end is evaluated at full side:
-    `padded` repeats the last candidate 1.0, so each extra cell repeats the
-    closed value of the last cell of its axis and has at most its open
-    value."""
-    closed = _local_counts(closed_ranks, indexes[0], lo, hi, below[0], side)
-    opened = (closed if open_ranks is closed_ranks
-              else _local_counts(open_ranks, indexes[1], lo, hi, below[1], side))
+    oracle's arithmetic.  `below` holds the count below each `lo`.  A block
+    cut off by the grid's end is evaluated at full side: `padded` repeats
+    the last candidate 1.0, so each extra cell repeats the closed value of
+    the last cell of its axis and has at most its open value."""
+    counts = _local_counts(ranks, index, lo, hi, below, side)
     nb, s = lo.shape
     steps = np.arange(side)
     vol = padded[0][lo[:, :1] + steps]
     for j in range(1, s):
         x = padded[j][lo[:, j:j + 1] + steps]
         vol = vol[..., None] * x.reshape((nb,) + (1,) * j + (side,))
-    above = closed[(slice(None),) + (slice(1, None),) * s] / n
-    under = opened[(slice(None),) + (slice(None, side),) * s] / n
+    above = counts[(slice(None),) + (slice(1, None),) * s] / n
+    under = counts[(slice(None),) + (slice(None, side),) * s] / n
     return max(float((above - vol).max()), float((vol - under).max()))
 
 
-def _fine_pass(closed_ranks, open_ranks, cands, n, side, best, found):
+def _fine_pass(ranks, cands, n, side, best, found):
     """Raise `best` to the maximum over the cells of the blocks `found` by
     `_block_pass`, visiting them in descending order of their bounds and
     stopping at the first bound that is not above `best`."""
-    flat, bound, closed_below, open_below = (np.concatenate(column) for column in zip(*found))
+    flat, bound, below = (np.concatenate(column) for column in zip(*found))
     order = np.argsort(-bound, kind="stable")
     shape = _block_shape(cands, side)
     lengths = np.array([len(c) for c in cands])
     padded = [np.concatenate((c, np.full(side, c[-1]))) for c in cands]
-    rank_sets = (closed_ranks,) if open_ranks is closed_ranks else (closed_ranks, open_ranks)
-    indexes = [_rank_index(ranks, cands) for ranks in rank_sets]
+    index = _rank_index(ranks, cands)
     batch = max(1, _CHUNK_CELLS // (side + 1) ** len(cands))
     for start in range(0, len(order), batch):
         take = order[start:start + batch]
@@ -314,69 +310,66 @@ def _fine_pass(closed_ranks, open_ranks, cands, n, side, best, found):
             break
         lo = np.stack(np.unravel_index(flat[take], shape), axis=1) * side
         hi = np.minimum(lo + side, lengths) - 1
-        best = max(best, _block_values(closed_ranks, open_ranks, indexes, padded, n, side,
-                                       lo, hi, (closed_below[take], open_below[take])))
+        best = max(best, _block_values(ranks, index, padded, n, side, lo, hi, below[take]))
     return best
 
 
-def _corner_sweep(points: np.ndarray, cands: list[np.ndarray], full_grid: bool) -> float:
-    """max over corners c of max(closed(c)/n - vol(c), vol(c) - open(c)/n).
+def _work(cands, side):
+    """The work of a block pass at `side`, in cells of the plain sweep:
+    one per cell at side 1, two per bounded block above it."""
+    return prod(_block_shape(cands, side)) * (1 if side == 1 else 2)
 
-    A point's closed rank on axis j is ``searchsorted(cands[j], x_j)``: it
-    lies in the closed box of every corner whose index is at least that
-    rank on each axis.  Its open rank is ``searchsorted(..., side="right")
-    - 1``: it lies in the open box of every corner whose index exceeds that
-    rank.  On the full grid, where every coordinate is a candidate, the two
-    ranks are equal.  The candidates start at 0.0 and end at 1.0, so every
-    rank is in range.
 
-    A block pass bounds every block of side t and keeps those whose bound
-    exceeds the best exact corner value; the fine pass then evaluates
-    their cells.  t starts at the largest power of two for which the grid
-    has at least t^s blocks, and halves while a pass keeps too many; at
-    blocks of fewer than _MIN_BLOCK_CELLS cells the search runs at t = 1,
-    which is the exact sweep of every cell.
+def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, bool]:
+    """(value, exact): the max over corners c of max(closed(c)/n - vol(c),
+    vol(c) - open(c)/n), or when not `exact` a lower bound on it.
+
+    A point's rank on axis j is ``searchsorted(cands[j], x_j)``: it lies in
+    the closed box of every corner whose index is at least that rank on
+    each axis, and in the open box of every corner whose index exceeds it.
+
+    t starts at the largest power of two that leaves at least t^s blocks,
+    or at 1 below _MIN_BLOCK_CELLS cells, and doubles until its pass's
+    `_work` fits DEFAULT_MAX_EXACT_OPS.  While a pass keeps too many
+    blocks, the search moves on to t/2, or to t = 1 below _MIN_BLOCK_CELLS
+    cells, if that pass fits; the last pass that fits walks all its blocks.
     """
     n, s = points.shape
-    closed = np.stack([np.searchsorted(c, points[:, j]) for j, c in enumerate(cands)], axis=1)
-    opened = closed if full_grid else np.stack(
-        [np.searchsorted(c, points[:, j], side="right") - 1 for j, c in enumerate(cands)], axis=1)
+    ranks = np.stack([np.searchsorted(c, points[:, j]) for j, c in enumerate(cands)], axis=1)
     side = 1
     while prod(_block_shape(cands, 2 * side)) >= (2 * side) ** s:
         side *= 2
+    if side ** s < _MIN_BLOCK_CELLS:
+        side = 1
+    while _work(cands, side) > DEFAULT_MAX_EXACT_OPS:
+        side *= 2
     best = 0.0
-    while side > 1 and side ** s >= _MIN_BLOCK_CELLS:
+    while side > 1:
+        finer = side // 2 if (side // 2) ** s >= _MIN_BLOCK_CELLS else 1
+        last = _work(cands, finer) > DEFAULT_MAX_EXACT_OPS
         cap = min(_MAX_KEPT, prod(_block_shape(cands, side)) // side ** s)
-        best, found = _block_pass(closed, opened, cands, n, side, best, cap)
+        best, found = _block_pass(ranks, cands, n, side, best, cap, finish=last)
         if found is not None:
-            return _fine_pass(closed, opened, cands, n, side, best, found) if found else best
-        side //= 2
-    return _block_pass(closed, opened, cands, n, 1, best, 0)[0]
+            return (_fine_pass(ranks, cands, n, side, best, found) if found else best), True
+        if last:
+            return best, False
+        side = finer
+    return _block_pass(ranks, cands, n, 1, best, 0)[0], True
 
 
-def _subsample(cands: np.ndarray, limit: int) -> np.ndarray:
-    if len(cands) <= limit:
-        return cands
-    picks = np.unique(np.linspace(0, len(cands) - 1, limit).astype(np.int64))
-    sub = cands[picks]
-    return np.unique(np.concatenate((sub, [1.0])))
-
-
-def star_disc_multi(points, fallback: bool = True) -> DiscrepancyReport:
+def star_disc_multi(points) -> DiscrepancyReport:
     """Star discrepancy of an s-dimensional point set, s >= 2.
 
-    Exact while the corner grid, prod_j (distinct coordinates on axis j plus
-    the ends 0 and 1) cells, fits the budget DEFAULT_MAX_EXACT_OPS; beyond
-    it, either raises or (default) reports a lower bound from a subsampled
-    corner grid of at most half that many cells, flagged as not exact.
-
-    Either grid is searched by blocks of t^s cells (see the module
+    The corner grid, prod_j (distinct coordinates on axis j plus the ends
+    0 and 1) cells, is searched by blocks of t^s cells (see the module
     docstring): a float64 bound that no cell of a block can exceed lets
     the search skip every block whose bound is at most the best exact
     corner value found, so the value equals (==) the maximum over every
     cell in the brute-force oracle's arithmetic.  When too few blocks
-    prune, t falls to 1 and every cell is evaluated.  The budget counts
-    cells of the grid, not cells evaluated.
+    prune, t falls to 1 and every cell is evaluated.  Each pass's work must
+    fit DEFAULT_MAX_EXACT_OPS; when the finest pass that fits keeps too
+    many blocks to finish, the report holds the best exact corner value
+    found, a lower bound flagged as not exact.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 2:
@@ -387,22 +380,10 @@ def star_disc_multi(points, fallback: bool = True) -> DiscrepancyReport:
     if not np.all((pts >= 0.0) & (pts < 1.0)):
         raise ValueError("points must lie in [0, 1)^s")
     cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
-    cells = prod(len(c) for c in cands)
-    budget = DEFAULT_MAX_EXACT_OPS
-    if cells <= budget:
-        value = _corner_sweep(pts, cands, full_grid=True)
-        method = "exact_corner_sweep" if s == 2 else "exact_corner_grid"
-        return DiscrepancyReport(N=n, value=value, method=method)
-    if not fallback:
-        raise ValueError(
-            f"an exact value at N = {n} needs {cells} corner-grid cells, over the "
-            f"budget of {budget}; use fewer points (disc fit: lower --max-exp)"
-        )
-    limit = int((budget / 2) ** (1.0 / s))
-    cands = [_subsample(c, limit) for c in cands]
-    value = _corner_sweep(pts, cands, full_grid=False)
-    return DiscrepancyReport(N=n, value=value, method="corner_subsample_lower_bound",
-                             exact=False)
+    value, exact = _corner_sweep(pts, cands)
+    method = "exact_corner_sweep" if s == 2 else "exact_corner_grid"
+    return DiscrepancyReport(N=n, value=value, exact=exact,
+                             method=method if exact else "corner_block_lower_bound")
 
 
 def decay_fit(samples) -> tuple[float, float, float]:

@@ -22,8 +22,6 @@ DEFAULT_PRECISION = 1e-30
 # DEFAULT_PRECISION plus 20 guard bits
 WORK_BITS = 119
 
-_DEKKER = float(2 ** 27 + 1)
-
 # Newton steps allowed after bisection; a few suffice
 _NEWTON_STEPS = 200
 
@@ -165,17 +163,20 @@ def rotation_point(systems, n: int) -> np.ndarray:
 # few float64 ulps for n < 2^26
 # ---------------------------------------------------------------------------
 
-def _split(hi: float) -> tuple[float, float]:
-    t = hi * _DEKKER
-    hi1 = t - (t - hi)
-    return hi1, hi - hi1
+def veltkamp_split(x):
+    """x as hi + lo exactly, each half of at most 26 significant bits, so
+    products of halves are exact (Veltkamp's split by 2^27 + 1, for
+    Dekker's products); x may be a float or an array."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 def precise_multiples_minus(ns: np.ndarray, hi: float, lo: float, subtract: np.ndarray) -> np.ndarray:
     """n * (hi + lo) - subtract, with the dominant product kept exact."""
     if ns.size and int(ns.max()) >= MAX_PRECISE_INDEX:
         raise ValueError("index too large for the exact-product fast path")
-    hi1, hi2 = _split(hi)
+    hi1, hi2 = veltkamp_split(hi)
     nf = ns.astype(np.float64)
     out = nf * hi1 - subtract.astype(np.float64)
     out += nf * hi2

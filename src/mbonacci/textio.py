@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from mbonacci.spectral import veltkamp_split
+
 # rows formatted and written per `stream.write` call
 CHUNK_ROWS = 1 << 14
 
@@ -35,15 +37,6 @@ _MAX_FAST_DIGITS = 15
 # digit grids, whose temporaries are 40 kB where int64 arithmetic takes 1 MB
 _QUADS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
                               indexing="ij"), axis=-1).view(np.uint32).ravel()
-
-# Veltkamp's constant 2^27 + 1 splits a double into two 26-bit halves
-_SPLIT = 134217729.0
-
-
-def _split(x):
-    c = _SPLIT * x
-    hi = c - (c - x)
-    return hi, x - hi
 
 
 def _write_digits(out: np.ndarray, n: np.ndarray) -> None:
@@ -63,8 +56,8 @@ def _rounded_scaled(v: np.ndarray, digits: int) -> np.ndarray:
     """round(v * 10^digits) as int64, ties to even, exactly as `format`
     rounds the decimal expansion of each double v in [0, 1)."""
     scale = 10.0 ** digits
-    scale_hi, scale_lo = _split(scale)
-    v_hi, v_lo = _split(v)
+    scale_hi, scale_lo = veltkamp_split(scale)
+    v_hi, v_lo = veltkamp_split(v)
     p = v * scale
     err = ((v_hi * scale_hi - p) + v_hi * scale_lo + v_lo * scale_hi) + v_lo * scale_lo
     q = np.floor(p)

@@ -124,27 +124,40 @@ def test_disc_file(tmp_path):
 def test_disc_reports_inexact_values(monkeypatch, capsys):
     from mbonacci import cli, discrepancy
 
-    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 5000)
-    sweep = discrepancy._corner_sweep
-    grids = []
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 2000)
+    multi = discrepancy.star_disc_multi
+    sizes = []
 
-    def recording_sweep(points, cands, full_grid):
-        grids.append(full_grid)
-        return sweep(points, cands, full_grid)
+    def recording_multi(points):
+        sizes.append(len(points))
+        return multi(points)
 
-    monkeypatch.setattr(discrepancy, "_corner_sweep", recording_sweep)
+    monkeypatch.setattr(discrepancy, "star_disc_multi", recording_multi)
     assert cli.main(["disc", "multi", "--ms", "2,3", "--count", "128"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["exact"] is False
-    assert payload["method"] == "corner_subsample_lower_bound"
-    # 65^2 grid cells fit the budget at N = 64, 129^2 do not at N = 128,
-    # and fit refuses there without sweeping a subsampled grid
-    grids.clear()
+    assert payload["method"] == "corner_block_lower_bound"
+    # the search finishes within 2000 units of work at N = 16 and 32, not
+    # at N = 64, and fit refuses there without computing a later sample
+    sizes.clear()
     rc = cli.main(["disc", "fit", "--ms", "2,3", "--min-exp", "4", "--max-exp", "8"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert "N = 128" in captured.err and "--max-exp" in captured.err
-    assert grids == [True, True, True]
+    assert "N = 64" in captured.err and "--max-exp" in captured.err
+    assert sizes == [16, 32, 64]
+
+
+def test_disc_exact_past_a_grid_of_budget_cells():
+    # Halton (2, 3) at N = 2^15 has 2^30 + 65 537 grid cells, but the block
+    # search's passes fit the budget; the value is the whole-grid maximum
+    out = run_cli("disc", "multi", "--ms", "2,3", "--count", "32768")
+    payload = json.loads(out.stdout)
+    assert payload["exact"] is True and payload["method"] == "exact_corner_sweep"
+    assert payload["value"] == 0.0020361292701812916
+    out = run_cli("disc", "fit", "--ms", "2,3", "--min-exp", "12", "--max-exp", "15")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["exact"] is True and payload["N"] == 32768
 
 
 def test_dim_json():
@@ -193,6 +206,20 @@ def test_bad_flags_exit_2():
         assert out.returncode == 2 and f"argument {flag}: invalid int value: '1e5'" in out.stderr
     out = run_cli("verify", "--quick")
     assert out.returncode == 2 and "unrecognized arguments: --quick" in out.stderr
+    # list flags name their type, as --count names int, and refuse an empty range
+    for argv, message in [
+        (("seq", "halton", "--ms", "2,a", "--count", "3"), "argument --ms: invalid int value: 'a'"),
+        (("exponent", "--ms", "2,3", "--dims", "0,x"), "argument --dims: invalid float value: 'x'"),
+        (("dim", "--m", "3", "--depth", "100", "--levels", "4,x"),
+         "argument --levels: invalid int value: 'x'"),
+        (("dim", "--m", "3", "--depth", "100", "--levels", "4-x"),
+         "argument --levels: invalid int value: 'x'"),
+        (("dim", "--m", "3", "--depth", "100", "--levels", "9-4"),
+         "argument --levels: empty range '9-4'"),
+    ]:
+        out = run_cli(*argv)
+        assert out.returncode == 2 and out.stdout == "", argv
+        assert message in out.stderr, argv
 
 
 def test_module_error_exit_1():

@@ -1,8 +1,6 @@
-import itertools
 import os
 import subprocess
 import sys
-import time
 import warnings
 
 import numpy as np
@@ -12,7 +10,6 @@ from helpers import naive_star_disc
 import mbonacci
 from mbonacci import discrepancy, numeration, rauzy, rotation
 from mbonacci.discrepancy import (
-    _subsample,
     box_dim_boundary,
     decay_fit,
     load_points_csv,
@@ -70,6 +67,16 @@ def test_star_disc_multi_matches_naive_oracle(s):
         assert star_disc_multi(pts).value == naive_star_disc(pts)
 
 
+def _tie_heavy(rng, n, s):
+    """Random points with a duplicate, zero coordinates and a last axis
+    quantised to quarters."""
+    pts = rng.random((n, s))
+    pts[rng.integers(n)] = pts[0]
+    pts[rng.random((n, s)) < 0.2] = 0.0
+    pts[:, -1] = np.floor(pts[:, -1] * 4) / 4
+    return pts
+
+
 def test_star_disc_multi_with_ties_and_edges():
     pts = np.array([
         [0.25, 0.25],
@@ -87,10 +94,7 @@ def test_star_disc_multi_with_ties_and_edges():
     for trial in range(30):
         s = (2, 3, 4)[trial % 3]
         n = int(rng.integers(2, 30 if s < 4 else 12))
-        pts = rng.random((n, s))
-        pts[rng.integers(n)] = pts[0]
-        pts[rng.random((n, s)) < 0.2] = 0.0
-        pts[:, -1] = np.floor(pts[:, -1] * 4) / 4
+        pts = _tie_heavy(rng, n, s)
         assert star_disc_multi(pts).value == naive_star_disc(pts)
 
 
@@ -124,64 +128,84 @@ def test_star_disc_multi_s4_vs_oracle():
 
 
 def test_star_disc_multi_budget_and_fallback(monkeypatch):
+    # past the budget the report falls back to a lower bound, the best
+    # exact corner value that the last pass within the budget found
     rng = np.random.default_rng(5)
     pts = rng.random((40, 3))
     exact = star_disc_multi(pts)
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 1000)
     bounded = star_disc_multi(pts)
     assert not bounded.exact
-    assert bounded.method == "corner_subsample_lower_bound"
-    assert bounded.value <= exact.value + 1e-12
-    with pytest.raises(ValueError, match="N = 40"):
-        star_disc_multi(pts, fallback=False)
-    # the bound is the exact maximum over its own (subsampled) corner grid,
-    # which gets half the budget because it is swept twice
-    limit = int((1000 / 2) ** (1 / 3))
-    cands = [_subsample(np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))), limit)
-             for j in range(3)]
-    assert 2 * np.prod([len(c) for c in cands]) <= 1000
-    best = 0.0
-    for corner in itertools.product(*cands):
-        vol = corner[0] * corner[1] * corner[2]
-        inside_open = np.count_nonzero((pts < corner).all(axis=1))
-        inside_closed = np.count_nonzero((pts <= corner).all(axis=1))
-        best = max(best, vol - inside_open / len(pts), inside_closed / len(pts) - vol)
-    assert bounded.value == best
-    # the cell count is checked before any sweep runs
-    monkeypatch.undo()
-    start = time.perf_counter()
-    with pytest.raises(ValueError):
-        star_disc_multi(rng.random((100_000, 2)), fallback=False)
-    assert time.perf_counter() - start < 5.0
+    assert bounded.method == "corner_block_lower_bound"
+    assert 0.0 < bounded.value <= exact.value
 
 
-def _grid_oracle(pts, cands):
-    """Brute-force maximum over the corners of the grid `cands` of the
-    closed and open local discrepancies, in the arithmetic of
-    `naive_star_disc`."""
-    corners = np.stack([g.ravel() for g in np.meshgrid(*cands, indexing="ij")], axis=1)
-    n = len(pts)
-    closed = (pts[None] <= corners[:, None]).all(axis=2).sum(axis=1)
-    opened = (pts[None] < corners[:, None]).all(axis=2).sum(axis=1)
-    vol = corners.prod(axis=1)
-    return float(max(np.max(vol - opened / n), np.max(closed / n - vol)))
+@pytest.mark.parametrize("budget", [500, 4000, 1 << 30])
+def test_star_disc_multi_exact_or_lower_bound_under_any_budget(monkeypatch, budget):
+    # an exact report equals the oracle, an inexact one lies below it
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
+    rng = np.random.default_rng(1313)
+    exact = 0
+    for trial in range(300):
+        s = (2, 3, 4)[trial % 3]
+        n = int(rng.integers(2, (120, 40, 14)[s - 2]))
+        pts = _tie_heavy(rng, n, s)
+        report = star_disc_multi(pts)
+        oracle = naive_star_disc(pts)
+        if report.exact:
+            exact += 1
+            assert report.value == oracle, (trial, budget)
+        else:
+            assert report.method == "corner_block_lower_bound"
+            assert 0.0 <= report.value <= oracle, (trial, budget)
+    assert exact == 300 if budget == 1 << 30 else 0 < exact < 300
+
+
+def test_no_pass_exceeds_the_budget(monkeypatch):
+    # each block pass's work, one unit per cell at side 1 and two per
+    # bounded block above it, fits the budget, on grids far over it too
+    block_pass = discrepancy._block_pass
+    passes = []
+
+    def record_pass(ranks, cands, n, side, best, cap, finish=False):
+        passes.append((discrepancy._work(cands, side), side, finish))
+        return block_pass(ranks, cands, n, side, best, cap, finish)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
+    rng = np.random.default_rng(99)
+    cases = [_tie_heavy(rng, 100, 2), _tie_heavy(rng, 30, 3), _tie_heavy(rng, 10, 4),
+             # a block start that holds fewer than 16 cells, and a sweep over the budget
+             np.stack([np.arange(28) / 28, np.full(28, 0.5)], axis=1)]
+    for budget in (50, 500, 4000):
+        monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
+        for pts in cases:
+            passes.clear()
+            report = star_disc_multi(pts)
+            assert passes and all(work <= budget for work, _, _ in passes), (budget, passes)
+            # a search that stops short ends in a pass that walked all its blocks
+            assert report.exact or passes[-1][2]
+    systems = tuple(numeration.make_system(m, 2048) for m in (2, 3, 5))
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 1 << 24)
+    passes.clear()
+    report = star_disc_multi(rotation.halton_points(systems, 2048))
+    assert not report.exact and max(work for work, _, _ in passes) <= 1 << 24
+    assert passes[-1][1] > 1 and passes[-1][2]
 
 
 def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
     # keep every block a pass bounds and allow blocks of two cells, so the
-    # fine pass sees blocks that the best corner value does not rule out,
-    # blocks cut short by the grid's end and, on subsampled grids, open
-    # counts apart from closed ones; small chunks split both passes into
-    # many slabs and batches
+    # fine pass sees blocks that the best corner value does not rule out
+    # and blocks cut short by the grid's end; small chunks split both
+    # passes into many slabs and batches
     block_pass, block_values = discrepancy._block_pass, discrepancy._block_values
     sides, fine = [], []
 
-    def keep_all(closed, opened, cands, n, side, best, cap):
+    def keep_all(ranks, cands, n, side, best, cap, finish=False):
         sides.append(side)
-        return block_pass(closed, opened, cands, n, side, best, 1 << 30)
+        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
 
     def record_values(*args):
-        fine.append(len(args[6]))
+        fine.append(len(args[5]))
         return block_values(*args)
 
     monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
@@ -192,14 +216,8 @@ def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
     for trial in range(45):
         s = (2, 3, 4)[trial % 3]
         n = int(rng.integers(8, (120, 40, 14)[s - 2]))
-        pts = rng.random((n, s))
-        pts[rng.integers(n)] = pts[0]
-        pts[rng.random((n, s)) < 0.2] = 0.0
-        pts[:, -1] = np.floor(pts[:, -1] * 4) / 4
+        pts = _tie_heavy(rng, n, s)
         assert star_disc_multi(pts).value == naive_star_disc(pts)
-        cands = [_subsample(np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))), n // 2)
-                 for j in range(s)]
-        assert discrepancy._corner_sweep(pts, cands, full_grid=False) == _grid_oracle(pts, cands)
     assert set(sides) >= {2, 4} and len(fine) >= 45
 
 
@@ -227,30 +245,17 @@ def test_rank1_lattice_where_blocks_hardly_prune():
     assert star_disc_multi(small).value == naive_star_disc(small)
 
 
-@pytest.mark.parametrize("ms, count, budget, value", [
-    ((2, 3), 4096, 1 << 20, 0.005761274185685644),
-    ((2, 3, 5), 256, 1 << 22, 0.06970837871083368),
-])
-def test_subsampled_lower_bound_frozen(monkeypatch, ms, count, budget, value):
-    # computed by the whole-grid sweep of 9505e60 on the same subsampled grid
-    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
-    systems = tuple(numeration.make_system(m, count) for m in ms)
-    report = star_disc_multi(rotation.halton_points(systems, count))
-    assert report.method == "corner_subsample_lower_bound" and not report.exact
-    assert report.value == value
-
-
 def test_block_search_skips_almost_every_cell(monkeypatch):
     # a return to evaluating the whole grid fails here, not only in timings
     block_pass, block_values = discrepancy._block_pass, discrepancy._block_values
     sides, cells = [], []
 
-    def record_pass(*args):
-        sides.append(args[4])
-        return block_pass(*args)
+    def record_pass(*args, **kwargs):
+        sides.append(args[3])
+        return block_pass(*args, **kwargs)
 
     def record_values(*args):
-        lo, side = args[6], args[5]
+        lo, side = args[5], args[4]
         cells.append(len(lo) * side ** lo.shape[1])
         return block_values(*args)
 
