@@ -236,14 +236,15 @@ def _cmd_reproduce(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # the global options also hang off every leaf command (SUPPRESS default,
+    # the global option also hangs off every leaf command (SUPPRESS default,
     # so a late occurrence overrides an early one instead of erasing it);
-    # their defaults live in the namespace `main` parses into
+    # its default lives in the namespace `main` parses into
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", default=argparse.SUPPRESS,
                         help="output path (default stdout)")
-    common.add_argument("--digits", type=_digits, default=argparse.SUPPRESS,
-                        help="decimal places in CSV output, 1..30 (default 15)")
+    csv = argparse.ArgumentParser(add_help=False, parents=[common])
+    csv.add_argument("--digits", type=_digits, default=15,
+                     help="decimal places in CSV output, 1..30 (default 15)")
 
     parser = argparse.ArgumentParser(
         prog="mbonacci",
@@ -260,15 +261,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="emit sequence values as CSV")
     p.set_defaults(handler=_cmd_seq)
     seq_sub = p.add_subparsers(dest="variant", required=True)
-    q = seq_sub.add_parser("vdc", parents=[common])
+    q = seq_sub.add_parser("vdc", parents=[csv])
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--count", type=_count, required=True)
-    q = seq_sub.add_parser("halton", parents=[common])
+    q = seq_sub.add_parser("halton", parents=[csv])
     q.add_argument("--ms", type=_int_list, required=True)
     q.add_argument("--count", type=_count, required=True)
 
     p = sub.add_parser("fractal", help="export a fractal cloud (CSV and/or PPM)",
-                       parents=[common])
+                       parents=[csv])
     p.set_defaults(handler=_cmd_fractal)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -328,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse `argv` and run its command; a failing command prints
     `error: ...` and exits 1, bad flags exit 2."""
-    args = _build_parser().parse_args(argv, argparse.Namespace(output=None, digits=15))
+    args = _build_parser().parse_args(argv, argparse.Namespace(output=None))
     try:
         return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -158,9 +158,11 @@ def _block_pass(ranks, cands, n, side, best, cap, finish=False):
     open(lo)/n) is at least the float value of every cell of the block.
 
     Returns `best` and a list of (flat block index, bound, open count at
-    lo) arrays for the blocks whose bound exceeds it.  Once more than `cap`
-    blocks are kept the list is None, and the pass returns at once, or
-    with `finish` walks on through every block to raise `best`.  At side 1
+    lo) arrays for the blocks whose bound exceeds it.  When more than `cap`
+    blocks are kept, those whose bound no longer exceeds the running
+    `best` are dropped; if still more than `cap` remain the list is None,
+    and the pass returns at once, or with `finish` walks on through every
+    block to raise `best`.  At side 1
     each block is one cell, its bound is its value, and the pass is the
     exact sweep.
 
@@ -209,16 +211,20 @@ def _block_pass(ranks, cands, n, side, best, cap, finish=False):
             if found is None:
                 continue
             hits = np.flatnonzero(bound > best)
-            if hits.size:
-                kept += hits.size
+            if not hits.size:
+                continue
+            at = np.unravel_index(hits, vol.shape)
+            flat = np.ravel_multi_index((at[0] + a, at[1] + lo) + at[2:], shape)
+            found.append((flat, bound.reshape(-1)[hits], slab_counts[at]))
+            kept += hits.size
+            if kept > cap:
+                # drop the blocks kept against a lower best that they no longer beat
+                found = [tuple(column[b > best] for column in (f, b, c)) for f, b, c in found]
+                kept = sum(len(f) for f, _, _ in found)
                 if kept > cap:
                     if not finish:
                         return best, None
                     found = None
-                    continue
-                at = np.unravel_index(hits, vol.shape)
-                flat = np.ravel_multi_index((at[0] + a, at[1] + lo) + at[2:], shape)
-                found.append((flat, bound.reshape(-1)[hits], slab_counts[at]))
     return best, found
 
 

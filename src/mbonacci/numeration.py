@@ -10,14 +10,24 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import mpmath
 import numpy as np
 
-from mbonacci.spectral import DEFAULT_PRECISION, WORK_BITS, dominant_root
+from mbonacci.spectral import DEFAULT_PRECISION, MAX_PRECISE_INDEX, WORK_BITS, dominant_root
 
 # Hard cap on basis length; loud failure beats a runaway allocation.
 _MAX_BASIS_TERMS = 512
+
+
+def _basis_terms(m: int):
+    """The basis terms in order, without end, as exact integers."""
+    terms: list[int] = []
+    while True:
+        k = len(terms)
+        terms.append(1 << k if k < m else sum(terms[k - m:]))
+        yield terms[k]
 
 
 def basis_prefix(m: int, count: int) -> list[int]:
@@ -28,13 +38,7 @@ def basis_prefix(m: int, count: int) -> list[int]:
         raise ValueError("count must be >= 1")
     if count > _MAX_BASIS_TERMS:
         raise ValueError(f"basis of {count} terms exceeds the configured cap")
-    terms: list[int] = []
-    for k in range(count):
-        if k < m:
-            terms.append(1 << k)
-        else:
-            terms.append(sum(terms[k - m:k]))
-    return terms
+    return list(islice(_basis_terms(m), count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +88,15 @@ def make_system(m: int, max_n: int) -> MBonacciSystem:
         raise ValueError(f"m must be >= 2, got {m}")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    terms = [1]
-    k = 1
-    while terms[-1] <= max_n:
-        if k >= _MAX_BASIS_TERMS:
+    # up to the first term above max_n, then m + 2 slack terms so root
+    # powers exist well past the digit range
+    terms: list[int] = []
+    for term in _basis_terms(m):
+        terms.append(term)
+        if len(terms) > m + 2 and terms[-m - 3] > max_n:
+            break
+        if len(terms) == _MAX_BASIS_TERMS:
             raise ValueError("basis overflow: max_n beyond the configured term cap")
-        terms = basis_prefix(m, k + 1)
-        k += 1
-    # slack terms so root powers exist well past the digit range
-    terms = basis_prefix(m, len(terms) + m + 2)
 
     phi = dominant_root(m)
     npowers = max(len(terms), 48)
@@ -163,46 +167,45 @@ def is_admissible(m: int, digits) -> bool:
 # bulk paths (vectorised; used by measurement runs over large n ranges)
 # ---------------------------------------------------------------------------
 
-def digit_matrix(sys: MBonacciSystem, ns) -> np.ndarray:
-    """Greedy digit strings for many n at once.
+def require_count(count: int) -> None:
+    """Refuse a count past the exact-index range before allocating for it."""
+    if count > MAX_PRECISE_INDEX:
+        raise ValueError(f"count {count} above the limit 2^26 = {MAX_PRECISE_INDEX}")
 
-    `ns` is an int array (or a count, meaning arange).  Returns a uint8
-    matrix whose row i holds the little-endian digits of ns[i]; columns
-    beyond each expansion are zero.
+
+def prefix_ranges(sys: MBonacciSystem, count: int) -> list[tuple[int, int, int]]:
+    """The prefix-doubling walk over 0..count-1: (j, F_j, min(F_{j+1}, count))
+    for every digit position j with F_j < count.
+
+    For F_j <= n < F_{j+1} the greedy expansion of n is the digit at j
+    plus the expansion of n - F_j < F_j, so a bulk fill sets position j
+    on n and copies the rest from n - F_j.  As F_{j+1} <= 2 F_j, the
+    range read, [0, stop - F_j), never overlaps the range written.
     """
-    if np.ndim(ns) == 0:
-        ns = np.arange(int(ns), dtype=np.int64)
-    else:
-        ns = np.asarray(ns, dtype=np.int64)
-    if ns.size and (ns.min() < 0 or ns.max() >= sys.basis[-1]):
-        raise ValueError("n out of basis coverage")
-    width = bisect_right(sys.basis, int(ns.max())) if ns.size else 0
-    digits = np.zeros((ns.size, width), dtype=np.uint8)
-    rem = ns.copy()
-    for j in range(width - 1, -1, -1):
-        f = sys.basis[j]
-        take = rem >= f
-        digits[take, j] = 1
-        rem[take] -= f
-    return digits
+    require_count(count)
+    if count < 0 or count - 1 >= sys.basis[-1]:
+        raise ValueError(f"count {count} out of basis coverage")
+    return [(j, start, min(stop, count))
+            for j, (start, stop) in enumerate(zip(sys.basis, sys.basis[1:]))
+            if start < count]
 
 
-def decode_matrix(sys: MBonacciSystem, digits: np.ndarray) -> np.ndarray:
-    """Values of many digit strings at once (inverse of digit_matrix)."""
-    width = digits.shape[1]
-    if width > len(sys.basis):
-        raise ValueError("digit strings longer than the cached basis")
-    basis = np.array(sys.basis[:width], dtype=np.int64)
-    return digits.astype(np.int64) @ basis
+def digit_codes(sys: MBonacciSystem, count: int) -> np.ndarray:
+    """Greedy digits of 0..count-1 as int64 codes, bit j holding digit j.
+
+    Below the 2^26 count cap the top digit is bit 37 (m = 2), so one int64
+    holds every digit.
+    """
+    ranges = prefix_ranges(sys, count)
+    code = np.zeros(count, dtype=np.int64)
+    for j, start, stop in ranges:
+        np.bitwise_or(code[:stop - start], 1 << j, out=code[start:stop])
+    return code
 
 
-def longest_one_run(digits: np.ndarray) -> np.ndarray:
-    """Per-row maximum run length of consecutive ones."""
-    n, width = digits.shape
-    run = np.zeros(n, dtype=np.int32)
-    best = np.zeros(n, dtype=np.int32)
-    for j in range(width):
-        col = digits[:, j].astype(np.int32)
-        run = (run + 1) * col
-        np.maximum(best, run, out=best)
-    return best
+def digit_matrix(sys: MBonacciSystem, count: int) -> np.ndarray:
+    """The codes of `digit_codes` unpacked into a uint8 matrix: row n holds
+    the little-endian digits of n, zero past its expansion."""
+    width = bisect_right(sys.basis, count - 1)
+    octets = digit_codes(sys, count).astype("<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little")

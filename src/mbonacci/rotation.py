@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mbonacci.numeration import MBonacciSystem, encode
-from mbonacci.spectral import MAX_PRECISE_INDEX
+from mbonacci.numeration import MBonacciSystem, digit_codes, encode, prefix_ranges, require_count
 
 DEFAULT_LEVEL_CAP = 10
 
@@ -32,12 +31,6 @@ def _dd_add(a_hi, a_lo, b_hi, b_lo):
     t = (a_hi - (s - t)) + (b_hi - t) + (a_lo + b_lo)
     hi = s + t
     return hi, t - (hi - s)
-
-
-def _require_count(count: int) -> None:
-    """Refuse a count past the exact-index range before allocating for it."""
-    if count > MAX_PRECISE_INDEX:
-        raise ValueError(f"count {count} above the limit 2^26 = {MAX_PRECISE_INDEX}")
 
 
 def vdc(sys: MBonacciSystem, n: int) -> float:
@@ -66,20 +59,15 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
     relative) of the exact value: correctly rounded except next to a
     rounding tie.
 
-    The values are filled in O(count) by prefix doubling: for
-    F_k <= n < F_{k+1} the greedy expansion of n is the digit at k plus
-    the expansion of n - F_k < F_k, so vdc(n) = phi^-(k+1) + vdc(n - F_k).
+    The values are filled in O(count) by prefix doubling (see
+    `numeration.prefix_ranges`): vdc(n) = phi^-(j+1) + vdc(n - F_j) for
+    F_j <= n < F_{j+1}.
     """
-    _require_count(count)
-    if count < 0 or count - 1 >= sys.basis[-1]:
-        raise ValueError(f"count {count} out of basis coverage")
+    ranges = prefix_ranges(sys, count)
     hi = np.zeros(count)
     lo = np.zeros(count)
-    for k, (p_hi, p_lo) in enumerate(sys.neg_power_parts[:len(sys.basis) - 1]):
-        start = sys.basis[k]
-        if start >= count:
-            break
-        stop = min(sys.basis[k + 1], count)
+    for j, start, stop in ranges:
+        p_hi, p_lo = sys.neg_power_parts[j]
         for a in range(start, stop, _FILL_BLOCK):
             b = min(a + _FILL_BLOCK, stop)
             hi[a:b], lo[a:b] = _dd_add(p_hi, p_lo, hi[a - start:b - start],
@@ -95,7 +83,7 @@ def halton_points(systems, count: int) -> np.ndarray:
         raise ValueError("at least one system required")
     if len(set(ms)) != len(ms):
         raise ValueError(f"m values must be pairwise distinct, got {ms}")
-    _require_count(count)
+    require_count(count)
     pts = np.empty((count, len(ms)))
     for i, s in enumerate(systems):
         pts[:, i] = vdc_values(s, count)
@@ -216,24 +204,14 @@ def level_addresses(m: int, k: int) -> list[SubtileAddress]:
 
 
 def _address_keys(sys: MBonacciSystem, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level-k address of every n < N: the key sum(d_j << j, j < k) of its
-    low k greedy digits, and its letter, one more than the run of ones
-    from position k.
+    """Level-k address of every n < N, read off its `digit_codes` code:
+    the key sum(d_j << j, j < k) of its low k greedy digits, and its
+    letter, one more than the run of ones from position k.
 
-    The low k + m digits are built as an int64 code by prefix doubling:
-    code[F_j + i] is code[i] with bit j set (bits at k + m and above are
-    not kept).  The letter is the position of the lowest zero bit of
-    code >> k plus one, read off as the binary exponent of that power of
-    two.
+    The letter is the position of the lowest zero bit of code >> k plus
+    one, read off as the binary exponent of that power of two.
     """
-    code = np.zeros(N, dtype=np.int64)
-    for j in range(len(sys.basis) - 1):
-        start = sys.basis[j]
-        if start >= N:
-            break
-        stop = min(sys.basis[j + 1], N)
-        np.bitwise_or(code[:stop - start], (1 << j) if j < k + sys.m else 0,
-                      out=code[start:stop])
+    code = digit_codes(sys, N)
     top = code >> k
     lowest_zero = (top + 1) & ~top
     letters = np.frexp(lowest_zero.astype(np.float64))[1]  # 2^t has exponent t + 1
@@ -261,7 +239,6 @@ def local_discrepancy(sys: MBonacciSystem, k: int, N: int) -> float:
         raise ValueError(f"k={k} above the enumeration cap {DEFAULT_LEVEL_CAP}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    _require_count(N)
     counts = membership_counts(sys, k, N)
     delta = 0.0
     for (_, letter), cnt in counts.items():

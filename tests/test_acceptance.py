@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from mbonacci import rotation, verify
+from mbonacci import numeration, rotation, verify
 
 
 def _criterion(check: verify.Check):
@@ -27,6 +27,43 @@ def _criterion(check: verify.Check):
 for _check in verify.CHECKS:
     _test = _criterion(_check)
     globals()[_test.__name__] = _test
+
+
+# Criterion 1 checks the codes of `numeration.digit_codes` that the bulk
+# paths count with; a planted wrong code must fail it, at both scales.
+
+def _wrong_code_bit(codes):
+    codes[5] ^= 1 << 3
+    return "roundtrip broken"
+
+
+def _bit_past_the_basis(codes):
+    codes[7] |= 1 << 62
+    return "roundtrip broken"
+
+
+def _inadmissible_code(codes):
+    # 3 = 1 + 2 keeps the value, but for m = 2 two adjacent ones are not greedy
+    codes[3] = 0b11
+    return "admissibility violated"
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("plant", [_wrong_code_bit, _bit_past_the_basis, _inadmissible_code])
+def test_criterion_01_fails_on_a_wrong_code_bit(monkeypatch, plant, full):
+    digit_codes = numeration.digit_codes
+    messages = []
+
+    def mutant(sys, count):
+        codes = digit_codes(sys, count)
+        messages.append(plant(codes))
+        return codes
+
+    monkeypatch.setattr(numeration, "digit_codes", mutant)
+    check = next(c for c in verify.CHECKS if c.number == 1)
+    result = verify.run_check(check, full=full)
+    assert not result.passed
+    assert result.detail == f"{messages[0]} for m=2"
 
 
 # Criterion 13 compares the scalar address `rotation.subtile_of` with the

@@ -180,7 +180,9 @@ def test_fractal_csv_and_ppm(tmp_path):
     assert ppm_path.read_bytes().startswith(b"P6\n32 32\n255\n")
 
 
-def test_bad_flags_exit_2():
+def test_bad_flags_exit_2(capsys):
+    from mbonacci import cli
+
     out = run_cli("expand", "--m", "2")
     assert out.returncode == 2
     out = run_cli("nonsense")
@@ -206,6 +208,26 @@ def test_bad_flags_exit_2():
         assert out.returncode == 2 and f"argument {flag}: invalid int value: '1e5'" in out.stderr
     out = run_cli("verify", "--quick")
     assert out.returncode == 2 and "unrecognized arguments: --quick" in out.stderr
+    # --digits belongs to the commands that write CSV, before or after the command
+    for argv in [
+        ("expand", "--m", "2", "--n", "3"),
+        ("disc", "1d", "--m", "2", "--count", "10"),
+        ("disc", "multi", "--ms", "2,3", "--count", "10"),
+        ("disc", "fit", "--ms", "2,3"),
+        ("disc", "file", "--input", os.devnull),
+        ("dim", "--m", "3", "--depth", "100"),
+        ("exponent", "--ms", "2,3", "--dims", "0,1"),
+        ("local-disc", "--m", "2", "--k", "1", "--count", "10"),
+        ("verify",),
+        ("reproduce-example", "--quick"),
+    ]:
+        for full, message in [(list(argv) + ["--digits", "5"], "unrecognized arguments: --digits 5"),
+                              (["--digits", "5"] + list(argv), "usage: mbonacci")]:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(full)
+            captured = capsys.readouterr()
+            assert exit_.value.code == 2 and captured.out == "", full
+            assert message in captured.err, full
     # list flags name their type, as --count names int, and refuse an empty range
     for argv, message in [
         (("seq", "halton", "--ms", "2,a", "--count", "3"), "argument --ms: invalid int value: 'a'"),
@@ -228,6 +250,9 @@ def test_module_error_exit_1():
     assert "pairwise distinct" in out.stderr
     out = run_cli("expand", "--m", "1", "--n", "3")
     assert out.returncode == 1
+    out = run_cli("expand", "--m", "2", "--n", str(10 ** 200))
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert "basis overflow: max_n beyond the configured term cap" in out.stderr
     out = run_cli("exponent", "--ms", "2,3", "--dims", "nan,1")
     assert out.returncode == 1 and out.stdout == ""
     assert "boundary dimension nan" in out.stderr
@@ -268,6 +293,13 @@ def test_output_flag_writes_file(tmp_path):
     out = run_cli("seq", "vdc", "--m", "2", "--count", "4", "-o", str(path))
     assert out.returncode == 0 and out.stdout == ""
     assert path.read_text().startswith("n,value\n0,")
+    # -o is global: it goes before or after any command
+    for argv in (("-o", str(path), "exponent", "--ms", "2,3", "--dims", "0,1"),
+                 ("exponent", "--ms", "2,3", "--dims", "0,1", "-o", str(path))):
+        path.unlink()
+        out = run_cli(*argv)
+        assert out.returncode == 0 and out.stdout == "", argv
+        assert json.loads(path.read_text())["method"] == "theorem_exponent", argv
 
 
 def _rows(header, int_cols, float_cols, d):

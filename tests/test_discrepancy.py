@@ -192,6 +192,32 @@ def test_no_pass_exceeds_the_budget(monkeypatch):
     assert passes[-1][1] > 1 and passes[-1][2]
 
 
+def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch):
+    # the last pass within the budget keeps more than its cap of blocks
+    # against its running best, but not against the best it ends with;
+    # dropping the blocks the running best has overtaken lets it finish
+    block_pass = discrepancy._block_pass
+    passes = []
+
+    def record_pass(*args, **kwargs):
+        passes.append((args, kwargs))
+        return block_pass(*args, **kwargs)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
+    monkeypatch.setattr(discrepancy, "_CHUNK_CELLS", 1024)
+    monkeypatch.setattr(discrepancy, "_MAX_KEPT", 128)
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 11552)
+    systems = tuple(numeration.make_system(m, 300) for m in (2, 3))
+    pts = rotation.halton_points(systems, 300)
+    report = star_disc_multi(pts)
+    assert report.exact and report.value == naive_star_disc(pts)
+    (ranks, cands, n, side, best, cap), kwargs = passes[-1]
+    assert kwargs == {"finish": True} and cap == 128
+    final, found = block_pass(ranks, cands, n, side, best, 1 << 40)
+    bounds = np.concatenate([bound for _, bound, _ in found])
+    assert len(bounds) > cap >= np.count_nonzero(bounds > final)
+
+
 def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
     # keep every block a pass bounds and allow blocks of two cells, so the
     # fine pass sees blocks that the best corner value does not rule out

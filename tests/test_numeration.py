@@ -6,11 +6,10 @@ from mbonacci import numeration
 from mbonacci.numeration import (
     Expansion,
     decode,
-    decode_matrix,
+    digit_codes,
     digit_matrix,
     encode,
     is_admissible,
-    longest_one_run,
     make_system,
 )
 from mbonacci.rotation import subtile_of
@@ -35,6 +34,17 @@ def test_make_system_covers_max_n():
     assert sys2.basis[-1] > 25
     tiny = make_system(2, 1)
     assert tiny.basis[:2] == (1, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_make_system_basis_ends_m_plus_2_terms_past_max_n(m):
+    for max_n in (1, 2, 3, 10, 100, 10 ** 6, 2 ** 26, 10 ** 100):
+        basis = make_system(m, max_n).basis
+        first_above = next(i for i, f in enumerate(basis) if f > max_n)
+        assert basis == tuple(numeration.basis_prefix(m, first_above + m + 3))
+    # terms past the 512-term cap are refused, not built
+    with pytest.raises(ValueError, match="basis overflow"):
+        make_system(m, 10 ** 200)
 
 
 def test_make_system_rejects_bad_input():
@@ -133,21 +143,53 @@ def test_roundtrip_sampled(m):
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_bulk_digits_match_scalar(m):
-    sys = make_system(m, 10 ** 5)
+    count = 10 ** 5
+    sys = make_system(m, count)
+    codes = digit_codes(sys, count)
+    digits = digit_matrix(sys, count)
+    assert digits.dtype == np.uint8 and digits.shape == (count, len(encode(sys, count - 1).digits))
     rng = np.random.default_rng(7)
-    ns = rng.integers(0, 10 ** 5, size=200)
-    digits = digit_matrix(sys, ns)
-    for row, n in zip(digits, ns):
+    for n in rng.integers(0, count, size=200):
         e = encode(sys, int(n))
+        assert int(codes[n]) == sum(d << j for j, d in enumerate(e.digits))
+        row = digits[n]
         assert tuple(int(d) for d in row[: len(e.digits)]) == e.digits
         assert not row[len(e.digits):].any()
-    assert np.array_equal(decode_matrix(sys, digits), ns)
 
 
 def test_bulk_roundtrip_range(sys3):
-    digits = digit_matrix(sys3, 5000)
-    assert np.array_equal(decode_matrix(sys3, digits), np.arange(5000))
-    assert int(longest_one_run(digits).max()) < 3
+    # each code read bit by bit is admissible and sums to its index, so by
+    # uniqueness it is the greedy expansion
+    for n, code in enumerate(digit_codes(sys3, 5000).tolist()):
+        digits = [(code >> j) & 1 for j in range(63)]
+        assert is_admissible(3, digits)
+        assert sum(f for d, f in zip(digits, sys3.basis) if d) == n
+        assert not any(digits[len(sys3.basis):])
+
+
+def test_digit_codes_validation():
+    sys = make_system(2, 100)
+    top = sys.basis[-1]
+    assert digit_codes(sys, 0).shape == (0,) and digit_matrix(sys, 0).shape == (0, 0)
+    assert digit_codes(sys, top).shape == (top,)
+    for bad in (-1, top + 1):
+        with pytest.raises(ValueError, match="out of basis coverage"):
+            digit_codes(sys, bad)
+    with pytest.raises(ValueError, match="above the limit 2\\^26"):
+        digit_codes(make_system(2, 2 ** 27), 2 ** 26 + 1)
+
+
+def test_prefix_ranges_cover_the_count():
+    sys = make_system(3, 100)
+    assert numeration.prefix_ranges(sys, 0) == numeration.prefix_ranges(sys, 1) == []
+    assert numeration.prefix_ranges(sys, 10) == [(0, 1, 2), (1, 2, 4), (2, 4, 7), (3, 7, 10)]
+    for count in range(2, sys.basis[-1] + 1):
+        # n = 0 has no digits; the ranges tile 1..count-1
+        ranges = numeration.prefix_ranges(sys, count)
+        assert ranges[0][1] == 1 and ranges[-1][2] == count
+        assert [stop for _, _, stop in ranges[:-1]] == [start for _, start, _ in ranges[1:]]
+        # the range read, [0, stop - F_j), ends at or before the range written
+        assert all(stop - start <= start for _, start, stop in ranges)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

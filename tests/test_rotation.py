@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import ulp_error, vdc_mpmath
-from mbonacci import numeration, rotation
+from mbonacci import rotation
 from mbonacci.numeration import encode, make_system
 from mbonacci.rauzy import build_cloud
 from mbonacci.rotation import (
@@ -256,16 +256,17 @@ def test_membership_counts_match_scalar(sys2):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_address_keys_match_digit_matrix(m):
+def test_address_keys_match_encode(m):
     N = 30000
     sys = make_system(m, N)
-    digits = numeration.digit_matrix(sys, N)
+    expansions = [encode(sys, n) for n in range(N)]
     for k in (0, 3, 8):
         keys, letters = rotation._address_keys(sys, k, N)
-        want_keys = digits[:, :k].astype(np.int64) @ (1 << np.arange(k, dtype=np.int64))
-        want_letters = np.argmax(digits[:, k:k + m] == 0, axis=1) + 1
-        assert np.array_equal(keys, want_keys)
-        assert np.array_equal(letters, want_letters)
+        want_keys = [sum(d << j for j, d in enumerate(e.digits[:k])) for e in expansions]
+        want_letters = [next(i for i in range(1, m + 1) if not e.digit(k + i - 1))
+                        for e in expansions]
+        assert keys.tolist() == want_keys
+        assert letters.tolist() == want_letters
 
 
 def test_local_discrepancy_k0_matches_direct_count(sys3):
