@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -33,6 +34,10 @@ def _digits(text: str) -> int:
     if not 1 <= value <= 30:
         raise argparse.ArgumentTypeError(f"must be in 1..30, got {value}")
     return value
+
+
+def _misplaced_digits(text: str):
+    raise argparse.ArgumentTypeError("goes after the command: seq vdc, seq halton or fractal")
 
 
 def _count(text: str) -> int:
@@ -120,61 +125,34 @@ def _cmd_fractal(args) -> int:
 
 def _cmd_disc(args) -> int:
     start = time.perf_counter()
+    fit = {}
     if args.variant == "1d":
-        count = args.count
-        sys_m = numeration.make_system(args.m, count)
-        value = discrepancy.star_disc_1d(rotation.vdc_values(sys_m, count))
-        payload = {"method": "exact1d", "N": count, "s": 1, "value": value, "exact": True}
+        sys_m = numeration.make_system(args.m, args.count)
+        # a view of the values: a Halton array of one axis would copy them
+        report = discrepancy.star_disc(rotation.vdc_values(sys_m, args.count)[:, None])
     elif args.variant == "multi":
-        if len(args.ms) < 2:
-            raise ValueError(f"--ms needs at least two values, got {args.ms}; "
-                             f"use disc 1d for one")
-        count = args.count
-        systems = tuple(numeration.make_system(m, count) for m in args.ms)
-        pts = rotation.halton_points(systems, count)
-        report = discrepancy.star_disc_multi(pts)
-        payload = {"method": report.method, "N": count, "s": len(args.ms),
-                   "value": report.value, "exact": report.exact}
+        systems = tuple(numeration.make_system(m, args.count) for m in args.ms)
+        report = discrepancy.star_disc(rotation.halton_points(systems, args.count))
     elif args.variant == "fit":
-        ms, lo, hi = args.ms, args.min_exp, args.max_exp
+        lo, hi = args.min_exp, args.max_exp
         if lo < 0:
             raise ValueError(f"--min-exp must be >= 0, got {lo}")
-        systems = tuple(numeration.make_system(m, 2 ** hi) for m in ms)
+        systems = tuple(numeration.make_system(m, 2 ** hi) for m in args.ms)
         pts = rotation.halton_points(systems, 2 ** hi)
         samples = []
         for e in range(lo, hi + 1):
-            n = 2 ** e
-            if len(ms) == 1:
-                samples.append((n, discrepancy.star_disc_1d(pts[:n, 0])))
-            else:
-                report = discrepancy.star_disc_multi(pts[:n])
-                if not report.exact:
-                    raise ValueError(f"no exact value at N = {n} within the work budget of "
-                                     f"{discrepancy.DEFAULT_MAX_EXACT_OPS}; lower --max-exp")
-                samples.append((n, report.value))
+            report = discrepancy.star_disc(pts[:2 ** e])
+            if not report.exact:
+                raise ValueError(f"no exact value at N = {report.N} within the work budget of "
+                                 f"{discrepancy.DEFAULT_MAX_EXACT_OPS}; lower --max-exp")
+            samples.append((report.N, report.value))
         exponent, _, r2 = discrepancy.decay_fit(samples)
-        payload = {
-            "method": "decay_fit",
-            "N": samples[-1][0],
-            "s": len(ms),
-            "value": samples[-1][1],
-            "exponent": exponent,
-            "r2": r2,
-            "exact": True,
-        }
+        fit = {"method": "decay_fit", "exponent": exponent, "r2": r2}
     else:  # file
         with open(args.input) as fh:
-            pts = discrepancy.load_points_csv(fh)
-        if pts.shape[1] == 1:
-            value = discrepancy.star_disc_1d(pts[:, 0])
-            method, exact = "exact1d", True
-        else:
-            report = discrepancy.star_disc_multi(pts)
-            value, method, exact = report.value, report.method, report.exact
-        payload = {"method": method, "N": len(pts), "s": pts.shape[1], "value": value,
-                   "exact": exact}
-    payload["wall_seconds"] = round(time.perf_counter() - start, 6)
-    _emit_json(args, payload)
+            report = discrepancy.star_disc(discrepancy.load_points_csv(fh))
+    _emit_json(args, {**dataclasses.asdict(report), **fit,
+                      "wall_seconds": round(time.perf_counter() - start, 6)})
     return 0
 
 
@@ -242,6 +220,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", default=argparse.SUPPRESS,
                         help="output path (default stdout)")
+    # --digits before the command is refused by name, not taken for a command
+    early = argparse.ArgumentParser(add_help=False)
+    early.add_argument("--digits", type=_misplaced_digits, default=argparse.SUPPRESS,
+                       help=argparse.SUPPRESS)
     csv = argparse.ArgumentParser(add_help=False, parents=[common])
     csv.add_argument("--digits", type=_digits, default=15,
                      help="decimal places in CSV output, 1..30 (default 15)")
@@ -249,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbonacci",
         description="m-bonacci sequences, fractal geometry, and discrepancy measurement",
-        parents=[common],
+        parents=[common, early],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -258,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("seq", help="emit sequence values as CSV")
+    p = sub.add_parser("seq", help="emit sequence values as CSV", parents=[early])
     p.set_defaults(handler=_cmd_seq)
     seq_sub = p.add_subparsers(dest="variant", required=True)
     q = seq_sub.add_parser("vdc", parents=[csv])
@@ -276,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppm", default=None, help="write a PPM render to this path")
     p.add_argument("--size", type=int, default=512)
 
-    p = sub.add_parser("disc", help="discrepancy measurements (JSON)")
+    p = sub.add_parser("disc", help="discrepancy measurements (JSON)", parents=[early])
     p.set_defaults(handler=_cmd_disc)
     disc_sub = p.add_subparsers(dest="variant", required=True)
     q = disc_sub.add_parser("1d", parents=[common])

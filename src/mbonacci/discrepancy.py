@@ -53,6 +53,7 @@ DEFAULT_MAX_EXACT_OPS = 1 << 30
 @dataclass(frozen=True)
 class DiscrepancyReport:
     N: int
+    s: int
     value: float
     method: str
     exact: bool = True
@@ -388,8 +389,19 @@ def star_disc_multi(points) -> DiscrepancyReport:
     cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
     value, exact = _corner_sweep(pts, cands)
     method = "exact_corner_sweep" if s == 2 else "exact_corner_grid"
-    return DiscrepancyReport(N=n, value=value, exact=exact,
+    return DiscrepancyReport(N=n, s=s, value=value, exact=exact,
                              method=method if exact else "corner_block_lower_bound")
+
+
+def star_disc(points) -> DiscrepancyReport:
+    """Star discrepancy of an (N, s) point set, s >= 1: `star_disc_1d` at
+    s = 1, named "exact1d", and `star_disc_multi` above."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError("expected an (N, s) array with s >= 1")
+    if pts.shape[1] > 1:
+        return star_disc_multi(pts)
+    return DiscrepancyReport(N=len(pts), s=1, value=star_disc_1d(pts[:, 0]), method="exact1d")
 
 
 def decay_fit(samples) -> tuple[float, float, float]:
@@ -522,7 +534,8 @@ def theorem_exponent(ms, dims) -> float:
 
 
 def load_points_csv(stream) -> np.ndarray:
-    """Read an external point set: header x1,...,xs then one point per line."""
+    """Read an external point set: header x1,...,xs then one point of
+    [0, 1)^s per line; the first row that breaks this is named."""
     header = stream.readline().strip()
     names = [h.strip() for h in header.split(",")]
     if not names or not all(n.startswith("x") for n in names):
@@ -533,9 +546,12 @@ def load_points_csv(stream) -> np.ndarray:
         pts = np.loadtxt(stream, delimiter=",", ndmin=2, comments=None)
     if len(pts) == 0 or pts.shape[1] != len(names):
         raise ValueError("malformed point rows")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        row = ",".join(map(repr, pts[i].tolist()))
-        raise ValueError(f"point row {i + 1} has a non-finite value: {row!r}")
+    # the kernels' rule, 0 <= x < 1, so -0.0 passes
+    for ok, fault in ((np.isfinite(pts), "has a non-finite value"),
+                      ((pts >= 0.0) & (pts < 1.0), "lies outside [0, 1)")):
+        rows = ok.all(axis=1)
+        if not rows.all():
+            i = int(np.argmin(rows))
+            row = ",".join(map(repr, pts[i].tolist()))
+            raise ValueError(f"point row {i + 1} {fault}: {row!r}")
     return pts

@@ -112,6 +112,17 @@ def test_disc_file(tmp_path):
         out = run_cli("disc", "file", "--input", str(path))
         assert out.returncode == 1
         assert "non-finite" in out.stderr and out.stdout == ""
+    # the first row outside [0, 1) is named; -0.0 lies inside, as in the kernels
+    for text, row in [("x1,x2\n0.1,0.2\n0.7,1.0\n0.3,-0.5\n", "point row 2 lies outside "
+                       "[0, 1): '0.7,1.0'"),
+                      ("x1\n0.5\n-0.25\n", "point row 2 lies outside [0, 1): '-0.25'")]:
+        path.write_text(text)
+        out = run_cli("disc", "file", "--input", str(path))
+        assert out.returncode == 1 and out.stdout == "", text
+        assert out.stderr == f"error: {row}\n", text
+    path.write_text("x1,x2\n-0.0,0.5\n0.5,-0.0\n")
+    out = run_cli("disc", "file", "--input", str(path))
+    assert out.returncode == 0 and json.loads(out.stdout)["exact"] is True
     # ragged rows, bad tokens, comment lines and a header alone
     for text in ("x1,x2\n0.1,0.2\n0.3\n", "x1,x2\n0.1,abc\n", "x1,x2\n# c\n", "x1,x2\n"):
         path.write_text(text)
@@ -208,8 +219,15 @@ def test_bad_flags_exit_2(capsys):
         assert out.returncode == 2 and f"argument {flag}: invalid int value: '1e5'" in out.stderr
     out = run_cli("verify", "--quick")
     assert out.returncode == 2 and "unrecognized arguments: --quick" in out.stderr
-    # --digits belongs to the commands that write CSV, before or after the command
-    for argv in [
+    # --digits belongs after the commands that write CSV; after any other
+    # command it is unknown, and before any command it is named, not taken
+    # for a command name
+    csv_commands = [
+        ("seq", "vdc", "--m", "2", "--count", "3"),
+        ("seq", "halton", "--ms", "2,3", "--count", "3"),
+        ("fractal", "--m", "3", "--depth", "100"),
+    ]
+    other_commands = [
         ("expand", "--m", "2", "--n", "3"),
         ("disc", "1d", "--m", "2", "--count", "10"),
         ("disc", "multi", "--ms", "2,3", "--count", "10"),
@@ -220,14 +238,20 @@ def test_bad_flags_exit_2(capsys):
         ("local-disc", "--m", "2", "--k", "1", "--count", "10"),
         ("verify",),
         ("reproduce-example", "--quick"),
-    ]:
-        for full, message in [(list(argv) + ["--digits", "5"], "unrecognized arguments: --digits 5"),
-                              (["--digits", "5"] + list(argv), "usage: mbonacci")]:
-            with pytest.raises(SystemExit) as exit_:
-                cli.main(full)
-            captured = capsys.readouterr()
-            assert exit_.value.code == 2 and captured.out == "", full
-            assert message in captured.err, full
+    ]
+    misplaced = "argument --digits: goes after the command: seq vdc, seq halton or fractal"
+    cases = [(list(argv) + ["--digits", "5"], "unrecognized arguments: --digits 5")
+             for argv in other_commands]
+    cases += [(["--digits", "5"] + list(argv), misplaced)
+              for argv in csv_commands + other_commands]
+    cases += [(["seq", "--digits", "5", "vdc", "--m", "2", "--count", "3"], misplaced),
+              (["disc", "--digits", "5", "1d", "--m", "2", "--count", "10"], misplaced)]
+    for full, message in cases:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(full)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == "", full
+        assert message in captured.err and "invalid choice" not in captured.err, full
     # list flags name their type, as --count names int, and refuse an empty range
     for argv, message in [
         (("seq", "halton", "--ms", "2,a", "--count", "3"), "argument --ms: invalid int value: 'a'"),
@@ -261,9 +285,14 @@ def test_module_error_exit_1():
     assert "--min-exp must be >= 0" in out.stderr
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
-    out = run_cli("disc", "multi", "--ms", "2", "--count", "10")
-    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
-    assert "--ms needs at least two values, got [2]; use disc 1d" in out.stderr
+    # a Halton set of one axis is the van der Corput set, with the same report
+    reports = []
+    for argv in (("disc", "multi", "--ms", "3", "--count", "1000"),
+                 ("disc", "1d", "--m", "3", "--count", "1000")):
+        out = run_cli(*argv)
+        assert out.returncode == 0 and out.stderr == "", argv
+        reports.append({k: v for k, v in json.loads(out.stdout).items() if k != "wall_seconds"})
+    assert reports[0] == reports[1] and reports[0]["method"] == "exact1d"
     for levels in ("4", "4,4"):
         out = run_cli("dim", "--m", "3", "--depth", "1000", "--levels", levels)
         assert out.returncode == 1 and out.stdout == "", levels

@@ -13,6 +13,7 @@ from mbonacci.discrepancy import (
     box_dim_boundary,
     decay_fit,
     load_points_csv,
+    star_disc,
     star_disc_1d,
     star_disc_multi,
     theorem_exponent,
@@ -56,6 +57,25 @@ def test_star_disc_multi_validation():
         star_disc_multi(np.array([[0.1, 0.2], [0.3, np.nan]]))
     with pytest.raises(ValueError):
         star_disc_multi(np.full((2, 3), np.nan))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_star_disc_answers_every_dimension(s):
+    systems = tuple(numeration.make_system(m, 200) for m in (2, 3, 5, 4)[:s])
+    pts = rotation.halton_points(systems, 200)
+    report = star_disc(pts)
+    assert report.N == 200 and report.s == s
+    if s == 1:
+        assert report.value == star_disc_1d(pts[:, 0])
+        assert report.method == "exact1d" and report.exact is True
+    else:
+        assert report == star_disc_multi(pts)
+
+
+def test_star_disc_validation():
+    for points in (np.full(3, 0.5), np.empty((3, 0)), np.empty((0, 1)), np.empty((0, 2))):
+        with pytest.raises(ValueError):
+            star_disc(points)
 
 
 @pytest.mark.parametrize("s", [2, 3])
