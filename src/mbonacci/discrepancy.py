@@ -45,7 +45,7 @@ from math import prod
 
 import numpy as np
 
-from mbonacci.rauzy import FractalCloud, letter_count_grid
+from mbonacci.rauzy import FractalCloud, check_grid
 
 DEFAULT_MAX_EXACT_OPS = 1 << 30
 
@@ -60,15 +60,24 @@ class DiscrepancyReport:
 
 
 def star_disc_1d(points) -> float:
-    """Exact one-dimensional star discrepancy via the sorted formula."""
-    x = np.sort(np.asarray(points, dtype=np.float64))
+    """Exact one-dimensional star discrepancy via the sorted formula,
+    max_i max(i/n - x_(i), x_(i) - (i - 1)/n).  The range check reads the
+    sorted ends, where NaN sorts last."""
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("expected a one-dimensional point set")
+    x = np.sort(x)
     n = x.size
     if n == 0:
         raise ValueError("empty point set")
-    if not np.all((x >= 0.0) & (x < 1.0)):
+    if not (x[0] >= 0.0 and x[-1] < 1.0):
         raise ValueError("points must lie in [0, 1)")
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return float(max(np.max(i / n - x), np.max(x - (i - 1) / n)))
+    # q[i] is i/n, so q[1:] and q[:-1] hold i/n and (i - 1)/n
+    q = np.arange(n + 1, dtype=np.float64)
+    q /= n
+    diff = np.subtract(q[1:], x)
+    above = diff.max()
+    return float(max(above, np.subtract(x, q[:-1], out=diff).max()))
 
 
 _CHUNK_CELLS = 1 << 15
@@ -438,24 +447,9 @@ class DimensionEstimate:
     mode: str
 
 
-def _letter_cells(cloud: FractalCloud, level: int) -> list[np.ndarray]:
-    """Integer cells of side 2^-level of the plain lattice coordinates
-    holding the points of each letter, one (m - 1, count) int64 array per
-    letter.
-
-    Scaling by 2^level is exact, so the cells at a coarser level l are
-    these shifted right by level - l.
-    """
-    side = 1 << level
-    return [np.floor(np.ascontiguousarray(cloud.letter_points(letter).T) * side).astype(np.int64)
-            for letter in range(1, cloud.m + 1)]
-
-
-def _boundary_cells(letter_cells: list[np.ndarray], mode: str) -> int:
-    """Boundary cells among the occupied cells of each letter, on the
-    cells' bounding box plus a one-cell empty margin, where
-    `letter_count_grid` counts the letters in each cell."""
-    letters = letter_count_grid(letter_cells)
+def _boundary_cells(letters: np.ndarray, mode: str) -> int:
+    """Boundary cells of a grid that counts the letters in each cell and
+    has an empty cell on every side of the occupied ones."""
     boundary = np.zeros(letters.shape, dtype=bool)
     if mode in ("subtile", "both"):
         boundary |= letters >= 2
@@ -470,6 +464,26 @@ def _boundary_cells(letter_cells: list[np.ndarray], mode: str) -> int:
     return int(np.count_nonzero(boundary))
 
 
+def _coarser(occ: np.ndarray, lo: list[int], hi: list[int]):
+    """The letter occupancy on cells of twice the side.
+
+    `occ` has shape (m, *dims) and marks the cells of the box [lo - 1,
+    hi + 1] that hold each letter; [lo, hi] spans the occupied cells.  The
+    grid is padded with empty cells to the children of the coarse box
+    [(lo >> 1) - 1, (hi >> 1) + 1], whose first child is even, and each
+    coarse cell ORs its 2^d children, two per axis.  Returns the coarse
+    grid and its occupied span.
+    """
+    clo = [l >> 1 for l in lo]
+    chi = [h >> 1 for h in hi]
+    occ = np.pad(occ, [(0, 0)] + [(l + 1 - 2 * cl, 2 * ch + 2 - h)
+                                  for l, h, cl, ch in zip(lo, hi, clo, chi)])
+    for axis in range(1, occ.ndim):
+        before = (slice(None),) * axis
+        occ = occ[before + (slice(0, None, 2),)] | occ[before + (slice(1, None, 2),)]
+    return occ, clo, chi
+
+
 def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> DimensionEstimate:
     """Box-counting dimension of the cloud's boundary structure.
 
@@ -481,6 +495,18 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
     cloud covers every cell at practical depths, so only the letter rule
     could fire there, and that count is `rauzy.tiling_check`'s
     `overlap_cells`.)
+
+    One pass marks the cell of every point at the finest level, per
+    letter, on the cells' bounding box plus one empty cell per side, and
+    each coarser level ORs the children of its cells (`_coarser`).  That
+    is exact for two reasons.  ``floor(x * 2^L) >> k == floor(x *
+    2^(L - k))``, since scaling by a power of two is exact and ``>>``
+    floors, so a point's coarse cell is the parent of its fine cell.  And
+    the count needs an empty cell on every side of the occupied ones but
+    no given width of margin: roll wraps only margin cells, which are
+    holes, so padding the grid to an even origin changes nothing.
+    `rauzy.check_grid` refuses any level's box that is too large before a
+    grid is allocated.
     """
     if mode not in ("subtile", "outer", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -496,8 +522,32 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
             f"cloud of {cloud.size} points too sparse for level {finest} "
             f"(needs at least one point per cell on average)"
         )
-    cells = _letter_cells(cloud, finest)
-    counts = tuple(_boundary_cells([c >> (finest - l) for c in cells], mode) for l in levels)
+    side = 1 << finest
+    cells = [np.floor(cloud.unreduced[:, j] * side).astype(np.int64) for j in range(cloud.m - 1)]
+    lo = [int(c.min()) for c in cells]
+    hi = [int(c.max()) for c in cells]
+    for level in levels:
+        shift = finest - level
+        check_grid([(h >> shift) - (l >> shift) + 3 for l, h in zip(lo, hi)])
+    dims = [h - l + 3 for l, h in zip(lo, hi)]
+    # flat key of (letter - 1, cell - (lo - 1)) on the grid of shape (m, *dims)
+    key = cloud.labels.astype(np.int64) - 1
+    for c, l, size in zip(cells, lo, dims):
+        key *= size
+        key += c
+        key -= l - 1
+    del cells
+    occ = np.zeros(cloud.m * prod(dims), dtype=bool)
+    occ[key] = True
+    del key
+    occ = occ.reshape([cloud.m] + dims)
+    found = {}
+    for level in range(finest, min(levels) - 1, -1):
+        if level < finest:
+            occ, lo, hi = _coarser(occ, lo, hi)
+        if level in levels:
+            found[level] = _boundary_cells(occ.sum(axis=0, dtype=np.uint8), mode)
+    counts = tuple(found[l] for l in levels)
     xs = np.array([l for l, c in zip(levels, counts) if c > 0], dtype=np.float64)
     ys = np.array([np.log2(c) for c in counts if c > 0])
     # equal counts have slope exactly 0, which the least-squares fit

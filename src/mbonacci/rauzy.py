@@ -157,6 +157,13 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
 MAX_GRID_CELLS = 1 << 26
 
 
+def check_grid(dims) -> None:
+    """Refuse a dense grid of `dims` cells, before it is allocated, when it
+    holds more than MAX_GRID_CELLS cells."""
+    if prod(dims) > MAX_GRID_CELLS:
+        raise ValueError(f"occupancy grid of {prod(dims):.3g} cells too large for a dense count")
+
+
 def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Number of letters with a point in each cell of a dense grid.
 
@@ -164,8 +171,8 @@ def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | No
     letter (or per point set).  Given `dims`, the grid has that shape with
     its first corner at cell index 0.  Without `dims` it is the bounding
     box of the cells plus one empty cell on every side, so every occupied
-    cell has all its face-neighbours in the grid.  Grids of more than
-    MAX_GRID_CELLS cells raise a ValueError.  Each letter marks a boolean
+    cell has all its face-neighbours in the grid.  `check_grid` refuses
+    grids of more than MAX_GRID_CELLS cells.  Each letter marks a boolean
     occupancy grid, and the grids add up to a uint8 count.
     """
     origin = 0
@@ -175,8 +182,7 @@ def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | No
         hi = np.max([c.max(axis=1) for c in occupied], axis=0) + 1
         dims = tuple(int(x) for x in hi - lo + 1)
         origin = lo[:, None]
-    if prod(dims) > MAX_GRID_CELLS:
-        raise ValueError(f"occupancy grid of {prod(dims):.3g} cells too large for a dense count")
+    check_grid(dims)
     letters = np.zeros(prod(dims), dtype=np.uint8)
     occ = np.empty(prod(dims), dtype=bool)
     for c in letter_cells:

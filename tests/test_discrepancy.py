@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,6 +38,25 @@ def test_star_disc_1d_validation():
         star_disc_1d([-0.1])
     with pytest.raises(ValueError):
         star_disc_1d([0.5, np.nan, 0.25])
+    for bad in ([0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+            star_disc_1d(bad)
+    for bad in (0.5, [[0.5], [0.25]]):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            star_disc_1d(bad)
+    # -0.0 lies in [0, 1), as it does for the other kernels
+    assert star_disc_1d([-0.0, 0.5]) == star_disc_1d([0.0, 0.5]) == 0.5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_star_disc_1d_matches_naive_oracle(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random(int(rng.integers(1, 400)))
+    eighths = np.floor(x * 8) / 8
+    signed_zeros = np.where(x < 0.3, 0.0, x)
+    signed_zeros[::2] = np.where(x[::2] < 0.3, -0.0, x[::2])
+    for pts in (x, eighths, np.concatenate((x, x[: len(x) // 2])), signed_zeros):
+        assert star_disc_1d(pts) == naive_star_disc(pts[:, None])
 
 
 def test_star_disc_multi_examples():
@@ -403,13 +423,33 @@ def _sorted_boundary_cells(cloud, level, mode):
     return len(found)
 
 
-@pytest.mark.parametrize("m, depth, levels", [
-    (2, 10 ** 5, (3, 6, 9)),
-    (3, 2 * 10 ** 5, (3, 5, 7)),
-    (4, 10 ** 5, (2, 3, 4)),
-])
-def test_dense_boundary_cells_match_sorted_count(m, depth, levels):
+def _shifted_cloud(m, depth, level, first):
+    """build_cloud(m, depth) translated so that its cells at `level` start
+    at index `first` on every axis."""
     cloud = rauzy.build_cloud(m, depth)
+    side = 1 << level
+    pts = cloud.unreduced + (first - np.floor(cloud.unreduced * side).min(axis=0)) / side
+    assert np.all(np.floor(pts * side).min(axis=0) == first)
+    return rauzy.FractalCloud(m=m, depth=depth, phi=cloud.phi, labels=cloud.labels,
+                              unreduced=pts)
+
+
+@pytest.mark.parametrize("m, depth, levels, first", [
+    pytest.param(2, 10 ** 5, (3, 6, 9), None, id="2-100000-levels0"),
+    pytest.param(3, 2 * 10 ** 5, (3, 5, 7), None, id="3-200000-levels1"),
+    pytest.param(4, 10 ** 5, (2, 3, 4), None, id="4-100000-levels2"),
+    pytest.param(3, 10 ** 5, (7, 2, 5), None, id="levels-with-gaps"),
+    pytest.param(5, 10 ** 5, (1, 2, 3), None, id="m5"),
+    # finest cells from a negative odd index, so the grid's first cell is
+    # even, and from a negative even index, so it is odd
+    pytest.param(3, 10 ** 5, (3, 4, 6), -77, id="negative-odd-origin"),
+    pytest.param(4, 10 ** 5, (2, 3, 4), -6, id="negative-even-origin"),
+])
+def test_dense_boundary_cells_match_sorted_count(m, depth, levels, first):
+    if first is None:
+        cloud = rauzy.build_cloud(m, depth)
+    else:
+        cloud = _shifted_cloud(m, depth, max(levels), first)
     for mode in ("subtile", "outer", "both"):
         got = box_dim_boundary(cloud, levels, mode).counts
         want = tuple(_sorted_boundary_cells(cloud, l, mode) for l in levels)
@@ -429,10 +469,26 @@ def test_dense_boundary_grid_guard():
     for mode in ("subtile", "outer", "both"):
         with pytest.raises(ValueError, match="too large"):
             box_dim_boundary(cloud, (15, 16), mode)
-    # the guard sits in the shared dense count, so tiling and the set
-    # equation refuse such a grid too, before allocating it
+    # refused before anything of grid size is allocated: the level-15 grid
+    # alone would take 65 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            box_dim_boundary(cloud, (15, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    # the guard is one shared check, `rauzy.check_grid`, so tiling and the
+    # set equation refuse such a grid too, before allocating it
     with pytest.raises(ValueError, match="too large"):
         rauzy.letter_count_grid([np.zeros((2, 1), dtype=np.int64)], (1 << 13, (1 << 13) + 1))
+
+
+def test_box_dim_frozen_counts():
+    # the counts `dim --m 3 --depth 1000000` reports
+    est = box_dim_boundary(rauzy.build_cloud(3, 10 ** 6), range(4, 10))
+    assert est.counts == (97, 203, 433, 911, 1790, 3474)
 
 
 def test_box_dim_degenerate_full_cover_has_no_boundary():
