@@ -1,6 +1,5 @@
-"""Substitutive geometry: fixed-point words, the prefix-suffix graph,
-fractal point clouds with letter labels, and grid-based tiling and
-set-equation verification.
+"""Substitutive geometry: fixed-point words, fractal point clouds with
+letter labels, and grid-based tiling and set-equation verification.
 
 Fractal sets are represented as labelled finite point clouds plus grid
 rasterisations.  Exact boundary curves are never constructed; every
@@ -21,7 +20,6 @@ from mbonacci.spectral import (
     lattice_coords,
     precise_multiples_minus,
     reduce_array,
-    substitution_images,
 )
 from mbonacci.textio import write_csv
 
@@ -64,31 +62,6 @@ def word_lengths(m: int, k_max: int) -> list[int]:
         w = substitute(m, w)
         lengths.append(int(w.size))
     return lengths
-
-
-@dataclass(frozen=True)
-class PrefixSuffixEdge:
-    """Edge of the prefix-suffix graph; prefix_len is 0 (empty) or 1."""
-
-    from_letter: int
-    to_letter: int
-    prefix_len: int
-
-
-def prefix_suffix_edges(m: int) -> list[PrefixSuffixEdge]:
-    """All pis-decompositions of the letter images, as graph edges.
-
-    Every image starts with 1, giving an empty-prefix edge 1 -> j for each
-    letter j; two-letter images additionally give (j+1) -> j with prefix 1.
-    Edge count is 2m - 1.
-    """
-    images = substitution_images(m)
-    edges: list[PrefixSuffixEdge] = []
-    for j, word in enumerate(images, start=1):
-        edges.append(PrefixSuffixEdge(from_letter=1, to_letter=j, prefix_len=0))
-        if len(word) == 2:
-            edges.append(PrefixSuffixEdge(from_letter=word[1], to_letter=j, prefix_len=1))
-    return edges
 
 
 @dataclass(frozen=True, eq=False)

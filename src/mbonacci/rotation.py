@@ -15,8 +15,6 @@ import numpy as np
 
 from mbonacci.numeration import MBonacciSystem, digit_codes, encode, prefix_ranges, require_count
 
-DEFAULT_LEVEL_CAP = 10
-
 
 def _dd_add(a_hi, a_lo, b_hi, b_lo):
     """(a_hi + a_lo) + (b_hi + b_lo) in double-double, as a (hi, lo) pair.
@@ -99,8 +97,6 @@ class SubtileAddress:
     digit prefix.
     """
 
-    m: int
-    level: int
     digits: tuple[int, ...]
     letter: int
     trailing_ones: int
@@ -125,7 +121,7 @@ def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
     while e.digit(k + letter - 1):
         letter += 1
     assert letter <= sys.m - r
-    return SubtileAddress(m=sys.m, level=k, digits=digits, letter=letter, trailing_ones=r)
+    return SubtileAddress(digits=digits, letter=letter, trailing_ones=r)
 
 
 @dataclass(frozen=True)
@@ -182,27 +178,6 @@ def partition_Ck(sys: MBonacciSystem, k: int) -> list[CkInterval]:
     return intervals
 
 
-def level_addresses(m: int, k: int) -> list[SubtileAddress]:
-    """All valid level-k addresses: admissible k-digit strings, each with
-    terminal letters 1..m-r."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    strings: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for _ in range(k):
-        nxt: list[tuple[tuple[int, ...], int]] = []
-        for s, run in strings:
-            nxt.append((s + (0,), 0))
-            if run < m - 1:
-                nxt.append((s + (1,), run + 1))
-        strings = nxt
-    out: list[SubtileAddress] = []
-    for s, run in strings:
-        for letter in range(1, m - run + 1):
-            out.append(SubtileAddress(m=m, level=k, digits=s, letter=letter,
-                                      trailing_ones=run))
-    return out
-
-
 def _address_keys(sys: MBonacciSystem, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Level-k address of every n < N, read off its `digit_codes` code:
     the key sum(d_j << j, j < k) of its low k greedy digits, and its
@@ -218,30 +193,59 @@ def _address_keys(sys: MBonacciSystem, k: int, N: int) -> tuple[np.ndarray, np.n
     return code & ((1 << k) - 1), letters
 
 
-def membership_counts(sys: MBonacciSystem, k: int, N: int) -> dict[tuple[tuple[int, ...], int], int]:
-    """Counts of n < N per level-k address."""
-    m = sys.m
+def _visited_addresses(sys: MBonacciSystem, k: int,
+                       N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level-k addresses that some n < N visits, as three arrays
+    sorted by address: the digit key, the letter, and the count of n.
+
+    Up to level len(sys.basis) - m the system holds every basis term and
+    root power that `_letter_totals` and the subtile measures read; a
+    deeper level is refused before any digit is read.
+    """
+    limit = len(sys.basis) - sys.m
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k > limit:
+        raise ValueError(f"k={k} past {limit}, the deepest level the basis covers")
     keys, letters = _address_keys(sys, k, N)
-    combined = np.bincount(keys * m + (letters - 1), minlength=(1 << k) * m)
-    counts: dict[tuple[tuple[int, ...], int], int] = {}
-    for addr in level_addresses(m, k):
-        key = sum(d << j for j, d in enumerate(addr.digits))
-        counts[(addr.digits, addr.letter)] = int(combined[key * m + addr.letter - 1])
-    return counts
+    combined, counts = np.unique(keys * sys.m + (letters - 1), return_counts=True)
+    return combined // sys.m, combined % sys.m + 1, counts
+
+
+def _letter_totals(sys: MBonacciSystem, k: int) -> list[int]:
+    """Number of level-k addresses with letter i, for i = 1..m.
+
+    A k-digit string whose trailing run of ones has length r < k is an
+    admissible (k-r-1)-digit string followed by 0 1^r, so there are
+    F_{k-r-1} of them; the all-ones string (r = k) is one more.  Letter i
+    is admissible after every run r <= m - i.
+    """
+    per_run = [sys.basis[k - r - 1] if r < k else 1 for r in range(min(sys.m - 1, k) + 1)]
+    return [sum(per_run[:sys.m - i + 1]) for i in range(1, sys.m + 1)]
+
+
+def membership_counts(sys: MBonacciSystem, k: int, N: int) -> dict[tuple[tuple[int, ...], int], int]:
+    """Counts of n < N per visited level-k address (digits, letter); an
+    address no n visits has no entry."""
+    keys, letters, counts = _visited_addresses(sys, k, N)
+    return {(tuple((key >> j) & 1 for j in range(k)), letter): count
+            for key, letter, count in zip(keys.tolist(), letters.tolist(), counts.tolist())}
 
 
 def local_discrepancy(sys: MBonacciSystem, k: int, N: int) -> float:
     """Worst deviation, over level-k addresses, of the empirical index
-    frequency from the subtile measure phi^-(k + letter)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > DEFAULT_LEVEL_CAP:
-        raise ValueError(f"k={k} above the enumeration cap {DEFAULT_LEVEL_CAP}")
+    frequency from the subtile measure phi^-(k + letter).
+
+    A visited address deviates by |c/N - phi^-(k + letter)|, an unvisited
+    one by its whole measure; so each letter with fewer visited addresses
+    than `_letter_totals` counts adds phi^-(k + letter).
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    counts = membership_counts(sys, k, N)
-    delta = 0.0
-    for (_, letter), cnt in counts.items():
-        lam = sys.neg_power(k + letter)
-        delta = max(delta, abs(cnt / N - lam))
+    _, letters, counts = _visited_addresses(sys, k, N)
+    delta = float(np.abs(counts / N - sys.neg_power_parts[k + letters - 1, 0]).max())
+    visited = np.bincount(letters, minlength=sys.m + 1)[1:]
+    for i, (seen, total) in enumerate(zip(visited.tolist(), _letter_totals(sys, k)), start=1):
+        if seen < total:
+            delta = max(delta, sys.neg_power(k + i))
     return delta

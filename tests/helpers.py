@@ -7,6 +7,7 @@ the tests never trust the code path they are checking.
 import mpmath
 import numpy as np
 
+from mbonacci.rotation import subtile_of
 from mbonacci.verify import naive_star_disc  # noqa: F401  (shared brute-force oracle)
 
 
@@ -44,6 +45,31 @@ def count_admissible_bruteforce(m: int, k: int) -> int:
         run = (run + 1) * bits[:, j].astype(np.int32)
         np.maximum(worst, run, out=worst)
     return int(np.count_nonzero(worst < m))
+
+
+def level_addresses(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every level-k address as a (digits, letter) pair: each admissible
+    k-digit string, with the terminal letters 1..m-r after its trailing
+    run r of ones."""
+    strings = [((), 0)]
+    for _ in range(k):
+        nxt = []
+        for s, run in strings:
+            nxt.append((s + (0,), 0))
+            if run < m - 1:
+                nxt.append((s + (1,), run + 1))
+        strings = nxt
+    return [(s, letter) for s, run in strings for letter in range(1, m - run + 1)]
+
+
+def local_discrepancy(sys, k: int, N: int) -> float:
+    """Level-k local discrepancy by enumeration: every address, visited or
+    not, against the count of n < N that `subtile_of` puts there."""
+    counts = dict.fromkeys(level_addresses(sys.m, k), 0)
+    for n in range(N):
+        a = subtile_of(sys, n, k)
+        counts[a.digits, a.letter] += 1
+    return max(abs(c / N - sys.neg_power(k + letter)) for (_, letter), c in counts.items())
 
 
 def vdc_mpmath(m: int, basis, ns, bits: int = 200):

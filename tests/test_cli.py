@@ -72,6 +72,19 @@ def test_local_disc_json():
     assert 0.0 <= payload["delta"] <= 1.0
 
 
+def test_local_disc_levels_up_to_the_basis():
+    from mbonacci import numeration
+
+    # local-disc builds its system for --count + 1, and that basis sets the limit
+    limit = len(numeration.make_system(2, 101).basis) - 2
+    for k in (11, limit):
+        out = run_cli("local-disc", "--m", "2", "--k", str(k), "--count", "100")
+        assert out.returncode == 0 and json.loads(out.stdout)["k"] == k
+    out = run_cli("local-disc", "--m", "2", "--k", str(limit + 1), "--count", "100")
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr == f"error: k={limit + 1} past {limit}, the deepest level the basis covers\n"
+
+
 def test_disc_1d_json():
     from mbonacci import discrepancy, numeration, rotation
 

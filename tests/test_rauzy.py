@@ -6,10 +6,8 @@ import pytest
 from mbonacci import numeration, rauzy
 from mbonacci.numeration import encode
 from mbonacci.rauzy import (
-    PrefixSuffixEdge,
     build_cloud,
     fixed_point_prefix,
-    prefix_suffix_edges,
     render_cloud_ppm,
     set_equation_check,
     substitute,
@@ -50,32 +48,6 @@ def test_word_length_examples():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_word_lengths_match_basis(m):
     assert word_lengths(m, 12) == numeration.basis_prefix(m, 13)
-
-
-def test_prefix_suffix_edges_m2():
-    got = set((e.from_letter, e.to_letter, e.prefix_len) for e in prefix_suffix_edges(2))
-    assert got == {(1, 1, 0), (2, 1, 1), (1, 2, 0)}
-
-
-def test_prefix_suffix_edges_m3():
-    got = prefix_suffix_edges(3)
-    assert got == [
-        PrefixSuffixEdge(1, 1, 0),
-        PrefixSuffixEdge(2, 1, 1),
-        PrefixSuffixEdge(1, 2, 0),
-        PrefixSuffixEdge(3, 2, 1),
-        PrefixSuffixEdge(1, 3, 0),
-    ]
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_prefix_suffix_edge_count_and_validity(m):
-    edges = prefix_suffix_edges(m)
-    assert len(edges) == 2 * m - 1
-    images = rauzy.substitution_images(m)
-    for e in edges:
-        image = images[e.to_letter - 1]
-        assert image[e.prefix_len] == e.from_letter
 
 
 def test_cloud_first_points(sys2):

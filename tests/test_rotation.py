@@ -3,6 +3,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+import helpers
 from helpers import ulp_error, vdc_mpmath
 from mbonacci import rotation
 from mbonacci.numeration import encode, make_system
@@ -10,7 +11,6 @@ from mbonacci.rauzy import build_cloud
 from mbonacci.rotation import (
     halton_points,
     interval_for,
-    level_addresses,
     local_discrepancy,
     membership_counts,
     partition_Ck,
@@ -227,22 +227,24 @@ def test_membership_oracle_examples(sys2):
 def test_memberships_partition_indices(m):
     sys = make_system(m, 700)
     for k in (0, 1, 4, 8):
-        addrs = level_addresses(m, k)
+        addrs = helpers.level_addresses(m, k)
         for n in range(0, 600, 7):
             own = subtile_of(sys, n, k)
-            hits = [a for a in addrs if (a.digits, a.letter) == (own.digits, own.letter)]
-            assert hits == [own]
+            assert addrs.count((own.digits, own.letter)) == 1
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_level_addresses_counts_and_measures(m):
+    # the per-letter address totals read off the basis are the enumerated
+    # ones, and the subtile measures they weight sum to one
     sys = make_system(m, 10 ** 3)
-    for k in range(0, 9):
-        addrs = level_addresses(m, k)
-        strings = {a.digits for a in addrs}
-        assert len(strings) == sys.basis[k] if k else 1
-        total = sum(sys.neg_power(k + a.letter) for a in addrs)
-        assert abs(total - 1.0) < 1e-12
+    for k in range(0, 12):
+        addrs = helpers.level_addresses(m, k)
+        assert len({digits for digits, _ in addrs}) == sys.basis[k]
+        totals = rotation._letter_totals(sys, k)
+        assert totals == [sum(1 for _, letter in addrs if letter == i) for i in range(1, m + 1)]
+        measure = sum(t * sys.neg_power(k + i) for i, t in enumerate(totals, start=1))
+        assert abs(measure - 1.0) < 1e-12
 
 
 def test_membership_counts_match_scalar(sys2):
@@ -279,13 +281,25 @@ def test_local_discrepancy_k0_matches_direct_count(sys3):
 
 
 def test_local_discrepancy_bounds_and_cap(sys2):
-    for k in range(0, 7):
+    # the only cap on k is the basis: len(basis) - m
+    limit = len(sys2.basis) - 2
+    for k in (*range(0, 7), 11, limit):
         d = local_discrepancy(sys2, k, 1500)
         assert 0.0 <= d <= 1.0
-    with pytest.raises(ValueError):
-        local_discrepancy(sys2, 11, 100)
+    with pytest.raises(ValueError, match=f"k={limit + 1} past {limit}"):
+        local_discrepancy(sys2, limit + 1, 100)
     with pytest.raises(ValueError):
         local_discrepancy(sys2, 2, 0)
+
+
+@pytest.mark.parametrize("m, levels", [(2, range(11, 21)), (3, range(11, 15)),
+                                       (4, range(11, 15))])
+def test_local_discrepancy_matches_enumeration(m, levels):
+    sys = make_system(m, 10 ** 4)
+    for k in levels:
+        # at N = F_k - 1 one address of letter 1 is still unvisited
+        for N in (1, 300, 2000, sys.basis[k] - 1):
+            assert local_discrepancy(sys, k, N) == helpers.local_discrepancy(sys, k, N), (k, N)
 
 
 def test_local_discrepancy_small_at_basis_sizes(sys2):
