@@ -89,7 +89,7 @@ def _emit_json(args, payload: dict) -> None:
 
 def _cmd_expand(args) -> int:
     m, n = args.m, args.n
-    sys_m = numeration.make_system(m, max(n, 1))
+    sys_m = numeration.make_system(m, n)
     e = numeration.encode(sys_m, n)
     msb = "".join(str(d) for d in reversed(e.digits)) or "0"
     terms = [str(sys_m.basis[j]) for j in range(len(e.digits) - 1, -1, -1) if e.digits[j]]
@@ -102,10 +102,9 @@ def _cmd_expand(args) -> int:
 def _cmd_seq(args) -> int:
     count = args.count
     if args.variant == "vdc":
-        sys_m = numeration.make_system(args.m, count)
-        header, cols = ["n", "value"], [rotation.vdc_values(sys_m, count)]
+        header, cols = ["n", "value"], [rotation.vdc_values(numeration.make_system(args.m), count)]
     else:
-        systems = tuple(numeration.make_system(m, count) for m in args.ms)
+        systems = tuple(numeration.make_system(m) for m in args.ms)
         pts = rotation.halton_points(systems, count)
         header, cols = ["n"] + [f"v{i + 1}" for i in range(len(args.ms))], list(pts.T)
     with _output(args) as stream:
@@ -127,17 +126,20 @@ def _cmd_disc(args) -> int:
     start = time.perf_counter()
     fit = {}
     if args.variant == "1d":
-        sys_m = numeration.make_system(args.m, args.count)
+        values = rotation.vdc_values(numeration.make_system(args.m), args.count)
         # a view of the values: a Halton array of one axis would copy them
-        report = discrepancy.star_disc(rotation.vdc_values(sys_m, args.count)[:, None])
+        report = discrepancy.star_disc(values[:, None])
     elif args.variant == "multi":
-        systems = tuple(numeration.make_system(m, args.count) for m in args.ms)
+        systems = tuple(numeration.make_system(m) for m in args.ms)
         report = discrepancy.star_disc(rotation.halton_points(systems, args.count))
     elif args.variant == "fit":
         lo, hi = args.min_exp, args.max_exp
         if lo < 0:
             raise ValueError(f"--min-exp must be >= 0, got {lo}")
-        systems = tuple(numeration.make_system(m, 2 ** hi) for m in args.ms)
+        if hi < lo + 3:
+            raise ValueError(f"--max-exp must be >= --min-exp + 3 for the fit's 4 samples, "
+                             f"got --min-exp {lo} and --max-exp {hi}")
+        systems = tuple(numeration.make_system(m) for m in args.ms)
         pts = rotation.halton_points(systems, 2 ** hi)
         samples = []
         for e in range(lo, hi + 1):
@@ -179,8 +181,7 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_local_disc(args) -> int:
-    sys_m = numeration.make_system(args.m, args.count + 1)
-    delta = rotation.local_discrepancy(sys_m, args.k, args.count)
+    delta = rotation.local_discrepancy(numeration.make_system(args.m), args.k, args.count)
     _emit_json(args, {"k": args.k, "N": args.count, "delta": delta})
     return 0
 

@@ -82,29 +82,27 @@ class Expansion:
         return self.digits[j] if 0 <= j < len(self.digits) else 0
 
 
-def make_system(m: int, max_n: int) -> MBonacciSystem:
-    """Build the numeration context covering expansions of 0..max_n."""
+def make_system(m: int, max_n: int = MAX_PRECISE_INDEX) -> MBonacciSystem:
+    """Numeration context for m: the basis runs m + 2 terms past the first
+    term above max(max_n, MAX_PRECISE_INDEX), past every index `require_count`
+    admits, so root powers exist beyond the digit range."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    # up to the first term above max_n, then m + 2 slack terms so root
-    # powers exist well past the digit range
+    top = max(max_n, MAX_PRECISE_INDEX)
     terms: list[int] = []
     for term in _basis_terms(m):
         terms.append(term)
-        if len(terms) > m + 2 and terms[-m - 3] > max_n:
+        if len(terms) > m + 2 and terms[-m - 3] > top:
             break
         if len(terms) == _MAX_BASIS_TERMS:
             raise ValueError("basis overflow: max_n beyond the configured term cap")
 
     phi = dominant_root(m)
-    npowers = max(len(terms), 48)
     with mpmath.workprec(WORK_BITS):
         inv = 1 / phi
-        parts = np.empty((npowers, 2), dtype=np.float64)
+        parts = np.empty((len(terms), 2), dtype=np.float64)
         p = mpmath.mpf(1)
-        for j in range(npowers):
+        for j in range(len(terms)):
             p = p * inv
             hi = float(p)
             lo = float(p - mpmath.mpf(hi))
@@ -183,8 +181,8 @@ def prefix_ranges(sys: MBonacciSystem, count: int) -> list[tuple[int, int, int]]
     range read, [0, stop - F_j), never overlaps the range written.
     """
     require_count(count)
-    if count < 0 or count - 1 >= sys.basis[-1]:
-        raise ValueError(f"count {count} out of basis coverage")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     return [(j, start, min(stop, count))
             for j, (start, stop) in enumerate(zip(sys.basis, sys.basis[1:]))
             if start < count]

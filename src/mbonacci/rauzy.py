@@ -105,7 +105,7 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
         raise ValueError("depth must be >= 1")
     if depth > DEFAULT_MAX_DEPTH:
         raise ValueError(f"depth {depth} beyond the memory budget {DEFAULT_MAX_DEPTH}")
-    sys = numeration.make_system(m, max_n=max(depth, 2))
+    sys = numeration.make_system(m)
     word = fixed_point_prefix(m, depth + 1)
     ns = np.arange(depth + 1, dtype=np.int64)
     cols = []

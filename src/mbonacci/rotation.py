@@ -171,8 +171,6 @@ def partition_Ck(sys: MBonacciSystem, k: int) -> list[CkInterval]:
     if k >= len(sys.basis):
         raise ValueError("k beyond cached basis range")
     count = sys.basis[k] if k else 1
-    if count - 1 >= sys.basis[-1]:
-        raise ValueError("F_k exceeds system coverage; rebuild with larger max_n")
     intervals = [interval_for(sys, n, k) for n in range(count)]
     intervals.sort(key=lambda iv: iv.left)
     return intervals

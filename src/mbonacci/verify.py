@@ -68,7 +68,7 @@ def _roundtrip(full: bool) -> str:
     # (it is unique), so these checks certify every code the bulk fill makes
     limit = 10 ** 6 if full else 10 ** 5
     for m in MS:
-        sys = numeration.make_system(m, limit)
+        sys = numeration.make_system(m)
         codes = numeration.digit_codes(sys, limit)
         total = np.zeros(limit, dtype=np.int64)
         rest = codes.copy()
@@ -101,7 +101,7 @@ def _word_lengths(full: bool) -> str:
 def _characteristic(full: bool) -> str:
     worst = 0.0
     for m in MS:
-        sys = numeration.make_system(m, 10)
+        sys = numeration.make_system(m)
         worst = max(worst, abs(sum(sys.neg_power(i) for i in range(1, m + 1)) - 1.0))
     assert worst <= 1e-12, f"max |sum phi^-i - 1| = {worst:.2e}"
     return f"max |sum phi^-i - 1| = {worst:.2e}"
@@ -116,7 +116,7 @@ def _conjugacy(full: bool) -> str:
     n_max = 10 ** 4 if full else 2000
     worst = ambient = 0.0
     for m in MS:
-        sys = numeration.make_system(m, n_max)
+        sys = numeration.make_system(m)
         orbit = rauzy.build_cloud(m, n_max).reduced
         for n in range(n_max + 1):
             worst = max(worst, spectral.torus_distance(_lattice_point(sys, n), orbit[n]))
@@ -136,7 +136,7 @@ def _conjugacy(full: bool) -> str:
 def _partitions(full: bool) -> str:
     kmax = 12 if full else 9
     for m in (2, 3, 4):
-        sys = numeration.make_system(m, numeration.basis_prefix(m, kmax + 1)[kmax] + 1)
+        sys = numeration.make_system(m)
         for k in range(1, kmax + 1):
             ivs = rotation.partition_Ck(sys, k)
             where = f"m={m}, k={k}"
@@ -153,7 +153,7 @@ def _interval_membership(full: bool) -> str:
     samples = 3400 if full else 333
     worst = 0.0
     for m in (2, 3, 4):
-        sys = numeration.make_system(m, 10 ** 6)
+        sys = numeration.make_system(m)
         rng = np.random.default_rng(600 + m)
         for n in rng.integers(0, 10 ** 6, size=samples):
             x = rotation.vdc(sys, int(n))
@@ -186,7 +186,7 @@ def _letter_frequencies(full: bool) -> str:
     worst = 0.0
     for m in MS:
         word = rauzy.fixed_point_prefix(m, 10 ** 5)
-        sys = numeration.make_system(m, 10)
+        sys = numeration.make_system(m)
         freqs = np.bincount(word, minlength=m + 1)[1:] / word.size
         for i in range(m):
             worst = max(worst, abs(freqs[i] - sys.neg_power(i + 1)))
@@ -198,7 +198,7 @@ def _vdc_discrepancy(full: bool) -> str:
     sizes = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5) if full else (10 ** 2, 10 ** 3, 10 ** 4)
     worst = 0.0
     for m in (2, 3):
-        values = rotation.vdc_values(numeration.make_system(m, sizes[-1]), sizes[-1])
+        values = rotation.vdc_values(numeration.make_system(m), sizes[-1])
         for n in sizes:
             worst = max(worst, n * discrepancy.star_disc_1d(values[:n]) / np.log(n))
     assert worst <= 3.0, f"max N*D_N/log N = {worst:.3f}"
@@ -220,7 +220,7 @@ def _boundary_dimensions(full: bool) -> str:
 
 def _halton_decay(full: bool) -> str:
     top = 13 if full else 11
-    systems = (numeration.make_system(2, 2 ** top), numeration.make_system(3, 2 ** top))
+    systems = (numeration.make_system(2), numeration.make_system(3))
     pts = rotation.halton_points(systems, 2 ** top)
     samples = []
     for e in range(8, top + 1):
@@ -267,8 +267,8 @@ _FROZEN_DELTA_M2_F22 = {
 
 def _local_discrepancies(full: bool) -> str:
     count, kmax = (5000, 8) if full else (2000, 6)
-    sys2 = numeration.make_system(2, 10 ** 5)
-    for sys in (sys2, numeration.make_system(3, 10 ** 4)):
+    sys2 = numeration.make_system(2)
+    for sys in (sys2, numeration.make_system(3)):
         for k in range(kmax + 1):
             counts = rotation.membership_counts(sys, k, count)
             assert sum(counts.values()) == count, f"level-{k} memberships do not partition"

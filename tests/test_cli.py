@@ -72,17 +72,24 @@ def test_local_disc_json():
     assert 0.0 <= payload["delta"] <= 1.0
 
 
-def test_local_disc_levels_up_to_the_basis():
-    from mbonacci import numeration
+def test_local_disc_levels_up_to_the_basis(capsys):
+    from mbonacci import cli
 
-    # local-disc builds its system for --count + 1, and that basis sets the limit
-    limit = len(numeration.make_system(2, 101).basis) - 2
-    for k in (11, limit):
-        out = run_cli("local-disc", "--m", "2", "--k", str(k), "--count", "100")
-        assert out.returncode == 0 and json.loads(out.stdout)["k"] == k
-    out = run_cli("local-disc", "--m", "2", "--k", str(limit + 1), "--count", "100")
-    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
-    assert out.stderr == f"error: k={limit + 1} past {limit}, the deepest level the basis covers\n"
+    # one system per m covers every count, so the deepest level,
+    # len(basis) - m, is fixed by m alone
+    def refused(m, limit, count):
+        rc = cli.main(["local-disc", "--m", str(m), "--k", str(limit + 1), "--count", count])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        return captured.err == f"error: k={limit + 1} past {limit}, the deepest level the basis covers\n"
+
+    for count in ("1", "100", str(10 ** 6)):
+        for k in (6, 41):
+            assert cli.main(["local-disc", "--m", "2", "--k", str(k), "--count", count]) == 0
+            assert json.loads(capsys.readouterr().out)["k"] == k, (k, count)
+        assert refused(2, 41, count), count
+    for m, limit in ((3, 33), (4, 31), (5, 30), (6, 30)):
+        assert refused(m, limit, "1"), m
 
 
 def test_disc_1d_json():
@@ -296,6 +303,11 @@ def test_module_error_exit_1():
     out = run_cli("disc", "fit", "--ms", "2,3", "--min-exp", "-1")
     assert out.returncode == 1 and "Traceback" not in out.stderr
     assert "--min-exp must be >= 0" in out.stderr
+    # the fit needs 4 samples; the flags are checked before anything is built
+    for argv in (("--max-exp", "-1"), ("--min-exp", "5", "--max-exp", "3")):
+        out = run_cli("disc", "fit", "--ms", "2,3", *argv)
+        assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr, argv
+        assert "--max-exp must be >= --min-exp + 3" in out.stderr, argv
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
     # a Halton set of one axis is the van der Corput set, with the same report

@@ -38,20 +38,32 @@ def test_make_system_covers_max_n():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_make_system_basis_ends_m_plus_2_terms_past_max_n(m):
-    for max_n in (1, 2, 3, 10, 100, 10 ** 6, 2 ** 26, 10 ** 100):
-        basis = make_system(m, max_n).basis
-        first_above = next(i for i, f in enumerate(basis) if f > max_n)
-        assert basis == tuple(numeration.basis_prefix(m, first_above + m + 3))
+    # one system per m covers every index below 2^26; a smaller max_n
+    # changes nothing, down to the last bit of the root powers
+    default = make_system(m)
+    first_above = next(i for i, f in enumerate(default.basis) if f > 2 ** 26)
+    assert default.basis == tuple(numeration.basis_prefix(m, first_above + m + 3))
+    assert default.neg_power_parts.shape == (len(default.basis), 2)
+    for max_n in (0, 1, 10, 10 ** 6, 2 ** 26):
+        sys = make_system(m, max_n)
+        assert sys.basis == default.basis
+        assert sys.neg_power_parts.tobytes() == default.neg_power_parts.tobytes()
+    # a larger max_n widens the basis to m + 2 terms past it
+    basis = make_system(m, 10 ** 100).basis
+    first_above = next(i for i, f in enumerate(basis) if f > 10 ** 100)
+    assert basis == tuple(numeration.basis_prefix(m, first_above + m + 3))
     # terms past the 512-term cap are refused, not built
     with pytest.raises(ValueError, match="basis overflow"):
         make_system(m, 10 ** 200)
 
 
 def test_make_system_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be >= 2, got 1"):
         make_system(1, 10)
-    with pytest.raises(ValueError):
-        make_system(3, 0)
+    with pytest.raises(ValueError, match="m must be >= 2, got 1"):
+        make_system(1)
+    # max_n = 0 is valid: it asks for no more than the default coverage
+    assert make_system(3, 0).basis == make_system(3).basis
 
 
 def test_encode_examples(sys2, sys3):
@@ -168,22 +180,20 @@ def test_bulk_roundtrip_range(sys3):
 
 
 def test_digit_codes_validation():
-    sys = make_system(2, 100)
-    top = sys.basis[-1]
+    sys = make_system(2)
     assert digit_codes(sys, 0).shape == (0,) and digit_matrix(sys, 0).shape == (0, 0)
-    assert digit_codes(sys, top).shape == (top,)
-    for bad in (-1, top + 1):
-        with pytest.raises(ValueError, match="out of basis coverage"):
-            digit_codes(sys, bad)
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        digit_codes(sys, -1)
     with pytest.raises(ValueError, match="above the limit 2\\^26"):
-        digit_codes(make_system(2, 2 ** 27), 2 ** 26 + 1)
+        digit_codes(sys, 2 ** 26 + 1)
 
 
 def test_prefix_ranges_cover_the_count():
-    sys = make_system(3, 100)
+    sys = make_system(3)
     assert numeration.prefix_ranges(sys, 0) == numeration.prefix_ranges(sys, 1) == []
     assert numeration.prefix_ranges(sys, 10) == [(0, 1, 2), (1, 2, 4), (2, 4, 7), (3, 7, 10)]
-    for count in range(2, sys.basis[-1] + 1):
+    # the counts up to 2000 cross the basis terms F_1 .. F_12
+    for count in (*range(2, 2000), 2 ** 26):
         # n = 0 has no digits; the ranges tile 1..count-1
         ranges = numeration.prefix_ranges(sys, count)
         assert ranges[0][1] == 1 and ranges[-1][2] == count
