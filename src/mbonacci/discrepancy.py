@@ -59,10 +59,17 @@ class DiscrepancyReport:
     exact: bool = True
 
 
+# sorted points per step of `star_disc_1d`
+_CHUNK_POINTS = 1 << 16
+
+
 def star_disc_1d(points) -> float:
     """Exact one-dimensional star discrepancy via the sorted formula,
     max_i max(i/n - x_(i), x_(i) - (i - 1)/n).  The range check reads the
-    sorted ends, where NaN sorts last."""
+    sorted ends, where NaN sorts last.  Both maxima are taken over chunks
+    of _CHUNK_POINTS sorted points, so besides the sorted copy the pass
+    holds no array of full length; the quotients np.arange(a, b + 1) / n
+    of a chunk are those of the whole range, bit for bit."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a one-dimensional point set")
@@ -72,12 +79,15 @@ def star_disc_1d(points) -> float:
         raise ValueError("empty point set")
     if not (x[0] >= 0.0 and x[-1] < 1.0):
         raise ValueError("points must lie in [0, 1)")
-    # q[i] is i/n, so q[1:] and q[:-1] hold i/n and (i - 1)/n
-    q = np.arange(n + 1, dtype=np.float64)
-    q /= n
-    diff = np.subtract(q[1:], x)
-    above = diff.max()
-    return float(max(above, np.subtract(x, q[:-1], out=diff).max()))
+    best = 0.0
+    for a in range(0, n, _CHUNK_POINTS):
+        b = min(a + _CHUNK_POINTS, n)
+        # q[i] is (a + i)/n, so q[1:] and q[:-1] hold i/n and (i - 1)/n
+        q = np.arange(a, b + 1, dtype=np.float64)
+        q /= n
+        diff = np.subtract(q[1:], x[a:b])
+        best = max(best, diff.max(), np.subtract(x[a:b], q[:-1], out=diff).max())
+    return float(best)
 
 
 _CHUNK_CELLS = 1 << 15
@@ -523,20 +533,27 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
             f"(needs at least one point per cell on average)"
         )
     side = 1 << finest
-    cells = [np.floor(cloud.unreduced[:, j] * side).astype(np.int64) for j in range(cloud.m - 1)]
-    lo = [int(c.min()) for c in cells]
-    hi = [int(c.max()) for c in cells]
+    # floor is monotone and scaling by 2^finest exact, so the extreme cells
+    # are the cells of the extreme coordinates
+    pts = cloud.unreduced
+    lo = [int(np.floor(pts[:, j].min() * side)) for j in range(cloud.m - 1)]
+    hi = [int(np.floor(pts[:, j].max() * side)) for j in range(cloud.m - 1)]
     for level in levels:
         shift = finest - level
         check_grid([(h >> shift) - (l >> shift) + 3 for l, h in zip(lo, hi)])
     dims = [h - l + 3 for l, h in zip(lo, hi)]
-    # flat key of (letter - 1, cell - (lo - 1)) on the grid of shape (m, *dims)
+    # flat key of (letter - 1, cell - (lo - 1)) on the grid of shape (m, *dims),
+    # one axis at a time through one float buffer; every value is an integer
+    # below 2^53, so the float sums are exact
     key = cloud.labels.astype(np.int64) - 1
-    for c, l, size in zip(cells, lo, dims):
+    cell = np.empty(cloud.size)
+    for j, (l, size) in enumerate(zip(lo, dims)):
+        np.multiply(pts[:, j], side, out=cell)
+        np.floor(cell, out=cell)
+        cell -= l - 1
         key *= size
-        key += c
-        key -= l - 1
-    del cells
+        np.add(key, cell, out=key, casting="unsafe")
+    del cell
     occ = np.zeros(cloud.m * prod(dims), dtype=bool)
     occ[key] = True
     del key

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from math import prod
 
 import numpy as np
@@ -40,17 +41,30 @@ def substitute(m: int, word: np.ndarray) -> np.ndarray:
 def fixed_point_prefix(m: int, length: int) -> np.ndarray:
     """First `length` letters of the word fixed by the substitution.
 
-    Each image starts with the letter 1, so iterates of 1 are nested
-    prefixes of one another; substitute until long enough and slice.
+    The k-fold image s_k of the letter 1 has length F_k, the k-th basis
+    term, and is a prefix of s_{k+1}, so the word fills by the
+    prefix-doubling walk of `numeration.digit_codes` (Dumont and Thomas,
+    1989).  For j >= m - 1, s_{j+1} = s_j s_{j-1} ... s_{j+1-m}, and the
+    part after s_j is a prefix of s_j: w[F_j:F_{j+1}] = w[:F_{j+1} - F_j].
+    For j < m - 1 the basis terms are powers of two and s_{j+1} =
+    s_j s_{j-1} ... s_0 (j + 2), so the copy w[:F_j] takes the letter j + 2
+    as its last letter.  `substitute` is the definition the word is tested
+    against.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     if length < 1:
         raise ValueError("length must be >= 1")
-    w = np.array([1], dtype=np.uint8)
-    while w.size < length:
-        w = substitute(m, w)
-    return w[:length]
+    w = np.empty(length, dtype=np.uint8)
+    w[0] = 1
+    for j, (start, stop) in enumerate(pairwise(numeration._basis_terms(m))):
+        if start >= length:
+            break
+        end = min(stop, length)
+        w[start:end] = w[:end - start]
+        if j < m - 1 and end == stop:
+            w[stop - 1] = j + 2
+    return w
 
 
 def word_lengths(m: int, k_max: int) -> list[int]:
@@ -100,6 +114,9 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
     Coordinate i-1 of point n is n * phi^-i minus the count of letter i
     among the first n fixed-point letters, evaluated per point from split
     high-precision powers, so there is no accumulated rounding drift.
+    Each coordinate is written in place into one (m - 1, depth + 1) array,
+    whose transpose is `unreduced`; the letter counts are cumulative sums
+    in one float64 buffer, exact below 2^53.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -107,18 +124,19 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
         raise ValueError(f"depth {depth} beyond the memory budget {DEFAULT_MAX_DEPTH}")
     sys = numeration.make_system(m)
     word = fixed_point_prefix(m, depth + 1)
-    ns = np.arange(depth + 1, dtype=np.int64)
-    cols = []
+    ns = np.arange(depth + 1, dtype=np.float64)
+    counts = np.zeros(depth + 1)
+    coords = np.empty((m - 1, depth + 1))
     for i in range(2, m + 1):
-        counts = np.concatenate(([0], np.cumsum(word[:depth] == i, dtype=np.int64)))
+        np.cumsum(word[:depth] == i, dtype=np.float64, out=counts[1:])
         hi, lo = sys.neg_power_parts[i - 1]
-        cols.append(precise_multiples_minus(ns, float(hi), float(lo), counts))
+        precise_multiples_minus(ns, float(hi), float(lo), counts, out=coords[i - 2])
     return FractalCloud(
         m=m,
         depth=depth,
         phi=sys.phi_float,
         labels=word,
-        unreduced=np.stack(cols, axis=1),
+        unreduced=coords.T,
     )
 
 

@@ -172,14 +172,16 @@ def veltkamp_split(x):
     return hi, x - hi
 
 
-def precise_multiples_minus(ns: np.ndarray, hi: float, lo: float, subtract: np.ndarray) -> np.ndarray:
-    """n * (hi + lo) - subtract, with the dominant product kept exact."""
+def precise_multiples_minus(ns: np.ndarray, hi: float, lo: float, subtract: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """n * (hi + lo) - subtract, with the dominant product kept exact;
+    written into `out` when it is given."""
     if ns.size and int(ns.max()) >= MAX_PRECISE_INDEX:
         raise ValueError("index too large for the exact-product fast path")
     hi1, hi2 = veltkamp_split(hi)
-    nf = ns.astype(np.float64)
-    out = nf * hi1 - subtract.astype(np.float64)
+    nf = np.asarray(ns, dtype=np.float64)
+    out = np.multiply(nf, hi1, out=out)
+    out -= subtract
     out += nf * hi2
     out += nf * lo
     return out
-

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -209,6 +210,11 @@ def test_fractal_csv_and_ppm(tmp_path):
     assert lines[0] == "n,label,c1,c2"
     assert len(lines) == 502
     assert ppm_path.read_bytes().startswith(b"P6\n32 32\n255\n")
+    # the CSV of a benchmark-sized cloud, frozen byte for byte
+    out = subprocess.run(CMD + ["fractal", "--m", "3", "--depth", "100000"], capture_output=True)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == (
+        "aa71e8679644a298ea459c2d4853daf054c19b623125fe35987db96754d20546")
 
 
 def test_bad_flags_exit_2(capsys):
@@ -308,6 +314,11 @@ def test_module_error_exit_1():
         out = run_cli("disc", "fit", "--ms", "2,3", *argv)
         assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr, argv
         assert "--max-exp must be >= --min-exp + 3" in out.stderr, argv
+    # exponents whose count has no int64 form are refused by exponent, not printed
+    for hi in ("5000", "100000"):
+        out = run_cli("disc", "fit", "--ms", "2,3", "--max-exp", hi)
+        assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr, hi
+        assert f"--max-exp must be <= 62, got {hi}" in out.stderr, hi
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
     # a Halton set of one axis is the van der Corput set, with the same report

@@ -59,6 +59,39 @@ def test_star_disc_1d_matches_naive_oracle(seed):
         assert star_disc_1d(pts) == naive_star_disc(pts[:, None])
 
 
+@pytest.mark.parametrize("n", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+def test_star_disc_1d_chunk_seams(n):
+    # sorted points on multiples of 1/64, nearly even, with the n/8 points
+    # before `seam` piled on the lowest of them and the n/8 after on the
+    # highest: the gap puts the maximum of i/n - x_(i) on the last point
+    # before the seam and, where the pile after it fits, the maximum of
+    # x_(i) - (i - 1)/n on the first point after.  The seam is the first
+    # chunk boundary, or the end of the only chunk.  66 corners keep the
+    # oracle cheap.
+    seam = min(n, discrepancy._CHUNK_POINTS)
+    width = n // 8
+    x = np.floor(np.arange(n) * 64 / n) / 64
+    x[seam - width:seam] = x[seam - width]
+    x[seam:seam + width] = x[min(seam + width, n) - 1]
+    q = np.arange(n + 1) / n
+    assert np.argmax(q[1:] - x) == seam - 1
+    assert seam + width > n or np.argmax(x - q[:-1]) == seam
+    shuffled = np.random.default_rng(n).permutation(x)
+    assert star_disc_1d(shuffled) == naive_star_disc(x[:, None])
+
+
+def test_star_disc_1d_memory():
+    # besides the sorted copy (8 MB), only chunk-sized temporaries
+    x = np.random.default_rng(0).random(2 ** 20)
+    tracemalloc.start()
+    try:
+        star_disc_1d(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
 def test_star_disc_multi_examples():
     assert star_disc_multi(np.zeros((1, 2))).value == 1.0
     report = star_disc_multi(np.array([[0.0, 0.0], [0.5, 0.5]]))

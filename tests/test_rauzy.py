@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -39,6 +40,17 @@ def test_fixed_point_is_fixed():
         assert np.array_equal(w, again)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_fixed_point_prefix_matches_iterated_substitution(m):
+    # every length up to 3000 ends inside or at the end of each walk range,
+    # including the ranges j < m - 1 whose last letter is j + 2
+    word = np.array([1], dtype=np.uint8)
+    while word.size < 10 ** 5:
+        word = substitute(m, word)
+    for length in list(range(1, 3001)) + [10 ** 5]:
+        assert np.array_equal(fixed_point_prefix(m, length), word[:length]), length
+
+
 def test_word_length_examples():
     assert word_lengths(2, 5)[5] == 13
     assert word_lengths(3, 4)[4] == 13
@@ -75,6 +87,19 @@ def test_cloud_matches_rotation_orbit(sys3):
     rng = np.random.default_rng(17)
     for n in np.concatenate(([0, 1], rng.integers(0, 10 ** 4, size=40))):
         assert torus_distance(cloud.reduced[int(n)], rotation_point([sys3], int(n))) <= 1e-12
+
+
+@pytest.mark.parametrize("m, depth, points, labels", [
+    (3, 10 ** 5, "467fefee019c5dd423083c355b9a42924079dc50064da9f1557ffe9734c2c555",
+     "2559a1c2bfa24f2a813808780aea25e09e349ab160474697a49348bfcb1f07e9"),
+    (5, 2 * 10 ** 5, "79b69a493169543c4c13238cc264a9acb5594af13c1809ce1a080d4f4c010516",
+     "de5f60e6168cf9eebc0787e4277c4693ad5e4f3bf61455ea39dd036e7b7e1026"),
+])
+def test_cloud_frozen_bytes(m, depth, points, labels):
+    cloud = build_cloud(m, depth)
+    assert cloud.unreduced.shape == (depth + 1, m - 1) and cloud.unreduced.dtype == np.float64
+    assert hashlib.sha256(np.ascontiguousarray(cloud.unreduced).tobytes()).hexdigest() == points
+    assert hashlib.sha256(cloud.labels.tobytes()).hexdigest() == labels
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
