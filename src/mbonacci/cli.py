@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from mbonacci import discrepancy, numeration, rauzy, rotation, textio, verify
+from mbonacci import discrepancy, numeration, rauzy, rotation, textio
 
 
 def _convert(convert, text: str):
@@ -204,6 +204,8 @@ def _report_checks(args, results) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from mbonacci import verify
+
     return _report_checks(args, verify.run_checks(full=args.full))
 
 
@@ -213,6 +215,8 @@ _EXAMPLE_CRITERIA = (10, 11)
 
 
 def _cmd_reproduce(args) -> int:
+    from mbonacci import verify
+
     full = not args.quick
     return _report_checks(args, [verify.run_check(c, full) for c in verify.CHECKS
                                  if c.number in _EXAMPLE_CRITERIA])

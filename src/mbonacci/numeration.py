@@ -12,10 +12,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
-import mpmath
 import numpy as np
 
-from mbonacci.spectral import DEFAULT_PRECISION, MAX_PRECISE_INDEX, WORK_BITS, dominant_root
+from mbonacci.spectral import MAX_PRECISE_INDEX, ROOT_BITS, dominant_root, neg_powers
 
 # Hard cap on basis length; loud failure beats a runaway allocation.
 _MAX_BASIS_TERMS = 512
@@ -46,15 +45,16 @@ class MBonacciSystem:
     """Numeration context: basis terms, dominant root, cached root powers.
 
     Immutable after construction; all operations on it are pure functions.
-    `phi` is an mpmath value carrying the extended-precision root,
-    `phi_float` its float64 rounding.  `neg_power_parts[j]` holds a
-    (hi, lo) float64 pair with hi + lo = phi**-(j+1) to roughly 106 bits,
-    used by the vectorised fractional-part helpers.
+    `phi` is the root in fixed point, the integer floor(phi * 2^ROOT_BITS),
+    and `phi_float` its float64 rounding.  `neg_power_parts[j]` holds the
+    correctly rounded (hi, lo) float64 pair of phi**-(j+1): hi is the
+    nearest float to it and lo the nearest float to the rest.  The
+    vectorised fractional-part helpers use these pairs.
     """
 
     m: int
     basis: tuple[int, ...]
-    phi: mpmath.mpf
+    phi: int
     phi_float: float
     neg_power_parts: np.ndarray
 
@@ -98,25 +98,20 @@ def make_system(m: int, max_n: int = MAX_PRECISE_INDEX) -> MBonacciSystem:
             raise ValueError("basis overflow: max_n beyond the configured term cap")
 
     phi = dominant_root(m)
-    with mpmath.workprec(WORK_BITS):
-        inv = 1 / phi
-        parts = np.empty((len(terms), 2), dtype=np.float64)
-        p = mpmath.mpf(1)
-        for j in range(len(terms)):
-            p = p * inv
-            hi = float(p)
-            lo = float(p - mpmath.mpf(hi))
-            parts[j, 0] = hi
-            parts[j, 1] = lo
-        residual = abs(phi ** m - sum(phi ** j for j in range(m)))
-        if residual > DEFAULT_PRECISION:
-            raise RuntimeError(f"root residual {residual} exceeds {DEFAULT_PRECISION}")
+    # phi^-j >= 2^-j, so every power keeps ROOT_BITS significant bits
+    bits = ROOT_BITS + len(terms)
+    one = 1 << bits
+    parts = np.empty((len(terms), 2), dtype=np.float64)
+    for j, p in enumerate(neg_powers(phi, len(terms), bits)):
+        # int / int rounds correctly, and hi * 2^bits is an exact integer
+        hi = p / one
+        parts[j] = hi, (p - int(hi * one)) / one
     parts.setflags(write=False)
     return MBonacciSystem(
         m=m,
         basis=tuple(terms),
         phi=phi,
-        phi_float=float(phi),
+        phi_float=phi / (1 << ROOT_BITS),
         neg_power_parts=parts,
     )
 

@@ -12,53 +12,51 @@ the rotation by (phi^-2, ..., phi^-m) on the standard torus.
 
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 
-# residual tolerance of the dominant root
-DEFAULT_PRECISION = 1e-30
-
-# binary working precision of the root and its powers: the 99 bits of
-# DEFAULT_PRECISION plus 20 guard bits
-WORK_BITS = 119
-
-# Newton steps allowed after bisection; a few suffice
-_NEWTON_STEPS = 200
+# fraction bits of the fixed-point root and of its powers
+ROOT_BITS = 256
 
 # exact integer-times-float products in the helpers below need n < 2^26
 MAX_PRECISE_INDEX = 1 << 26
 
 
-def dominant_root(m: int) -> mpmath.mpf:
-    """Root of x^m = x^{m-1} + ... + x + 1 in (1, 2).
+def dominant_root(m: int) -> int:
+    """floor(phi * 2^ROOT_BITS) for the root phi of x^m = x^{m-1} + ... + x + 1
+    in (1, 2), by bisection on integers.
 
-    Bisection brackets the root, Newton refines it at WORK_BITS working
-    precision.  Raises if the residual does not reach DEFAULT_PRECISION
-    within the step cap.
+    Horner's rule gives the sign of x^m - x^{m-1} - ... - 1 at
+    x = mid / 2^ROOT_BITS exactly; it is negative on [1, phi) and positive
+    on (phi, 2].  As phi is irrational, the lower end of the last bracket
+    is the floor.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    with mpmath.workprec(WORK_BITS):
+    lo, hi = 1 << ROOT_BITS, 2 << ROOT_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        value = 1
+        for i in range(1, m + 1):
+            value = value * mid - (1 << (ROOT_BITS * i))
+        if value < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
-        def f(x):
-            return x ** m - sum(x ** j for j in range(m))
 
-        def fprime(x):
-            return m * x ** (m - 1) - sum(j * x ** (j - 1) for j in range(1, m))
+def neg_powers(root: int, count: int, bits: int) -> list[int]:
+    """floor(phi^-j * 2^bits) for j = 1..count, from the fixed-point root.
 
-        lo, hi = mpmath.mpf(1), mpmath.mpf(2)
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        x = (lo + hi) / 2
-        for _ in range(_NEWTON_STEPS):
-            if abs(f(x)) <= DEFAULT_PRECISION:
-                return +x
-            x = x - f(x) / fprime(x)
-        raise RuntimeError(f"dominant_root(m={m}) did not reach residual {DEFAULT_PRECISION}")
+    Each is off by a relative error of about j * 2^-ROOT_BITS, plus j
+    units of the last bit: with bits >= ROOT_BITS + count, over 100 bits
+    below the last bit of a double-double phi^-j.
+    """
+    inv = (1 << (ROOT_BITS + bits)) // root
+    out = [inv]
+    for _ in range(count - 1):
+        out.append((out[-1] * inv) >> bits)
+    return out
 
 
 def substitution_images(m: int) -> tuple[tuple[int, ...], ...]:
@@ -83,15 +81,16 @@ def ambient_projection(sys) -> np.ndarray:
     onto the contracting hyperplane: P = I - u v^T / (v . u).
 
     u is the right eigenvector phi^-1, ..., phi^-m, read from the
-    system's root powers; v is the left eigenvector 1, phi - 1, ...
+    system's root powers; v is the left eigenvector 1, phi - 1, ...,
+    built in the fixed point of the root.
     """
     m = sys.m
     u = sys.neg_power_parts[:m, 0]
-    with mpmath.workprec(WORK_BITS):
-        left = [mpmath.mpf(1)]
-        for _ in range(m - 1):
-            left.append(sys.phi * left[-1] - 1)
-        v = np.array([float(x) for x in left])
+    one = 1 << ROOT_BITS
+    left = [one]
+    for _ in range(m - 1):
+        left.append((sys.phi * left[-1] >> ROOT_BITS) - one)
+    v = np.array([x / one for x in left])
     return np.eye(m) - np.outer(u, v) / float(v @ u)
 
 
@@ -148,13 +147,14 @@ def contraction_matrix(m: int, phi: float) -> np.ndarray:
 
 def rotation_point(systems, n: int) -> np.ndarray:
     """Concatenated rotation orbit point: frac(n * (phi^-2..phi^-m)) per
-    system, each block evaluated from n directly at extended precision."""
+    system, each block evaluated from n directly in the fixed point of the
+    root."""
     if n < 0:
         raise ValueError("n must be a natural number")
+    one = 1 << ROOT_BITS
     out: list[float] = []
     for sys_i in systems:
-        with mpmath.workprec(WORK_BITS):
-            out.extend(float(mpmath.frac(n * sys_i.phi ** -i)) for i in range(2, sys_i.m + 1))
+        out.extend((n * p) % one / one for p in neg_powers(sys_i.phi, sys_i.m, ROOT_BITS)[1:])
     return reduce_array(np.array(out))
 
 

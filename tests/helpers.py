@@ -72,9 +72,9 @@ def local_discrepancy(sys, k: int, N: int) -> float:
     return max(abs(c / N - sys.neg_power(k + letter)) for (_, letter), c in counts.items())
 
 
-def vdc_mpmath(m: int, basis, ns, bits: int = 200):
-    """Exact-to-`bits` van der Corput values: the dominant root by
-    bisection, the greedy digits by integer subtraction over `basis`."""
+def root_mpmath(m: int, bits: int = 200):
+    """The dominant root to `bits` bits, by plain bisection on mpf values
+    at `bits` + 16 bits of working precision."""
     with mpmath.workprec(bits + 16):
         lo, hi = mpmath.mpf(1), mpmath.mpf(2)
         for _ in range(bits + 8):
@@ -83,7 +83,15 @@ def vdc_mpmath(m: int, basis, ns, bits: int = 200):
                 lo = mid
             else:
                 hi = mid
-        inv = 2 / (lo + hi)
+        return (lo + hi) / 2
+
+
+def vdc_mpmath(m: int, basis, ns, bits: int = 200):
+    """Exact-to-`bits` van der Corput values: the dominant root by
+    bisection, the greedy digits by integer subtraction over `basis`."""
+    phi = root_mpmath(m, bits)
+    with mpmath.workprec(bits + 16):
+        inv = 1 / phi
         powers = [inv ** (j + 1) for j in range(len(basis))]
         out = []
         for n in ns:

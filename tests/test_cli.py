@@ -104,6 +104,19 @@ def test_disc_1d_json():
     assert payload["value"] == discrepancy.star_disc_1d(values)
 
 
+def test_commands_load_neither_mpmath_nor_verify():
+    # mpmath is the tests' oracle, and only verify and reproduce-example
+    # read the check registry
+    script = ("import sys\n"
+              "from mbonacci import cli\n"
+              "assert cli.main(['exponent', '--ms', '2,3', '--dims', '0,1.09336']) == 0\n"
+              "assert cli.main(['disc', 'multi', '--ms', '2,3', '--count', '64']) == 0\n"
+              "print(sorted({'mpmath', 'mbonacci.verify'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip().split("\n")[-1] == "[]"
+
+
 def test_disc_multi_json_schema():
     out = run_cli("disc", "multi", "--ms", "2,3", "--count", "128")
     payload = json.loads(out.stdout)

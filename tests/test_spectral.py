@@ -2,14 +2,17 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from helpers import root_mpmath
 import mbonacci
 from mbonacci import numeration, rauzy, spectral
 from mbonacci.spectral import (
+    ROOT_BITS,
     ambient_projection,
     contraction_matrix,
     dominant_root,
@@ -37,22 +40,52 @@ def _bisect_root(m: int, tol: float = 1e-13) -> float:
     return (lo + hi) / 2
 
 
+def _root_float(m: int) -> float:
+    return dominant_root(m) / 2 ** ROOT_BITS
+
+
 def test_dominant_root_golden_ratio():
-    assert abs(float(dominant_root(2)) - 1.61803398874989) < 1e-12
+    assert abs(_root_float(2) - 1.61803398874989) < 1e-12
+    # floor(phi * 2^ROOT_BITS) by the closed form phi = (1 + sqrt 5) / 2
+    twice = 2 * dominant_root(2) - (1 << ROOT_BITS)
+    assert twice ** 2 < 5 << (2 * ROOT_BITS) < (twice + 2) ** 2
 
 
 def test_dominant_root_vs_bisection_oracle():
     for m in (3, 4, 5, 6):
-        assert abs(float(dominant_root(m)) - _bisect_root(m)) < 1e-12
-    assert abs(float(dominant_root(3)) - 1.83928675521416) < 1e-12
+        assert abs(_root_float(m) - _bisect_root(m)) < 1e-12
+    assert abs(_root_float(3) - 1.83928675521416) < 1e-12
 
 
 def test_characteristic_identity():
     for m in range(2, 7):
-        phi = dominant_root(m)
+        phi = root_mpmath(m, 120)
         with mpmath.workprec(120):
             total = sum(phi ** -i for i in range(1, m + 1))
             assert abs(total - 1) < 1e-12
+
+
+def _correctly_rounded_pair(x) -> tuple[float, float]:
+    # the nearest float to x, and the nearest float to the rest
+    man, exp = x.man_exp
+    exact = Fraction(man) * Fraction(2) ** exp
+    hi = float(exact)
+    return hi, float(exact - Fraction(hi))
+
+
+def test_root_and_power_pairs_vs_mpmath_oracle():
+    # the systems of every command, and the wide basis `expand` asks for
+    systems = [numeration.make_system(m) for m in range(2, 7)]
+    for sys in systems + [numeration.make_system(2, 10 ** 100)]:
+        m = sys.m
+        phi = root_mpmath(m, 440)
+        with mpmath.workprec(440):
+            assert sys.phi == dominant_root(m) == int(mpmath.floor(phi * 2 ** ROOT_BITS))
+            assert sys.phi_float == _correctly_rounded_pair(phi)[0]
+            inv, power = 1 / phi, mpmath.mpf(1)
+            for j, pair in enumerate(sys.neg_power_parts.tolist(), start=1):
+                power *= inv
+                assert tuple(pair) == _correctly_rounded_pair(power), (m, j)
 
 
 def test_dominant_root_rejects_bad_m():
@@ -110,11 +143,11 @@ def test_right_eigenvector_is_root_powers():
 
 
 def test_lattice_coords_examples():
-    phi3 = float(dominant_root(3))
+    phi3 = _root_float(3)
     got = lattice_coords(3, phi3, [1, 0, 0])
     assert np.allclose(got, [phi3 ** -2, phi3 ** -3], atol=1e-14)
     for m in (2, 3, 5):
-        phi = float(dominant_root(m))
+        phi = _root_float(m)
         basis_vec = [1, -1] + [0] * (m - 2)
         got = lattice_coords(m, phi, basis_vec)
         assert np.allclose(got, [1.0] + [0.0] * (m - 2), atol=1e-14)
@@ -184,13 +217,14 @@ def test_conjugacy_lattice_route_vs_rotation(sys2, sys3):
             assert torus_distance(direct, rotated) <= 1e-9
 
 
-def test_precise_frac_multiples_vs_mpmath(sys3):
+def test_precise_frac_multiples_vs_mpmath():
     # the bulk orbit is the reduced cloud: n * phi^-i minus integer letter counts
     cloud = rauzy.build_cloud(3, 10 ** 6)
     rng = np.random.default_rng(3)
+    phi = root_mpmath(3, 150)
     with mpmath.workprec(150):
         for n in rng.integers(0, 10 ** 6, size=100):
-            exact = [float(mpmath.frac(int(n) * sys3.phi ** -i)) for i in (2, 3)]
+            exact = [float(mpmath.frac(int(n) * phi ** -i)) for i in (2, 3)]
             assert torus_distance(exact, cloud.reduced[n]) < 1e-13
 
 
@@ -217,7 +251,7 @@ def test_contraction_matrix_m2(sys2):
 def test_contraction_matrix_intertwines_incidence_action():
     rng = np.random.default_rng(9)
     for m in range(2, 7):
-        phi = float(dominant_root(m))
+        phi = _root_float(m)
         mat = contraction_matrix(m, phi)
         inc = incidence_matrix(m)
         for _ in range(8):
