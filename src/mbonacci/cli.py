@@ -139,10 +139,11 @@ def _cmd_disc(args) -> int:
         if hi < lo + 3:
             raise ValueError(f"--max-exp must be >= --min-exp + 3 for the fit's 4 samples, "
                              f"got --min-exp {lo} and --max-exp {hi}")
-        # a count of 2 ** 63 or more fits no int64; refusing it by exponent
-        # keeps it out of the message (past 4300 digits Python cannot print it)
-        if hi > 62:
-            raise ValueError(f"--max-exp must be <= 62, got {hi}")
+        # the count limit's own exponent, checked before 2 ** hi is formed
+        limit = numeration.MAX_PRECISE_INDEX.bit_length() - 1
+        if hi > limit:
+            raise ValueError(f"--max-exp must be <= {limit}, the count limit 2^{limit}, "
+                             f"got {hi}")
         systems = tuple(numeration.make_system(m) for m in args.ms)
         pts = rotation.halton_points(systems, 2 ** hi)
         samples = []

@@ -95,7 +95,10 @@ def make_system(m: int, max_n: int = MAX_PRECISE_INDEX) -> MBonacciSystem:
         if len(terms) > m + 2 and terms[-m - 3] > top:
             break
         if len(terms) == _MAX_BASIS_TERMS:
-            raise ValueError("basis overflow: max_n beyond the configured term cap")
+            # only `expand` asks past the default coverage, for its n
+            need = f"n = {max_n}" if max_n > MAX_PRECISE_INDEX else f"m = {m}"
+            raise ValueError(f"basis overflow: {need} needs more basis terms than the "
+                             f"cap of {_MAX_BASIS_TERMS}")
 
     phi = dominant_root(m)
     # phi^-j >= 2^-j, so every power keeps ROOT_BITS significant bits

@@ -176,40 +176,6 @@ def partition_Ck(sys: MBonacciSystem, k: int) -> list[CkInterval]:
     return intervals
 
 
-def _address_keys(sys: MBonacciSystem, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level-k address of every n < N, read off its `digit_codes` code:
-    the key sum(d_j << j, j < k) of its low k greedy digits, and its
-    letter, one more than the run of ones from position k.
-
-    The letter is the position of the lowest zero bit of code >> k plus
-    one, read off as the binary exponent of that power of two.
-    """
-    code = digit_codes(sys, N)
-    top = code >> k
-    lowest_zero = (top + 1) & ~top
-    letters = np.frexp(lowest_zero.astype(np.float64))[1]  # 2^t has exponent t + 1
-    return code & ((1 << k) - 1), letters
-
-
-def _visited_addresses(sys: MBonacciSystem, k: int,
-                       N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The level-k addresses that some n < N visits, as three arrays
-    sorted by address: the digit key, the letter, and the count of n.
-
-    Up to level len(sys.basis) - m the system holds every basis term and
-    root power that `_letter_totals` and the subtile measures read; a
-    deeper level is refused before any digit is read.
-    """
-    limit = len(sys.basis) - sys.m
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > limit:
-        raise ValueError(f"k={k} past {limit}, the deepest level the basis covers")
-    keys, letters = _address_keys(sys, k, N)
-    combined, counts = np.unique(keys * sys.m + (letters - 1), return_counts=True)
-    return combined // sys.m, combined % sys.m + 1, counts
-
-
 def _letter_totals(sys: MBonacciSystem, k: int) -> list[int]:
     """Number of level-k addresses with letter i, for i = 1..m.
 
@@ -222,12 +188,35 @@ def _letter_totals(sys: MBonacciSystem, k: int) -> list[int]:
     return [sum(per_run[:sys.m - i + 1]) for i in range(1, sys.m + 1)]
 
 
-def membership_counts(sys: MBonacciSystem, k: int, N: int) -> dict[tuple[tuple[int, ...], int], int]:
-    """Counts of n < N per visited level-k address (digits, letter); an
-    address no n visits has no entry."""
-    keys, letters, counts = _visited_addresses(sys, k, N)
-    return {(tuple((key >> j) & 1 for j in range(k)), letter): count
-            for key, letter, count in zip(keys.tolist(), letters.tolist(), counts.tolist())}
+def membership_counts(sys: MBonacciSystem, k: int,
+                      N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level-k addresses that some n < N visits, as three arrays
+    sorted by address: the key sum(d_j << j, j < k) of the low k greedy
+    digits of n, the letter, and the count of n.
+
+    The letter is one more than the run of ones from digit k, which is
+    shorter than m in an admissible code; so key * m + letter - 1 names an
+    address, and one `np.unique` over it counts them all.  Up to level
+    len(sys.basis) - m the system holds every basis term and root power
+    that `_letter_totals` and the subtile measures read; a deeper level is
+    refused before any digit is read.
+    """
+    limit = len(sys.basis) - sys.m
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k > limit:
+        raise ValueError(f"k={k} past {limit}, the deepest level the basis covers")
+    code = digit_codes(sys, N)
+    top = code >> k
+    code &= (1 << k) - 1
+    code *= sys.m
+    # bit 0 of top is set while the run of ones from digit k goes on
+    for _ in range(sys.m - 1):
+        code += top & 1
+        top &= top >> 1
+    del top  # before np.unique sorts a copy of the codes
+    combined, counts = np.unique(code, return_counts=True)
+    return combined // sys.m, combined % sys.m + 1, counts
 
 
 def local_discrepancy(sys: MBonacciSystem, k: int, N: int) -> float:
@@ -240,7 +229,7 @@ def local_discrepancy(sys: MBonacciSystem, k: int, N: int) -> float:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    _, letters, counts = _visited_addresses(sys, k, N)
+    _, letters, counts = membership_counts(sys, k, N)
     delta = float(np.abs(counts / N - sys.neg_power_parts[k + letters - 1, 0]).max())
     visited = np.bincount(letters, minlength=sys.m + 1)[1:]
     for i, (seen, total) in enumerate(zip(visited.tolist(), _letter_totals(sys, k)), start=1):

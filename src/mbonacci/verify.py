@@ -270,12 +270,14 @@ def _local_discrepancies(full: bool) -> str:
     sys2 = numeration.make_system(2)
     for sys in (sys2, numeration.make_system(3)):
         for k in range(kmax + 1):
-            counts = rotation.membership_counts(sys, k, count)
-            assert sum(counts.values()) == count, f"level-{k} memberships do not partition"
+            keys, letters, counts = rotation.membership_counts(sys, k, count)
+            assert counts.sum() == count, f"level-{k} memberships do not partition"
             if k in (0, kmax // 2, kmax):
                 addrs = (rotation.subtile_of(sys, n, k) for n in range(count))
-                scalar = Counter((a.digits, a.letter) for a in addrs)
-                assert dict(scalar) == {key: c for key, c in counts.items() if c}, \
+                scalar = Counter((sum(d << j for j, d in enumerate(a.digits)), a.letter)
+                                 for a in addrs)
+                bulk = zip(zip(keys.tolist(), letters.tolist()), counts.tolist())
+                assert sorted(scalar.items()) == list(bulk), \
                     f"level-{k} counts of subtile_of and membership_counts differ (m={sys.m})"
     n_f22 = sys2.basis[22]
     assert n_f22 == 46368, f"F_22 = {n_f22}"

@@ -67,7 +67,7 @@ def test_criterion_01_fails_on_a_wrong_code_bit(monkeypatch, plant, full):
 
 
 # Criterion 13 compares the scalar address `rotation.subtile_of` with the
-# bulk counts of `rotation._address_keys`; a wrong letter on either route
+# bulk counts of `rotation.membership_counts`; a wrong letter on either route
 # must fail it, at both scales.
 
 def _wrong_scalar_letter(monkeypatch):
@@ -81,14 +81,14 @@ def _wrong_scalar_letter(monkeypatch):
 
 
 def _wrong_bulk_letter(monkeypatch):
-    address_keys = rotation._address_keys
+    membership_counts = rotation.membership_counts
 
     def mutant(sys, k, N):
-        keys, letters = address_keys(sys, k, N)
+        keys, letters, counts = membership_counts(sys, k, N)
         letters[1] = letters[1] % sys.m + 1
-        return keys, letters
+        return keys, letters, counts
 
-    monkeypatch.setattr(rotation, "_address_keys", mutant)
+    monkeypatch.setattr(rotation, "membership_counts", mutant)
 
 
 @pytest.mark.parametrize("full", [False, True])

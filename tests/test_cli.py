@@ -315,7 +315,17 @@ def test_module_error_exit_1():
     assert out.returncode == 1
     out = run_cli("expand", "--m", "2", "--n", str(10 ** 200))
     assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
-    assert "basis overflow: max_n beyond the configured term cap" in out.stderr
+    assert f"basis overflow: n = {10 ** 200} needs more basis terms than the cap of 512" \
+        in out.stderr
+    # an m whose basis outgrows the cap is named, on every command that builds one
+    for argv in (("seq", "vdc", "--m", "483", "--count", "2"),
+                 ("local-disc", "--m", "483", "--k", "0", "--count", "2"),
+                 ("fractal", "--m", "483", "--depth", "2"),
+                 ("expand", "--m", "483", "--n", "5")):
+        out = run_cli(*argv)
+        assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr, argv
+        assert "basis overflow: m = 483 needs more basis terms than the cap of 512" \
+            in out.stderr, argv
     out = run_cli("exponent", "--ms", "2,3", "--dims", "nan,1")
     assert out.returncode == 1 and out.stdout == ""
     assert "boundary dimension nan" in out.stderr
@@ -327,11 +337,11 @@ def test_module_error_exit_1():
         out = run_cli("disc", "fit", "--ms", "2,3", *argv)
         assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr, argv
         assert "--max-exp must be >= --min-exp + 3" in out.stderr, argv
-    # exponents whose count has no int64 form are refused by exponent, not printed
-    for hi in ("5000", "100000"):
+    # every exponent past the count limit's is refused by name, before its count is formed
+    for hi in ("27", "36", "63", "5000", "100000"):
         out = run_cli("disc", "fit", "--ms", "2,3", "--max-exp", hi)
         assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr, hi
-        assert f"--max-exp must be <= 62, got {hi}" in out.stderr, hi
+        assert f"--max-exp must be <= 26, the count limit 2^26, got {hi}" in out.stderr, hi
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
     # a Halton set of one axis is the van der Corput set, with the same report
@@ -353,7 +363,6 @@ def test_module_error_exit_1():
         (("seq", "halton", "--ms", "2,3", "--count", huge), huge),
         (("disc", "1d", "--m", "2", "--count", huge), huge),
         (("local-disc", "--m", "2", "--k", "3", "--count", huge), huge),
-        (("disc", "fit", "--ms", "2,3", "--max-exp", "36"), str(2 ** 36)),
     ]:
         out = run_cli(*argv)
         assert out.returncode == 1 and out.stdout == "", argv

@@ -53,7 +53,8 @@ def test_make_system_basis_ends_m_plus_2_terms_past_max_n(m):
     first_above = next(i for i, f in enumerate(basis) if f > 10 ** 100)
     assert basis == tuple(numeration.basis_prefix(m, first_above + m + 3))
     # terms past the 512-term cap are refused, not built
-    with pytest.raises(ValueError, match="basis overflow"):
+    with pytest.raises(ValueError, match=f"basis overflow: n = {10 ** 200} needs more basis "
+                                         "terms than the cap of 512"):
         make_system(m, 10 ** 200)
 
 

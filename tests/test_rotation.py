@@ -1,4 +1,5 @@
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 import helpers
 from helpers import ulp_error, vdc_mpmath
 from mbonacci import rotation
-from mbonacci.numeration import encode, make_system
-from mbonacci.rauzy import build_cloud
+from mbonacci.numeration import digit_codes, encode, make_system
+from mbonacci.rauzy import build_cloud, fixed_point_prefix
 from mbonacci.rotation import (
     halton_points,
     interval_for,
@@ -246,28 +247,72 @@ def test_level_addresses_counts_and_measures(m):
         assert abs(measure - 1.0) < 1e-12
 
 
+def _address_rows(keys, letters, counts):
+    return list(zip(zip(keys.tolist(), letters.tolist()), counts.tolist()))
+
+
 def test_membership_counts_match_scalar(sys2):
-    counts = membership_counts(sys2, 3, 400)
-    assert sum(counts.values()) == 400
-    scalar = dict.fromkeys(counts, 0)
+    keys, letters, counts = membership_counts(sys2, 3, 400)
+    assert counts.sum() == 400
+    scalar = Counter()
     for n in range(400):
         a = subtile_of(sys2, n, 3)
-        scalar[a.digits, a.letter] += 1
-    assert counts == scalar
+        scalar[sum(d << j for j, d in enumerate(a.digits)), a.letter] += 1
+    assert _address_rows(keys, letters, counts) == sorted(scalar.items())
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_address_keys_match_encode(m):
+    # the key holds the low k digits and the letter is the first position
+    # from k whose digit is zero, counted from 1
     N = 30000
     sys = make_system(m, N)
     expansions = [encode(sys, n) for n in range(N)]
     for k in (0, 3, 8):
-        keys, letters = rotation._address_keys(sys, k, N)
-        want_keys = [sum(d << j for j, d in enumerate(e.digits[:k])) for e in expansions]
-        want_letters = [next(i for i in range(1, m + 1) if not e.digit(k + i - 1))
-                        for e in expansions]
-        assert keys.tolist() == want_keys
-        assert letters.tolist() == want_letters
+        want = Counter((sum(d << j for j, d in enumerate(e.digits[:k])),
+                        next(i for i in range(1, m + 1) if not e.digit(k + i - 1)))
+                       for e in expansions)
+        assert _address_rows(*membership_counts(sys, k, N)) == sorted(want.items())
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_word_letter_is_one_plus_the_run_of_ones(m):
+    # letter n of the fixed point is read off the greedy expansion of n
+    # (Dumont and Thomas, 1989), so level 0 counts the word's letters
+    N = 10 ** 5
+    sys = make_system(m)
+    code = digit_codes(sys, N)
+    word = fixed_point_prefix(m, N)
+    alive = np.ones(N, dtype=bool)
+    run = np.zeros(N, dtype=np.int64)
+    for j in range(m):
+        alive &= ((code >> j) & 1) == 1
+        run += alive
+    assert np.array_equal(word, run + 1)
+    keys, letters, counts = membership_counts(sys, 0, N)
+    assert not keys.any()
+    frequencies = np.bincount(word)
+    assert letters.tolist() == np.flatnonzero(frequencies).tolist()
+    assert counts.tolist() == frequencies[letters].tolist()
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_vdc_order_is_the_reversed_digit_order(m):
+    # greedy expansions compare like their digit strings read from the top
+    # (Parry, 1960), so sorting the codes with their bits reversed sorts
+    # the van der Corput values, and no two values coincide
+    N = 1 << 20
+    sys = make_system(m)
+    code = digit_codes(sys, N)
+    width = 48
+    assert int(code.max()) < 1 << width
+    reversed_code = np.zeros(N, dtype=np.int64)
+    for j in range(width):
+        reversed_code |= ((code >> j) & 1) << (width - 1 - j)
+    values = vdc_values(sys, N)
+    order = np.argsort(reversed_code)
+    assert np.array_equal(order, np.argsort(values))
+    assert (np.diff(values[order]) > 0).all()
 
 
 def test_local_discrepancy_k0_matches_direct_count(sys3):
