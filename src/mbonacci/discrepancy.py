@@ -45,7 +45,7 @@ from math import prod
 
 import numpy as np
 
-from mbonacci.rauzy import FractalCloud, check_grid
+from mbonacci.rauzy import FractalCloud, letter_grid
 
 DEFAULT_MAX_EXACT_OPS = 1 << 30
 
@@ -506,17 +506,17 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
     could fire there, and that count is `rauzy.tiling_check`'s
     `overlap_cells`.)
 
-    One pass marks the cell of every point at the finest level, per
-    letter, on the cells' bounding box plus one empty cell per side, and
-    each coarser level ORs the children of its cells (`_coarser`).  That
+    `rauzy.letter_grid` marks the cell of every point at the finest level,
+    per letter, on the cells' bounding box plus one empty cell per side,
+    and each coarser level ORs the children of its cells (`_coarser`).  That
     is exact for two reasons.  ``floor(x * 2^L) >> k == floor(x *
     2^(L - k))``, since scaling by a power of two is exact and ``>>``
     floors, so a point's coarse cell is the parent of its fine cell.  And
     the count needs an empty cell on every side of the occupied ones but
     no given width of margin: roll wraps only margin cells, which are
-    holes, so padding the grid to an even origin changes nothing.
-    `rauzy.check_grid` refuses any level's box that is too large before a
-    grid is allocated.
+    holes, so padding the grid to an even origin changes nothing.  Only
+    the finest grid, the largest, is allocated, and `letter_grid` refuses
+    it before allocation when it is too large.
     """
     if mode not in ("subtile", "outer", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -532,32 +532,9 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
             f"cloud of {cloud.size} points too sparse for level {finest} "
             f"(needs at least one point per cell on average)"
         )
-    side = 1 << finest
-    # floor is monotone and scaling by 2^finest exact, so the extreme cells
-    # are the cells of the extreme coordinates
-    pts = cloud.unreduced
-    lo = [int(np.floor(pts[:, j].min() * side)) for j in range(cloud.m - 1)]
-    hi = [int(np.floor(pts[:, j].max() * side)) for j in range(cloud.m - 1)]
-    for level in levels:
-        shift = finest - level
-        check_grid([(h >> shift) - (l >> shift) + 3 for l, h in zip(lo, hi)])
-    dims = [h - l + 3 for l, h in zip(lo, hi)]
-    # flat key of (letter - 1, cell - (lo - 1)) on the grid of shape (m, *dims),
-    # one axis at a time through one float buffer; every value is an integer
-    # below 2^53, so the float sums are exact
-    key = cloud.labels.astype(np.int64) - 1
-    cell = np.empty(cloud.size)
-    for j, (l, size) in enumerate(zip(lo, dims)):
-        np.multiply(pts[:, j], side, out=cell)
-        np.floor(cell, out=cell)
-        cell -= l - 1
-        key *= size
-        np.add(key, cell, out=key, casting="unsafe")
-    del cell
-    occ = np.zeros(cloud.m * prod(dims), dtype=bool)
-    occ[key] = True
-    del key
-    occ = occ.reshape([cloud.m] + dims)
+    occ, first = letter_grid(cloud.unreduced, cloud.labels, cloud.m, 1 << finest)
+    lo = [f + 1 for f in first]
+    hi = [f + n - 2 for f, n in zip(first, occ.shape[1:])]
     found = {}
     for level in range(finest, min(levels) - 1, -1):
         if level < finest:

@@ -36,7 +36,7 @@ def basis_prefix(m: int, count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > _MAX_BASIS_TERMS:
-        raise ValueError(f"basis of {count} terms exceeds the configured cap")
+        raise ValueError(f"basis of {count} terms exceeds the cap of {_MAX_BASIS_TERMS}")
     return list(islice(_basis_terms(m), count))
 
 

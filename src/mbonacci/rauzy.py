@@ -103,9 +103,8 @@ class FractalCloud:
         """The points reduced to the torus, float64 of shape (depth+1, m-1)."""
         return reduce_array(self.unreduced)
 
-    def letter_points(self, letter: int, reduced: bool = False) -> np.ndarray:
-        pts = self.reduced if reduced else self.unreduced
-        return pts[self.labels == letter]
+    def letter_points(self, letter: int) -> np.ndarray:
+        return self.unreduced[self.labels == letter]
 
 
 def build_cloud(m: int, depth: int) -> FractalCloud:
@@ -148,39 +147,48 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
 MAX_GRID_CELLS = 1 << 26
 
 
-def check_grid(dims) -> None:
-    """Refuse a dense grid of `dims` cells, before it is allocated, when it
-    holds more than MAX_GRID_CELLS cells."""
+def letter_grid(points: np.ndarray, labels: np.ndarray, groups: int, scale: float,
+                dims: tuple[int, ...] | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Which groups of points land in each cell of a dense grid.
+
+    Row i of the (count, d) array `points` lies in cell floor(points[i] *
+    scale) and belongs to group labels[i] - 1 of `groups`.  Given `dims`,
+    the grid has that shape with its first cell at index 0, and every cell
+    must lie in it, as the torus cells of points in [0, 1) do at an integer
+    scale.  Without `dims` it is the bounding box of the cells plus one
+    empty cell on every side, so every occupied cell has all its
+    face-neighbours in the grid.  A grid of more than MAX_GRID_CELLS cells
+    is refused before anything of its size is allocated.
+
+    Returns the bool occupancy of shape (groups, *dims) and the index of
+    the grid's first cell on each axis.
+    """
+    d = points.shape[1]
+    if dims is None:
+        # x -> floor(x * scale) is monotone in float64, so the extreme cells
+        # are the cells of the extreme coordinates
+        first = tuple(int(np.floor(points[:, j].min() * scale)) - 1 for j in range(d))
+        dims = tuple(int(np.floor(points[:, j].max() * scale)) - f + 2
+                     for j, f in enumerate(first))
+    else:
+        first = (0,) * d
     if prod(dims) > MAX_GRID_CELLS:
         raise ValueError(f"occupancy grid of {prod(dims):.3g} cells too large for a dense count")
-
-
-def letter_count_grid(letter_cells: list[np.ndarray], dims: tuple[int, ...] | None = None) -> np.ndarray:
-    """Number of letters with a point in each cell of a dense grid.
-
-    `letter_cells` holds one (d, count) int64 array of cell indices per
-    letter (or per point set).  Given `dims`, the grid has that shape with
-    its first corner at cell index 0.  Without `dims` it is the bounding
-    box of the cells plus one empty cell on every side, so every occupied
-    cell has all its face-neighbours in the grid.  `check_grid` refuses
-    grids of more than MAX_GRID_CELLS cells.  Each letter marks a boolean
-    occupancy grid, and the grids add up to a uint8 count.
-    """
-    origin = 0
-    if dims is None:
-        occupied = [c for c in letter_cells if c.shape[1]]
-        lo = np.min([c.min(axis=1) for c in occupied], axis=0) - 1
-        hi = np.max([c.max(axis=1) for c in occupied], axis=0) + 1
-        dims = tuple(int(x) for x in hi - lo + 1)
-        origin = lo[:, None]
-    check_grid(dims)
-    letters = np.zeros(prod(dims), dtype=np.uint8)
-    occ = np.empty(prod(dims), dtype=bool)
-    for c in letter_cells:
-        occ[:] = False
-        occ[np.ravel_multi_index(c - origin, dims)] = True
-        letters += occ
-    return letters.reshape(dims)
+    # flat key of (label - 1, cell - first) on the grid of shape (groups, *dims),
+    # one axis at a time through one float buffer; every value is an integer
+    # below 2^53, so the float sums are exact
+    key = labels.astype(np.int64) - 1
+    cell = np.empty(len(key))
+    for j, (f, size) in enumerate(zip(first, dims)):
+        np.multiply(points[:, j], scale, out=cell)
+        np.floor(cell, out=cell)
+        cell -= f
+        key *= size
+        np.add(key, cell, out=key, casting="unsafe")
+    del cell
+    occ = np.zeros(groups * prod(dims), dtype=bool)
+    occ[key] = True
+    return occ.reshape((groups, *dims)), first
 
 
 # points per grid cell that the tiling and set-equation checks require
@@ -231,9 +239,10 @@ def set_equation_check(cloud: FractalCloud, k: int, resolution: float) -> SetEqu
     ratios: dict[int, float] = {}
     for letter in range(1, m + 1):
         sides = (cloud.letter_points(letter), approx(letter, k))
-        grid = letter_count_grid([np.floor(p.T / resolution).astype(np.int64) for p in sides])
-        sym = int(np.count_nonzero(grid == 1))
-        union = int(np.count_nonzero(grid))
+        labels = np.repeat(np.array([1, 2], dtype=np.uint8), [len(p) for p in sides])
+        (lhs, rhs), _ = letter_grid(np.concatenate(sides), labels, 2, 1 / resolution)
+        sym = int(np.count_nonzero(lhs ^ rhs))
+        union = int(np.count_nonzero(lhs | rhs))
         ratios[letter] = sym / union if union else 0.0
     return SetEquationReport(m=m, k=k, resolution=resolution, ratios=ratios,
                              max_ratio=max(ratios.values()))
@@ -260,12 +269,8 @@ def tiling_check(cloud: FractalCloud, resolution: float) -> TilingReport:
     m = cloud.m
     _require_density(cloud.size, m, resolution)
     side = round(1.0 / resolution)
-    cells = [
-        np.minimum((cloud.letter_points(letter, reduced=True).T * side).astype(np.int64),
-                   side - 1)
-        for letter in range(1, m + 1)
-    ]
-    letters = letter_count_grid(cells, (side,) * (m - 1))
+    occ, _ = letter_grid(cloud.reduced, cloud.labels, m, side, (side,) * (m - 1))
+    letters = occ.sum(axis=0, dtype=np.uint8)
     total = letters.size
     covered = int(np.count_nonzero(letters))
     overlap = int(np.count_nonzero(letters >= 2))
@@ -288,9 +293,6 @@ _PALETTE = (
     (31, 119, 180),
     (255, 127, 14),
     (44, 160, 44),
-    (214, 39, 40),
-    (148, 103, 189),
-    (140, 86, 75),
 )
 
 
@@ -318,17 +320,21 @@ def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytes:
     if width * height > MAX_GRID_CELLS:
         raise ValueError(f"size {size} gives a {width} x {height} image, "
                          f"above the limit of {MAX_GRID_CELLS} pixels")
+    occ, _ = letter_grid(cloud.reduced, cloud.labels, cloud.m, size, (size,) * (cloud.m - 1))
     img = np.full((height, width, 3), 255, dtype=np.uint8)
-    ix = np.minimum((cloud.reduced[:, 0] * width).astype(np.int64), width - 1)
-    if cloud.m == 3:
-        iy = height - 1 - np.minimum((cloud.reduced[:, 1] * height).astype(np.int64), height - 1)
-    for letter in range(1, cloud.m + 1):
-        sel = cloud.labels == letter
-        colour = _PALETTE[(letter - 1) % len(_PALETTE)]
-        if cloud.m == 3:
-            img[iy[sel], ix[sel]] = colour
-        else:
-            img[:, ix[sel]] = colour
+    # one 3-byte element per pixel, so a letter paints its cells in one step
+    pixels = img.view("V3")[..., 0]
+    colours = np.array(_PALETTE, dtype=np.uint8).view("V3")[:, 0]
+    # the grid is indexed by x (and y); image row 0 holds the largest y, and
+    # the strip repeats its first row
+    cells = pixels.T[:, ::-1] if cloud.m == 3 else pixels[0]
+    # later letters paint over earlier ones
+    for letter in range(cloud.m):
+        cells[occ[letter]] = colours[letter]
+    # the grid is freed before the image is copied out
+    del occ
+    if cloud.m == 2:
+        img[1:] = img[0]
     header = f"P6\n{width} {height}\n255\n".encode()
     return header + img.tobytes()
 

@@ -228,6 +228,11 @@ def test_fractal_csv_and_ppm(tmp_path):
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout).hexdigest() == (
         "aa71e8679644a298ea459c2d4853daf054c19b623125fe35987db96754d20546")
+    # and its render, frozen byte for byte
+    out = run_cli("fractal", "--m", "3", "--depth", "100000", "--ppm", str(ppm_path))
+    assert out.returncode == 0
+    assert hashlib.sha256(ppm_path.read_bytes()).hexdigest() == (
+        "7ba961ebd85503c5b4101afae4ec9687f934ad3594c4344bb1916aa9b6fea394")
 
 
 def test_bad_flags_exit_2(capsys):

@@ -512,10 +512,20 @@ def test_dense_boundary_grid_guard():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
-    # the guard is one shared check, `rauzy.check_grid`, so tiling and the
-    # set equation refuse such a grid too, before allocating it
-    with pytest.raises(ValueError, match="too large"):
-        rauzy.letter_count_grid([np.zeros((2, 1), dtype=np.int64)], (1 << 13, (1 << 13) + 1))
+    # the guard is one shared check in `rauzy.letter_grid`, so tiling, the set
+    # equation and the render refuse such a grid too, before allocating it:
+    # on given dims, and on the bounding box of two points
+    for points, dims in ((np.zeros((1, 2)), (1 << 13, (1 << 13) + 1)),
+                         (np.array([[0.0, 0.0], [8191.0, 8192.0]]), None)):
+        labels = np.ones(len(points), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large"):
+                rauzy.letter_grid(points, labels, 1, 1.0, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_box_dim_frozen_counts():

@@ -20,6 +20,12 @@ def test_basis_prefix_fibonacci_like():
     assert numeration.basis_prefix(3, 7) == [1, 2, 4, 7, 13, 24, 44]
 
 
+def test_basis_prefix_cap():
+    assert len(numeration.basis_prefix(2, 512)) == 512
+    with pytest.raises(ValueError, match="^basis of 513 terms exceeds the cap of 512$"):
+        numeration.basis_prefix(2, 513)
+
+
 def test_basis_starts_with_powers_of_two():
     for m in range(2, 7):
         terms = numeration.basis_prefix(m, m + 3)

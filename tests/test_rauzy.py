@@ -285,6 +285,9 @@ def test_ppm_render():
     cloud2 = build_cloud(2, 2000)
     strip = render_cloud_ppm(cloud2, size=64)
     assert strip.startswith(b"P6\n64 8\n255\n")
+    # the m = 2 strip of a benchmark-sized cloud, frozen byte for byte
+    assert hashlib.sha256(render_cloud_ppm(build_cloud(2, 100000), 333)).hexdigest() == (
+        "ae0acf9e9cc179b4cbd19578dd6b619b458c09952c28ea744144b417f59afc0d")
     fake = build_cloud(4, 1000)
     with pytest.raises(ValueError):
         render_cloud_ppm(fake)
