@@ -90,10 +90,9 @@ def _emit_json(args, payload: dict) -> None:
 def _cmd_expand(args) -> int:
     m, n = args.m, args.n
     sys_m = numeration.make_system(m, n)
-    e = numeration.encode(sys_m, n)
-    msb = "".join(str(d) for d in reversed(e.digits)) or "0"
-    terms = [str(sys_m.basis[j]) for j in range(len(e.digits) - 1, -1, -1) if e.digits[j]]
-    lines = [f"m = {m}", f"n = {n}", f"digits (most significant first): {msb}"]
+    code = numeration.encode(sys_m, n)
+    terms = [str(sys_m.basis[j]) for j in range(code.bit_length() - 1, -1, -1) if code >> j & 1]
+    lines = [f"m = {m}", f"n = {n}", f"digits (most significant first): {code:b}"]
     lines.append(f"{n} = {' + '.join(terms)}" if terms else f"{n} = 0")
     _emit(args, "\n".join(lines) + "\n")
     return 0

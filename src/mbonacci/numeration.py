@@ -3,7 +3,8 @@
 The basis starts with powers of two (F_0 .. F_{m-1} = 1, 2, ..., 2^{m-1})
 and continues with sums of the previous m terms.  Every natural number has
 a unique greedy expansion over this basis whose binary digit string never
-contains m consecutive ones.
+contains m consecutive ones.  Both the scalar and the bulk paths hold it as
+one integer code, bit j holding digit j.
 """
 
 from __future__ import annotations
@@ -65,23 +66,6 @@ class MBonacciSystem:
         return float(self.neg_power_parts[j - 1, 0])
 
 
-@dataclass(frozen=True)
-class Expansion:
-    """Greedy digit string, little-endian with trailing zeros trimmed."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d not in (0, 1) for d in self.digits):
-            raise ValueError("digits must be 0 or 1")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("trailing zeros must be trimmed")
-
-    def digit(self, j: int) -> int:
-        """Digit at position j, zero beyond the stored length."""
-        return self.digits[j] if 0 <= j < len(self.digits) else 0
-
-
 def make_system(m: int, max_n: int = MAX_PRECISE_INDEX) -> MBonacciSystem:
     """Numeration context for m: the basis runs m + 2 terms past the first
     term above max(max_n, MAX_PRECISE_INDEX), past every index `require_count`
@@ -119,44 +103,42 @@ def make_system(m: int, max_n: int = MAX_PRECISE_INDEX) -> MBonacciSystem:
     )
 
 
-def encode(sys: MBonacciSystem, n: int) -> Expansion:
-    """Greedy expansion of n: repeatedly subtract the largest basis term."""
+def encode(sys: MBonacciSystem, n: int) -> int:
+    """Greedy digit code of n, bit j holding digit j, as in `digit_codes`:
+    repeatedly subtract the largest basis term."""
     if n < 0:
         raise ValueError("n must be a natural number")
     if n >= sys.basis[-1]:
         raise ValueError(f"n={n} exceeds basis coverage (largest term {sys.basis[-1]})")
-    width = bisect_right(sys.basis, n)
-    digits = [0] * width
+    code = 0
     rem = n
-    for j in range(width - 1, -1, -1):
+    for j in range(bisect_right(sys.basis, n) - 1, -1, -1):
         if sys.basis[j] <= rem:
-            digits[j] = 1
+            code |= 1 << j
             rem -= sys.basis[j]
     assert rem == 0
-    while digits and digits[-1] == 0:
-        digits.pop()
-    return Expansion(tuple(digits))
+    return code
 
 
-def decode(sys: MBonacciSystem, e: Expansion) -> int:
-    """Value of an admissible digit string: dot product with the basis."""
-    if len(e.digits) > len(sys.basis):
-        raise ValueError("digit string longer than the cached basis")
-    if not is_admissible(sys.m, e.digits):
-        raise ValueError(f"inadmissible digit string for m={sys.m}: {e.digits}")
-    return sum(f for d, f in zip(e.digits, sys.basis) if d)
+def decode(sys: MBonacciSystem, code: int) -> int:
+    """Value of an admissible digit code: the sum of the basis terms at its
+    set bits."""
+    if code < 0:
+        raise ValueError(f"negative digit code {code}")
+    if code.bit_length() > len(sys.basis):
+        raise ValueError(f"digit code {code:b} wider than the {len(sys.basis)}-term basis")
+    if not is_admissible(sys.m, code):
+        raise ValueError(f"inadmissible digit code for m={sys.m}: {code:b}")
+    return sum(f for j, f in enumerate(sys.basis) if code >> j & 1)
 
 
-def is_admissible(m: int, digits) -> bool:
-    """True iff the binary string has no run of m consecutive ones."""
-    run = 0
-    for d in digits:
-        if d not in (0, 1):
-            raise ValueError(f"non-binary digit {d!r}")
-        run = run + 1 if d else 0
-        if run >= m:
-            return False
-    return True
+def is_admissible(m: int, code):
+    """True iff the code has no run of m consecutive one bits; on an int64
+    array of codes, the same test per element."""
+    run = code
+    for i in range(1, m):
+        run = run & (code >> i)
+    return run == 0
 
 
 # ---------------------------------------------------------------------------

@@ -302,12 +302,13 @@ def export_cloud_csv(cloud: FractalCloud, stream, digits: int = 15) -> None:
     write_csv(stream, header, [range(cloud.size), cloud.labels], list(cloud.reduced.T), digits)
 
 
-def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytes:
+def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytearray:
     """Binary PPM render of the reduced cloud, one colour per letter.
 
     Two-dimensional torus coordinates render as a size x size image; the
     one-dimensional case renders as a strip.  Higher dimensions are not
-    renderable in this format.
+    renderable in this format.  The pixels are painted in place after the
+    header, in the one buffer that is returned.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -321,7 +322,11 @@ def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytes:
         raise ValueError(f"size {size} gives a {width} x {height} image, "
                          f"above the limit of {MAX_GRID_CELLS} pixels")
     occ, _ = letter_grid(cloud.reduced, cloud.labels, cloud.m, size, (size,) * (cloud.m - 1))
-    img = np.full((height, width, 3), 255, dtype=np.uint8)
+    header = f"P6\n{width} {height}\n255\n".encode()
+    data = bytearray(len(header) + height * width * 3)
+    data[:len(header)] = header
+    img = np.frombuffer(data, dtype=np.uint8, offset=len(header)).reshape(height, width, 3)
+    img.fill(255)
     # one 3-byte element per pixel, so a letter paints its cells in one step
     pixels = img.view("V3")[..., 0]
     colours = np.array(_PALETTE, dtype=np.uint8).view("V3")[:, 0]
@@ -331,12 +336,11 @@ def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytes:
     # later letters paint over earlier ones
     for letter in range(cloud.m):
         cells[occ[letter]] = colours[letter]
-    # the grid is freed before the image is copied out
+    # the grid is freed before the strip's rows are copied
     del occ
     if cloud.m == 2:
         img[1:] = img[0]
-    header = f"P6\n{width} {height}\n255\n".encode()
-    return header + img.tobytes()
+    return data
 
 
 def export_cloud_ppm(cloud: FractalCloud, path: str, size: int = 512) -> None:

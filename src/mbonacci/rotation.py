@@ -31,19 +31,6 @@ def _dd_add(a_hi, a_lo, b_hi, b_lo):
     return hi, t - (hi - s)
 
 
-def vdc(sys: MBonacciSystem, n: int) -> float:
-    """Digit-mirrored value sum(eps_j * phi^-(j+1)) in [0, 1).
-
-    The powers of the greedy digits are added from the lowest position
-    up, as `vdc_values` adds them, so the two agree bit for bit.
-    """
-    hi = lo = 0.0
-    for (p_hi, p_lo), d in zip(sys.neg_power_parts.tolist(), encode(sys, n).digits):
-        if d:
-            hi, lo = _dd_add(p_hi, p_lo, hi, lo)
-    return hi
-
-
 # elements per double-double pass of the prefix fill; keeps the
 # temporaries small
 _FILL_BLOCK = 1 << 15
@@ -92,12 +79,13 @@ def halton_points(systems, count: int) -> np.ndarray:
 class SubtileAddress:
     """Level-k subtile address: the first k digits plus a terminal letter.
 
-    `trailing_ones` is the length r of the all-ones digit run just below
-    position k; letters 1..m-r are the admissible terminal letters at this
-    digit prefix.
+    `key` holds the first k digits, bit j holding digit j, as
+    `membership_counts` names addresses.  `trailing_ones` is the length r
+    of the all-ones digit run just below position k; letters 1..m-r are
+    the admissible terminal letters at this digit prefix.
     """
 
-    digits: tuple[int, ...]
+    key: int
     letter: int
     trailing_ones: int
 
@@ -105,23 +93,23 @@ class SubtileAddress:
 def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
     """Address of the level-k subtile containing the orbit point of n.
 
-    The digit prefix is the first k digits of the greedy expansion, r the
-    run of ones at positions k-1, k-2, ..., and the terminal letter one
-    plus the run of ones from position k.  Every n has exactly one
-    address per level, so these memberships partition the index range.
+    The key is the low k bits of the greedy code, r the run of ones at
+    positions k-1, k-2, ..., and the terminal letter one plus the run of
+    ones from position k.  Every n has exactly one address per level, so
+    these memberships partition the index range.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    e = encode(sys, n)
-    digits = (e.digits + (0,) * k)[:k]
+    code = encode(sys, n)
+    key = code & ((1 << k) - 1)
     r = 0
-    while r < k and digits[k - 1 - r]:
+    while r < k and key >> (k - 1 - r) & 1:
         r += 1
     letter = 1
-    while e.digit(k + letter - 1):
+    while code >> (k + letter - 1) & 1:
         letter += 1
     assert letter <= sys.m - r
-    return SubtileAddress(digits=digits, letter=letter, trailing_ones=r)
+    return SubtileAddress(key=key, letter=letter, trailing_ones=r)
 
 
 @dataclass(frozen=True)
@@ -156,7 +144,7 @@ def interval_for(sys: MBonacciSystem, n: int, k: int) -> CkInterval:
         pos.append(pos[-1] * phi)
     mu = 0.0
     for j in range(k):
-        if addr.digits[k - 1 - j]:
+        if addr.key >> (k - 1 - j) & 1:
             mu += pos[j]
     r = addr.trailing_ones
     width = pos[r] - sum(pos[i] for i in range(r))

@@ -12,23 +12,20 @@ from mbonacci.verify import naive_star_disc  # noqa: F401  (shared brute-force o
 
 
 def brute_force_expansions(basis, m, total, max_len):
-    """All admissible digit strings (little-endian tuples, trailing zeros
-    trimmed) whose dot product with the basis equals `total`."""
+    """All admissible digit codes of at most `max_len` digits, bit j
+    holding digit j, whose set bits pick basis terms summing to `total`."""
     found = []
 
-    def rec(pos, remaining, digits, run):
+    def rec(pos, remaining, code, run):
         if pos == max_len:
             if remaining == 0:
-                trimmed = list(digits)
-                while trimmed and trimmed[-1] == 0:
-                    trimmed.pop()
-                found.append(tuple(trimmed))
+                found.append(code)
             return
-        rec(pos + 1, remaining, digits + [0], 0)
+        rec(pos + 1, remaining, code, 0)
         if run < m - 1 and basis[pos] <= remaining:
-            rec(pos + 1, remaining - basis[pos], digits + [1], run + 1)
+            rec(pos + 1, remaining - basis[pos], code | 1 << pos, run + 1)
 
-    rec(0, total, [], 0)
+    rec(0, total, 0, 0)
     return found
 
 
@@ -47,19 +44,19 @@ def count_admissible_bruteforce(m: int, k: int) -> int:
     return int(np.count_nonzero(worst < m))
 
 
-def level_addresses(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
-    """Every level-k address as a (digits, letter) pair: each admissible
-    k-digit string, with the terminal letters 1..m-r after its trailing
-    run r of ones."""
-    strings = [((), 0)]
-    for _ in range(k):
+def level_addresses(m: int, k: int) -> list[tuple[int, int]]:
+    """Every level-k address as a (key, letter) pair: each admissible
+    k-digit string as a key, bit j holding digit j, with the terminal
+    letters 1..m-r after its trailing run r of ones."""
+    strings = [(0, 0)]
+    for j in range(k):
         nxt = []
-        for s, run in strings:
-            nxt.append((s + (0,), 0))
+        for key, run in strings:
+            nxt.append((key, 0))
             if run < m - 1:
-                nxt.append((s + (1,), run + 1))
+                nxt.append((key | 1 << j, run + 1))
         strings = nxt
-    return [(s, letter) for s, run in strings for letter in range(1, m - run + 1)]
+    return [(key, letter) for key, run in strings for letter in range(1, m - run + 1)]
 
 
 def local_discrepancy(sys, k: int, N: int) -> float:
@@ -68,7 +65,7 @@ def local_discrepancy(sys, k: int, N: int) -> float:
     counts = dict.fromkeys(level_addresses(sys.m, k), 0)
     for n in range(N):
         a = subtile_of(sys, n, k)
-        counts[a.digits, a.letter] += 1
+        counts[a.key, a.letter] += 1
     return max(abs(c / N - sys.neg_power(k + letter)) for (_, letter), c in counts.items())
 
 

@@ -32,6 +32,18 @@ def test_expand_zero():
     assert "0 = 0" in out.stdout
 
 
+@pytest.mark.parametrize("m, n, digest", [
+    (3, 12, "29d44aab228a96be2ca19e0c72d08d6ee9fd0c320ed6d82bab001d029ecbbea4"),
+    (2, 0, "d04218bcd13741fed441df7cdde4437f67c7bb097ee4ae0766520cb6a40f190c"),
+    # past 2^26, on the wider basis that expand builds for its n
+    (2, 10 ** 11, "a897fbae267d012bfb08772c3787a7a7f223fe9269b81277d2e0e2daeba5c9ad"),
+])
+def test_expand_output_frozen(m, n, digest):
+    out = run_cli("expand", "--m", str(m), "--n", str(n))
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
 def test_seq_halton_first_row_is_origin():
     out = run_cli("seq", "halton", "--ms", "2,3", "--count", "1")
     assert out.returncode == 0

@@ -4,7 +4,6 @@ import pytest
 from helpers import brute_force_expansions, count_admissible_bruteforce
 from mbonacci import numeration
 from mbonacci.numeration import (
-    Expansion,
     decode,
     digit_codes,
     digit_matrix,
@@ -74,16 +73,16 @@ def test_make_system_rejects_bad_input():
 
 
 def test_encode_examples(sys2, sys3):
-    assert encode(sys2, 4).digits == (1, 0, 1)
-    assert encode(sys3, 0).digits == ()
+    assert encode(sys2, 4) == 0b101
+    assert encode(sys3, 0) == 0
 
 
 def test_encode_n12_matches_brute_force(sys3):
-    got = encode(sys3, 12).digits
+    got = encode(sys3, 12)
     candidates = brute_force_expansions(sys3.basis, 3, 12, max_len=8)
     assert len(candidates) == 1
     assert got == candidates[0]
-    assert got == (1, 0, 1, 1)  # 12 = 7 + 4 + 1
+    assert got == 0b1101  # 12 = 7 + 4 + 1
 
 
 def test_encode_uniqueness_small(sys2, sys3):
@@ -91,7 +90,7 @@ def test_encode_uniqueness_small(sys2, sys3):
         for n in range(0, 150):
             candidates = brute_force_expansions(sys.basis, sys.m, n, max_len=12)
             assert len(candidates) == 1
-            assert candidates[0] == encode(sys, n).digits
+            assert candidates[0] == encode(sys, n)
 
 
 def test_encode_out_of_range(sys2):
@@ -102,40 +101,45 @@ def test_encode_out_of_range(sys2):
 
 
 def test_decode_examples(sys2, sys3):
-    assert decode(sys2, Expansion((1, 0, 1))) == 4
-    assert decode(sys3, Expansion(())) == 0
-    # (0,1,1) dots to 2+3=5 but contains a forbidden ones-run for m=2;
-    # the admissible form of 5 is (0,0,0,1)
-    assert decode(sys2, Expansion((0, 0, 0, 1))) == 5
-    assert decode(sys3, Expansion((0, 1, 1))) == 6
+    assert decode(sys2, 0b101) == 4
+    assert decode(sys3, 0) == 0
+    # 0b110 sums to 2+3=5 but holds a forbidden ones-run for m=2;
+    # the admissible form of 5 is 0b1000
+    assert decode(sys2, 0b1000) == 5
+    assert decode(sys3, 0b110) == 6
 
 
 def test_decode_rejects_inadmissible(sys2):
-    with pytest.raises(ValueError):
-        decode(sys2, Expansion((1, 1)))
-    with pytest.raises(ValueError):
-        decode(sys2, Expansion((0, 1, 1)))
+    # the code prints most significant bit first
+    with pytest.raises(ValueError, match="^inadmissible digit code for m=2: 11$"):
+        decode(sys2, 0b11)
+    with pytest.raises(ValueError, match="^inadmissible digit code for m=2: 110$"):
+        decode(sys2, 0b110)
 
 
-def test_expansion_validation():
-    with pytest.raises(ValueError):
-        Expansion((0, 2))
-    with pytest.raises(ValueError):
-        Expansion((1, 0))
+def test_decode_rejects_negative_and_wide_codes(sys2):
+    with pytest.raises(ValueError, match="^negative digit code -1$"):
+        decode(sys2, -1)
+    width = len(sys2.basis)
+    assert decode(sys2, 1 << (width - 1)) == sys2.basis[-1]
+    with pytest.raises(ValueError, match=f"^digit code 1{'0' * width} wider than the "
+                                         f"{width}-term basis$"):
+        decode(sys2, 1 << width)
 
 
 def test_is_admissible_examples():
-    assert is_admissible(2, [1, 1]) is False
-    assert is_admissible(3, [1, 1, 0, 1, 1]) is True
-    assert is_admissible(2, []) is True
-    with pytest.raises(ValueError):
-        is_admissible(2, [0, 3])
+    assert is_admissible(2, 0b11) is False
+    assert is_admissible(3, 0b11011) is True
+    assert is_admissible(3, 0b111) is False
+    assert is_admissible(2, 0) is True
+    codes = np.array([0b101, 0b110, 0b1001], dtype=np.int64)
+    assert is_admissible(2, codes).tolist() == [True, False, True]
 
 
 def test_trailing_ones_examples(sys2, sys3):
     # the run of ones just below position k is SubtileAddress.trailing_ones;
     # for m = 3, 20 = F_3 + F_4 = 7 + 13 has ones at positions 3 and 4
-    assert encode(sys3, 20).digits == (0, 0, 0, 1, 1)
+    assert encode(sys3, 20) == 0b11000
     assert [subtile_of(sys3, 20, k).trailing_ones for k in (5, 4, 3, 0)] == [2, 1, 0, 0]
     assert subtile_of(sys3, 0, 7).trailing_ones == 0
     assert subtile_of(sys2, 1, 1).trailing_ones == 1
@@ -145,7 +149,7 @@ def test_trailing_ones_examples(sys2, sys3):
 
 def test_ones_run_from(sys3):
     # the letter is one plus the run of ones from position k: 10 = 1 + 2 + 7
-    assert encode(sys3, 10).digits == (1, 1, 0, 1)
+    assert encode(sys3, 10) == 0b1011
     assert [subtile_of(sys3, 10, k).letter for k in (0, 2, 3, 9)] == [3, 1, 2, 1]
 
 
@@ -155,9 +159,9 @@ def test_roundtrip_sampled(m):
     rng = np.random.default_rng(m * 1000 + 1)
     ns = np.concatenate(([0, 1, 2], rng.integers(0, 10 ** 6, size=400)))
     for n in ns:
-        e = encode(sys, int(n))
-        assert is_admissible(m, e.digits)
-        assert decode(sys, e) == n
+        code = encode(sys, int(n))
+        assert is_admissible(m, code)
+        assert decode(sys, code) == n
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -166,24 +170,21 @@ def test_bulk_digits_match_scalar(m):
     sys = make_system(m, count)
     codes = digit_codes(sys, count)
     digits = digit_matrix(sys, count)
-    assert digits.dtype == np.uint8 and digits.shape == (count, len(encode(sys, count - 1).digits))
+    assert digits.dtype == np.uint8 and digits.shape == (count, encode(sys, count - 1).bit_length())
     rng = np.random.default_rng(7)
     for n in rng.integers(0, count, size=200):
-        e = encode(sys, int(n))
-        assert int(codes[n]) == sum(d << j for j, d in enumerate(e.digits))
-        row = digits[n]
-        assert tuple(int(d) for d in row[: len(e.digits)]) == e.digits
-        assert not row[len(e.digits):].any()
+        code = encode(sys, int(n))
+        assert int(codes[n]) == code
+        assert digits[n].tolist() == [code >> j & 1 for j in range(digits.shape[1])]
 
 
 def test_bulk_roundtrip_range(sys3):
     # each code read bit by bit is admissible and sums to its index, so by
     # uniqueness it is the greedy expansion
     for n, code in enumerate(digit_codes(sys3, 5000).tolist()):
-        digits = [(code >> j) & 1 for j in range(63)]
-        assert is_admissible(3, digits)
-        assert sum(f for d, f in zip(digits, sys3.basis) if d) == n
-        assert not any(digits[len(sys3.basis):])
+        assert is_admissible(3, code)
+        assert sum(f for j, f in enumerate(sys3.basis) if code >> j & 1) == n
+        assert code >> len(sys3.basis) == 0
 
 
 def test_digit_codes_validation():
@@ -227,12 +228,12 @@ def test_greedy_maximality(m):
     sys = make_system(m, 10 ** 4)
     rng = np.random.default_rng(m)
     for n in rng.integers(0, 10 ** 4, size=100):
-        e = encode(sys, int(n))
-        width = len(e.digits)
+        code = encode(sys, int(n))
+        width = code.bit_length()
         for j in range(width):
-            if e.digits[j] == 1:
+            if code >> j & 1:
                 continue
-            flipped = sum(sys.basis[i] for i in range(j + 1, width) if e.digits[i])
+            flipped = sum(sys.basis[i] for i in range(j + 1, width) if code >> i & 1)
             flipped += sys.basis[j]
             assert flipped > n
 

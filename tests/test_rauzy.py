@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,23 +128,23 @@ def test_dumont_thomas_walk_lengths(m):
     sys = numeration.make_system(m, 10 ** 4)
     rng = np.random.default_rng(23)
     for n in rng.integers(0, 10 ** 4, size=60):
-        e = encode(sys, int(n))
-        total = sum(lengths[j] for j, d in enumerate(e.digits) if d)
+        code = encode(sys, int(n))
+        total = sum(lengths[j] for j in range(code.bit_length()) if code >> j & 1)
         assert total == n
 
 
 def test_subtile_of_examples(sys2, sys3):
     addr = subtile_of(sys2, 0, 3)
-    assert addr.digits == (0, 0, 0)
+    assert addr.key == 0
     assert addr.trailing_ones == 0
     assert addr.letter == 1
 
     addr = subtile_of(sys3, 13, 5)  # 13 = F_4, digits 00001
-    assert addr.digits == (0, 0, 0, 0, 1)
+    assert addr.key == 0b10000
     assert addr.trailing_ones == 1
     assert 1 <= addr.letter <= 3 - addr.trailing_ones
 
-    nu = sum(sys3.basis[j] for j, d in enumerate(addr.digits) if d)
+    nu = sum(sys3.basis[j] for j in range(5) if addr.key >> j & 1)
     assert nu == 13
 
 
@@ -299,3 +300,17 @@ def test_ppm_render():
     for cloud, size in ((cloud3, 8193), (cloud2, 23174), (cloud3, 100000)):
         with pytest.raises(ValueError, match=f"size {size} gives a"):
             render_cloud_ppm(cloud, size=size)
+
+
+def test_ppm_render_memory():
+    # the letter grid (12 MB) and the one header-and-pixels buffer (12 MB),
+    # with no copy of the image
+    cloud = build_cloud(3, 10 ** 5)
+    cloud.reduced
+    tracemalloc.start()
+    try:
+        render_cloud_ppm(cloud, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2 ** 20

@@ -16,17 +16,17 @@ from mbonacci.rotation import (
     membership_counts,
     partition_Ck,
     subtile_of,
-    vdc,
     vdc_values,
 )
 from mbonacci.spectral import reduce_array
 
 
 def test_vdc_examples(sys2):
-    assert vdc(sys2, 0) == 0.0
-    assert abs(vdc(sys2, 1) - 0.61803399) < 1e-8
-    assert abs(vdc(sys2, 4) - 0.85410197) < 1e-8
-    assert abs(vdc(sys2, 4) - (sys2.neg_power(1) + sys2.neg_power(3))) < 1e-15
+    values = vdc_values(sys2, 5)
+    assert values[0] == 0.0
+    assert abs(values[1] - 0.61803399) < 1e-8
+    assert abs(values[4] - 0.85410197) < 1e-8
+    assert abs(values[4] - (sys2.neg_power(1) + sys2.neg_power(3))) < 1e-15
 
 
 def test_vdc_values_in_unit_interval(sys2, sys3):
@@ -36,47 +36,23 @@ def test_vdc_values_in_unit_interval(sys2, sys3):
         assert len(np.unique(vals)) == 20000
 
 
-def test_vdc_bulk_matches_scalar(sys3):
-    rng = np.random.default_rng(2)
-    ns = rng.integers(0, 10 ** 6, size=100)
-    bulk = vdc_values(sys3, 10 ** 6)[ns]
-    for n, v in zip(ns, bulk):
-        assert abs(vdc(sys3, int(n)) - v) < 1e-12
-
-
-def test_vdc_out_of_range(sys2):
-    with pytest.raises(ValueError):
-        vdc(sys2, sys2.basis[-1] + 1)
-
-
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_vdc_values_correctly_rounded(m):
     count = 10 ** 6
     sys = make_system(m, count)
     rng = np.random.default_rng(40 + m)
-    # the bulk form on [0, count); the scalar form across the whole basis
-    # coverage, up to its top digit
-    for_count = rng.integers(0, count, size=3000)
-    for_scalar = np.concatenate((
-        rng.integers(0, sys.basis[-1], size=3000),
-        [0, 1, count - 1, sys.basis[-1] - 1],
-    ))
-    cases = ((for_count, vdc_values(sys, count)[for_count]),
-             (for_scalar, [vdc(sys, int(n)) for n in for_scalar]))
-    for ns, got in cases:
-        exact = vdc_mpmath(m, sys.basis, ns)
-        worst = max(ulp_error(float(g), e) for g, e in zip(got, exact))
-        assert worst <= 0.51, f"m={m}: {worst:.4f} ulp"
+    ns = rng.integers(0, count, size=3000)
+    got = vdc_values(sys, count)[ns]
+    exact = vdc_mpmath(m, sys.basis, ns)
+    worst = max(ulp_error(float(g), e) for g, e in zip(got, exact))
+    assert worst <= 0.51, f"m={m}: {worst:.4f} ulp"
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_vdc_forms_agree_bit_for_bit(m):
     sys = make_system(m, 10 ** 6)
-    rng = np.random.default_rng(m)
     table = vdc_values(sys, 200000)
     assert np.array_equal(vdc_values(sys, 1000), table[:1000])
-    for n in rng.integers(0, 200000, size=200):
-        assert vdc(sys, int(n)) == table[n]
 
 
 def test_vdc_values_validation():
@@ -86,8 +62,6 @@ def test_vdc_values_validation():
         vdc_values(sys, -1)
     with pytest.raises(ValueError, match="above the limit 2\\^26"):
         vdc_values(sys, 2 ** 26 + 1)
-    with pytest.raises(ValueError):
-        vdc(sys, -1)
 
 
 def test_halton_examples(sys2, sys3):
@@ -97,13 +71,13 @@ def test_halton_examples(sys2, sys3):
     assert abs(pts[1, 1] - 0.54369) < 1e-5
     single = halton_points((sys2,), 8)
     assert single.shape == (8, 1)
-    assert single[7, 0] == vdc(sys2, 7)
+    assert single[7, 0] == vdc_values(sys2, 8)[7]
 
 
-def test_halton_points_match_scalar(sys2, sys3):
+def test_halton_points_match_vdc_values(sys2, sys3):
     pts = halton_points((sys2, sys3), 50)
-    for n in (0, 1, 49):
-        assert pts[n].tolist() == [vdc(s, n) for s in (sys2, sys3)]
+    for i, s in enumerate((sys2, sys3)):
+        assert np.array_equal(pts[:, i], vdc_values(s, 50))
 
 
 def test_halton_points_validation(sys2, sys3):
@@ -127,15 +101,16 @@ def test_interval_example_m2_n4_k3(sys2):
     assert iv.r == 1
     assert abs(iv.left - (phi ** 2 + 1) / phi ** 3) < 1e-12
     assert abs(iv.right - (phi ** 2 + 1 + phi - 1) / phi ** 3) < 1e-12
-    assert iv.contains(vdc(sys2, 4), guard=1e-12)
+    assert iv.contains(vdc_values(sys2, 5)[4], guard=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_vdc_lands_in_its_interval(m):
     sys = make_system(m, 10 ** 6)
+    values = vdc_values(sys, 10 ** 6)
     rng = np.random.default_rng(m * 7)
     for n in rng.integers(0, 10 ** 6, size=300):
-        x = vdc(sys, int(n))
+        x = values[n]
         for k in range(13):
             assert interval_for(sys, int(n), k).contains(x, guard=1e-12)
 
@@ -211,15 +186,15 @@ def test_shifted_rotation_matches_digit_membership_m2(sys2, cloud_m2_100k):
     shifted = (cloud_m2_100k.reduced[:N] + offset) % 1.0
     for n in range(N):
         geometric = lo <= shifted[n, 0] <= hi
-        digit = encode(sys2, n).digit(0) == 1
+        digit = encode(sys2, n) & 1 == 1
         assert geometric == digit, f"membership mismatch at n={n}"
 
 
 def test_membership_oracle_examples(sys2):
     # n = 4 = 1 + 3 has digit 1 at position 2, so it leaves the level-3 subtile of 0
     addr0 = subtile_of(sys2, 0, 3)
-    assert addr0.digits == (0, 0, 0)
-    assert subtile_of(sys2, 4, 3).digits == (1, 0, 1)
+    assert addr0.key == 0
+    assert subtile_of(sys2, 4, 3).key == 0b101
     assert subtile_of(sys2, 4, 3) != addr0
 
 
@@ -230,7 +205,7 @@ def test_memberships_partition_indices(m):
         addrs = helpers.level_addresses(m, k)
         for n in range(0, 600, 7):
             own = subtile_of(sys, n, k)
-            assert addrs.count((own.digits, own.letter)) == 1
+            assert addrs.count((own.key, own.letter)) == 1
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -240,7 +215,7 @@ def test_level_addresses_counts_and_measures(m):
     sys = make_system(m, 10 ** 3)
     for k in range(0, 12):
         addrs = helpers.level_addresses(m, k)
-        assert len({digits for digits, _ in addrs}) == sys.basis[k]
+        assert len({key for key, _ in addrs}) == sys.basis[k]
         totals = rotation._letter_totals(sys, k)
         assert totals == [sum(1 for _, letter in addrs if letter == i) for i in range(1, m + 1)]
         measure = sum(t * sys.neg_power(k + i) for i, t in enumerate(totals, start=1))
@@ -257,7 +232,7 @@ def test_membership_counts_match_scalar(sys2):
     scalar = Counter()
     for n in range(400):
         a = subtile_of(sys2, n, 3)
-        scalar[sum(d << j for j, d in enumerate(a.digits)), a.letter] += 1
+        scalar[a.key, a.letter] += 1
     assert _address_rows(keys, letters, counts) == sorted(scalar.items())
 
 
@@ -267,11 +242,11 @@ def test_address_keys_match_encode(m):
     # from k whose digit is zero, counted from 1
     N = 30000
     sys = make_system(m, N)
-    expansions = [encode(sys, n) for n in range(N)]
+    codes = [encode(sys, n) for n in range(N)]
     for k in (0, 3, 8):
-        want = Counter((sum(d << j for j, d in enumerate(e.digits[:k])),
-                        next(i for i in range(1, m + 1) if not e.digit(k + i - 1)))
-                       for e in expansions)
+        want = Counter((code & ((1 << k) - 1),
+                        next(i for i in range(1, m + 1) if not code >> (k + i - 1) & 1))
+                       for code in codes)
         assert _address_rows(*membership_counts(sys, k, N)) == sorted(want.items())
 
 
