@@ -383,6 +383,18 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, b
     return _block_pass(ranks, cands, n, 1, best, 0)[0], True
 
 
+def _corner_candidates(pts: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the distinct coordinates with the ends 0 and 1, ascending.
+
+    The sorted axis keeps each value that differs from its predecessor:
+    `np.unique` would do the same but imports numpy.ma on first use."""
+    cands = []
+    for j in range(pts.shape[1]):
+        c = np.sort(np.concatenate((pts[:, j], [0.0, 1.0])))
+        cands.append(c[np.concatenate(([True], c[1:] != c[:-1]))])
+    return cands
+
+
 def star_disc_multi(points) -> DiscrepancyReport:
     """Star discrepancy of an s-dimensional point set, s >= 2.
 
@@ -405,8 +417,7 @@ def star_disc_multi(points) -> DiscrepancyReport:
         raise ValueError("empty point set")
     if not np.all((pts >= 0.0) & (pts < 1.0)):
         raise ValueError("points must lie in [0, 1)^s")
-    cands = [np.unique(np.concatenate((pts[:, j], [0.0, 1.0]))) for j in range(s)]
-    value, exact = _corner_sweep(pts, cands)
+    value, exact = _corner_sweep(pts, _corner_candidates(pts))
     method = "exact_corner_sweep" if s == 2 else "exact_corner_grid"
     return DiscrepancyReport(N=n, s=s, value=value, exact=exact,
                              method=method if exact else "corner_block_lower_bound")

@@ -16,23 +16,8 @@ import numpy as np
 from mbonacci.numeration import MBonacciSystem, digit_codes, encode, prefix_ranges, require_count
 
 
-def _dd_add(a_hi, a_lo, b_hi, b_lo):
-    """(a_hi + a_lo) + (b_hi + b_lo) in double-double, as a (hi, lo) pair.
-
-    Knuth's two-sum of the high parts, the low parts added to its error,
-    then a fast renormalisation (the sum is positive and dominates its
-    error).  Works on floats and on arrays alike.  Adding (0, 0) returns
-    a normalised pair unchanged.
-    """
-    s = a_hi + b_hi
-    t = s - a_hi
-    t = (a_hi - (s - t)) + (b_hi - t) + (a_lo + b_lo)
-    hi = s + t
-    return hi, t - (hi - s)
-
-
-# elements per double-double pass of the prefix fill; keeps the
-# temporaries small
+# elements per double-double pass of the prefix fill; each pass writes
+# through two scratch buffers of this many doubles, allocated once per call
 _FILL_BLOCK = 1 << 15
 
 
@@ -46,17 +31,40 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
 
     The values are filled in O(count) by prefix doubling (see
     `numeration.prefix_ranges`): vdc(n) = phi^-(j+1) + vdc(n - F_j) for
-    F_j <= n < F_{j+1}.
+    F_j <= n < F_{j+1}.  Each block adds the power (p_hi, p_lo) to a
+    block of earlier values (b_hi, b_lo) in double-double: Knuth's
+    two-sum of the high parts, the low parts added to its error, then a
+    fast renormalisation (the sum is positive and dominates its error).
+    The block's sum and low part go straight into `hi` and `lo`, and the
+    other intermediates through two buffers allocated once, so no block
+    allocates: in a fresh interpreter glibc maps every temporary above
+    128 KB on its own, and each would fault in page by page.
     """
     ranges = prefix_ranges(sys, count)
     hi = np.zeros(count)
     lo = np.zeros(count)
+    s_buf = np.empty(min(_FILL_BLOCK, count))
+    t_buf = np.empty_like(s_buf)
     for j, start, stop in ranges:
         p_hi, p_lo = sys.neg_power_parts[j]
         for a in range(start, stop, _FILL_BLOCK):
             b = min(a + _FILL_BLOCK, stop)
-            hi[a:b], lo[a:b] = _dd_add(p_hi, p_lo, hi[a - start:b - start],
-                                       lo[a - start:b - start])
+            # the block read ends before hi[a:b] (see `prefix_ranges`), so
+            # out_hi may be written before b_hi is read
+            b_hi, b_lo = hi[a - start:b - start], lo[a - start:b - start]
+            out_hi, out_lo = hi[a:b], lo[a:b]
+            s, t = s_buf[:b - a], t_buf[:b - a]
+            np.add(p_hi, b_hi, out=s)
+            np.subtract(s, p_hi, out=t)
+            np.subtract(s, t, out=out_hi)          # the error of s,
+            np.subtract(p_hi, out_hi, out=out_hi)  # (p_hi - (s - t))
+            np.subtract(b_hi, t, out=t)            # + (b_hi - t),
+            out_hi += t
+            np.add(p_lo, b_lo, out=out_lo)         # plus (p_lo + b_lo),
+            np.add(out_hi, out_lo, out=t)          # is the new t
+            np.add(s, t, out=out_hi)
+            np.subtract(out_hi, s, out=out_lo)     # lo = t - (hi - s)
+            np.subtract(t, out_lo, out=out_lo)
     return hi
 
 

@@ -1,14 +1,31 @@
-"""Independent oracles used across the test modules.
+"""Independent oracles used across the test modules, and a runner for
+measurements that need a fresh interpreter.
 
 Everything here recomputes expectations by brute force or enumeration so
 the tests never trust the code path they are checking.
 """
 
+import os
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 
+import mbonacci
 from mbonacci.rotation import subtile_of
 from mbonacci.verify import naive_star_disc  # noqa: F401  (shared brute-force oracle)
+
+
+def run_fresh(script: str) -> str:
+    """Standard output of `script` run in a fresh interpreter on this
+    mbonacci with one BLAS thread.  Page faults and first imports are
+    measured there: the test process has long since grown its heap and
+    loaded every module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mbonacci.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True).stdout
 
 
 def brute_force_expansions(basis, m, total, max_len):

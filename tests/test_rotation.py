@@ -1,3 +1,4 @@
+import hashlib
 from bisect import bisect_right
 from collections import Counter
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import ulp_error, vdc_mpmath
+from helpers import run_fresh, ulp_error, vdc_mpmath
 from mbonacci import rotation
 from mbonacci.numeration import digit_codes, encode, make_system
 from mbonacci.rauzy import build_cloud, fixed_point_prefix
@@ -53,6 +54,39 @@ def test_vdc_forms_agree_bit_for_bit(m):
     sys = make_system(m, 10 ** 6)
     table = vdc_values(sys, 200000)
     assert np.array_equal(vdc_values(sys, 1000), table[:1000])
+
+
+_VDC_SHA256 = {
+    2: "4c6a7a26f6705819a9bd813b69f7a932f9c908d56f561657ed21cdf742eaae1b",
+    3: "71cccdcc251a75e65715321d14a1096f79fddf78fa67186efbcc75397b115b47",
+    4: "1a3c637b41115293d5a5acbd7870df6b292a1f5669a7cc0ba66709f8adc4570d",
+    5: "603429188cb3d6d27a3a7d5e76585505ddf4ae8bce3ed0ec96e86c9ba7f4cc6a",
+    6: "a8ff62a3c86ea08c4547d43e0a476b3850bb3b5748cd77a543e538f3bc15f5cf",
+}
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_vdc_values_frozen(m):
+    # every value of a prefix past 2^20, bit for bit; a partial last block
+    values = vdc_values(make_system(m), 2 ** 20 + 3)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == _VDC_SHA256[m]
+
+
+def test_vdc_fill_reuses_its_buffers():
+    # a fresh interpreter, where glibc still maps every block above 128 KB
+    # on its own: temporaries allocated per block of the fill would fault
+    # on every block (about 6 000 minor faults past the result's pages)
+    script = (
+        "import resource\n"
+        "from mbonacci import numeration, rotation\n"
+        "sys = numeration.make_system(2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "values = rotation.vdc_values(sys, 2 ** 20)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "print(after - before)\n"
+    )
+    # the hi and lo arrays of 2^20 doubles take 4096 pages of 4 KB
+    assert int(run_fresh(script)) - 4096 < 1000
 
 
 def test_vdc_values_validation():
