@@ -39,13 +39,13 @@ of at most DEFAULT_MAX_EXACT_OPS cells fits every pass, so it is exact.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from mbonacci.rauzy import FractalCloud, letter_grid
+from mbonacci.textio import read_floats
 
 DEFAULT_MAX_EXACT_OPS = 1 << 30
 
@@ -595,10 +595,7 @@ def load_points_csv(stream) -> np.ndarray:
     names = [h.strip() for h in header.split(",")]
     if not names or not all(n.startswith("x") for n in names):
         raise ValueError(f"expected header x1,...,xs, got {header!r}")
-    with warnings.catch_warnings():
-        # a header-only file is refused below, without numpy's empty-input warning
-        warnings.simplefilter("ignore", UserWarning)
-        pts = np.loadtxt(stream, delimiter=",", ndmin=2, comments=None)
+    pts = read_floats(stream, len(names))
     if len(pts) == 0 or pts.shape[1] != len(names):
         raise ValueError("malformed point rows")
     # the kernels' rule, 0 <= x < 1, so -0.0 passes

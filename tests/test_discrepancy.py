@@ -6,6 +6,7 @@ import pytest
 
 from helpers import naive_star_disc, run_fresh
 from mbonacci import discrepancy, numeration, rauzy, rotation
+from mbonacci.textio import read_floats
 from mbonacci.discrepancy import (
     box_dim_boundary,
     decay_fit,
@@ -86,6 +87,32 @@ def test_star_disc_1d_memory():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def test_load_points_csv_memory(tmp_path):
+    # 2^20 repr rows are 20 MB of text, read one 64 KiB block at a time: the
+    # reader peaks at the 8 MiB result, grown in place by quarters, plus a
+    # block's temporaries (10.5 MiB measured); the range checks' four 1 MiB
+    # masks then take load_points_csv to 12.0 MiB, as at np.loadtxt
+    x = np.random.default_rng(0).random(2 ** 20)
+    path = tmp_path / "pts.csv"
+    path.write_text("x1\n" + "\n".join(map(repr, x.tolist())) + "\n")
+
+    def traced_peak(read, skip_header):
+        with open(path) as fh:
+            if skip_header:
+                fh.readline()
+            tracemalloc.start()
+            try:
+                pts = read(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(pts[:, 0], x)
+        return peak
+
+    assert traced_peak(lambda fh: read_floats(fh, 1), True) < 11 * 2 ** 20
+    assert traced_peak(load_points_csv, False) < 12.5 * 2 ** 20
 
 
 def test_star_disc_multi_examples():
