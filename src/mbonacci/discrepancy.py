@@ -598,12 +598,19 @@ def load_points_csv(stream) -> np.ndarray:
     pts = read_floats(stream, len(names))
     if len(pts) == 0 or pts.shape[1] != len(names):
         raise ValueError("malformed point rows")
-    # the kernels' rule, 0 <= x < 1, so -0.0 passes
-    for ok, fault in ((np.isfinite(pts), "has a non-finite value"),
-                      ((pts >= 0.0) & (pts < 1.0), "lies outside [0, 1)")):
-        rows = ok.all(axis=1)
-        if not rows.all():
-            i = int(np.argmin(rows))
-            row = ",".join(map(repr, pts[i].tolist()))
-            raise ValueError(f"point row {i + 1} {fault}: {row!r}")
+    _require_rows(pts, np.isfinite(pts), "has a non-finite value")
+    # the kernels' rule, 0 <= x < 1, so -0.0 passes; built once the finite
+    # mask is freed, and in place, so at most two masks are live at once
+    ok = pts >= 0.0
+    ok &= pts < 1.0
+    _require_rows(pts, ok, "lies outside [0, 1)")
     return pts
+
+
+def _require_rows(pts: np.ndarray, ok: np.ndarray, fault: str) -> None:
+    """Name the first row of `pts` where the mask `ok` is false."""
+    rows = ok.all(axis=1)
+    if not rows.all():
+        i = int(np.argmin(rows))
+        row = ",".join(map(repr, pts[i].tolist()))
+        raise ValueError(f"point row {i + 1} {fault}: {row!r}")

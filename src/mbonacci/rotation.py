@@ -1,6 +1,6 @@
 """Sequence side of the correspondence: van der Corput and Halton values,
-the level-k interval partitions, level-k subtile addresses, and local
-discrepancies.
+the level-k intervals of [0, 1) read off the digit codes, level-k subtile
+addresses, and local discrepancies.
 
 Counting never touches geometric boundaries: membership in a level-k
 subtile is decided entirely from digit strings, which is exact where a
@@ -120,56 +120,34 @@ def subtile_of(sys: MBonacciSystem, n: int, k: int) -> SubtileAddress:
     return SubtileAddress(key=key, letter=letter, trailing_ones=r)
 
 
-@dataclass(frozen=True)
-class CkInterval:
-    """Level-k interval assigned to an index n.
-
-    mu is the base-phi value of the reversed top-k digit block; r the
-    trailing-ones run just below position k.  The interval is
-    [mu, mu + phi^r - sum_{i<r} phi^i) scaled by phi^-k.
-    """
-
-    n: int
-    k: int
-    mu: float
-    r: int
-    left: float
-    right: float
-
-    @property
-    def length(self) -> float:
-        return self.right - self.left
-
-    def contains(self, x: float, guard: float = 0.0) -> bool:
-        return self.left - guard <= x < self.right + guard
-
-
-def interval_for(sys: MBonacciSystem, n: int, k: int) -> CkInterval:
-    addr = subtile_of(sys, n, k)
-    phi = sys.phi_float
-    pos = [1.0]
-    for _ in range(k):
-        pos.append(pos[-1] * phi)
-    mu = 0.0
-    for j in range(k):
-        if addr.key >> (k - 1 - j) & 1:
-            mu += pos[j]
-    r = addr.trailing_ones
-    width = pos[r] - sum(pos[i] for i in range(r))
-    scale = sys.neg_power(k) if k else 1.0
-    return CkInterval(n=n, k=k, mu=mu, r=r, left=mu * scale, right=(mu + width) * scale)
-
-
-def partition_Ck(sys: MBonacciSystem, k: int) -> list[CkInterval]:
-    """All F_k level-k intervals, sorted by left endpoint."""
+def _require_level(sys: MBonacciSystem, k: int) -> None:
+    """Refuse a level past len(sys.basis) - m, the deepest one whose basis
+    term F_k and root powers phi^-(k + i), i <= m, the system holds."""
+    limit = len(sys.basis) - sys.m
     if k < 0:
-        raise ValueError("k must be >= 0")
-    if k >= len(sys.basis):
-        raise ValueError("k beyond cached basis range")
-    count = sys.basis[k] if k else 1
-    intervals = [interval_for(sys, n, k) for n in range(count)]
-    intervals.sort(key=lambda iv: iv.left)
-    return intervals
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k > limit:
+        raise ValueError(f"k={k} past {limit}, the deepest level the basis covers")
+
+
+def level_intervals(sys: MBonacciSystem, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-k interval of each n < N, as two int64 arrays: the index
+    n_k < F_k whose code is the low k digits of n's, and the run r of ones
+    at digits k-1, k-2, ....  The interval holds the van der Corput values
+    with those low digits: it starts at vdc(n_k), so the F_k intervals
+    start at `vdc_values(sys, F_k)`, and has length sum(phi^-(k+i),
+    i <= m - r).  Codes increase with n, and below F_k a code is its own
+    low k digits, so n_k is the rank of the masked code among them.
+    """
+    _require_level(sys, k)
+    code = digit_codes(sys, N)
+    code &= (1 << k) - 1
+    r = np.zeros(N, dtype=np.int64)
+    alive = np.ones(N, dtype=bool)
+    for i in range(1, min(k, sys.m - 1) + 1):
+        alive &= ((code >> (k - i)) & 1) == 1
+        r += alive
+    return np.searchsorted(code[:sys.basis[k]], code), r
 
 
 def _letter_totals(sys: MBonacciSystem, k: int) -> list[int]:
@@ -197,11 +175,7 @@ def membership_counts(sys: MBonacciSystem, k: int,
     that `_letter_totals` and the subtile measures read; a deeper level is
     refused before any digit is read.
     """
-    limit = len(sys.basis) - sys.m
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > limit:
-        raise ValueError(f"k={k} past {limit}, the deepest level the basis covers")
+    _require_level(sys, k)
     code = digit_codes(sys, N)
     top = code >> k
     code &= (1 << k) - 1

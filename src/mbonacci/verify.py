@@ -129,40 +129,57 @@ def _conjugacy(full: bool) -> str:
     return f"torus gap {worst:.2e} (n <= {n_max}), ambient residual {ambient:.2e}"
 
 
+def _interval_lengths(sys, k: int) -> np.ndarray:
+    """Level-k interval lengths sum(phi^-(k+i), i <= m - r) by run r < m."""
+    return np.array([sum(sys.neg_power(k + i) for i in range(1, sys.m - r + 1))
+                     for r in range(sys.m)])
+
+
 def _partitions(full: bool) -> str:
+    # left ends from the value fill, lengths from the root powers
     kmax = 12 if full else 9
-    for m in (2, 3, 4):
-        sys = numeration.make_system(m)
-        for k in range(1, kmax + 1):
-            ivs = rotation.partition_Ck(sys, k)
-            where = f"m={m}, k={k}"
-            assert len(ivs) == sys.basis[k], f"{len(ivs)} intervals, not F_k, at {where}"
-            assert ivs[0].left <= 1e-10, f"first interval starts late at {where}"
-            assert abs(ivs[-1].right - 1.0) <= 1e-10, f"last interval ends off 1 at {where}"
-            worst_gap = max(abs(b.left - a.right) for a, b in zip(ivs[:-1], ivs[1:]))
-            assert worst_gap <= 1e-10, f"gap {worst_gap:.2e} at {where}"
-            assert abs(sum(iv.length for iv in ivs) - 1.0) <= 1e-10, f"lengths off 1 at {where}"
-    return f"F_k intervals tile [0,1), m in (2,3,4), k <= {kmax}"
-
-
-def _interval_membership(full: bool) -> str:
-    samples = 3400 if full else 333
     worst = 0.0
     for m in (2, 3, 4):
         sys = numeration.make_system(m)
-        values = rotation.vdc_values(sys, 10 ** 6)
-        rng = np.random.default_rng(600 + m)
-        for n in rng.integers(0, 10 ** 6, size=samples):
-            x = float(values[n])
-            for k in range(13):
-                iv = rotation.interval_for(sys, int(n), k)
-                assert iv.contains(x, guard=1e-12), \
-                    f"vdc({n}) escaped its interval (m={m}, k={k})"
-                lam = sum(sys.neg_power(i) for i in range(1, m - iv.r + 1))
-                lam = sys.neg_power(k) * lam if k else lam
-                worst = max(worst, abs(iv.length - lam))
-    assert worst <= 1e-10, f"worst measure gap {worst:.2e}"
-    return f"{3 * samples} sampled n, k <= 12; worst measure gap {worst:.2e}"
+        for k in range(1, kmax + 1):
+            count = sys.basis[k]
+            n_k, r = rotation.level_intervals(sys, k, count)
+            where = f"m={m}, k={k}"
+            starts = np.unique(n_k).size
+            assert starts == count, f"{starts} intervals, not F_k, at {where}"
+            left = rotation.vdc_values(sys, count)[n_k]
+            length = _interval_lengths(sys, k)[r]
+            order = np.argsort(left)
+            left, length = left[order], length[order]
+            assert left[0] <= 1e-10, f"first interval starts late at {where}"
+            assert abs(left[-1] + length[-1] - 1.0) <= 1e-10, \
+                f"last interval ends off 1 at {where}"
+            gap = float(np.abs(left[1:] - left[:-1] - length[:-1]).max())
+            assert gap <= 1e-10, f"length off its gap by {gap:.2e} at {where}"
+            assert abs(length.sum() - 1.0) <= 1e-10, f"lengths off 1 at {where}"
+            worst = max(worst, gap)
+    return (f"F_k intervals from the digit codes tile [0,1), m in (2,3,4), k <= {kmax}; "
+            f"worst gap {worst:.2e}")
+
+
+def _interval_membership(full: bool) -> str:
+    exponent = 6 if full else 5
+    N = 10 ** exponent
+    worst = 0.0
+    for m in (2, 3, 4):
+        sys = numeration.make_system(m)
+        values = rotation.vdc_values(sys, N)
+        for k in range(13):
+            n_k, r = rotation.level_intervals(sys, k, N)
+            where = f"m={m}, k={k}"
+            assert (n_k < sys.basis[k]).all(), f"a left-end index past F_k at {where}"
+            offset = values - values[n_k]
+            length = _interval_lengths(sys, k)[r]
+            inside = (offset >= 0.0) & (offset < length)
+            assert inside.all(), f"vdc({np.argmin(inside)}) escaped its interval ({where})"
+            worst = max(worst, float((offset / length).max()))
+    return (f"every n < 10^{exponent}, k <= 12, m in (2,3,4): vdc(n) in its interval; "
+            f"max (vdc(n) - left) / length = {worst:.6f}")
 
 
 def _tiling(full: bool) -> str:

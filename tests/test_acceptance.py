@@ -99,3 +99,47 @@ def test_criterion_13_fails_on_a_wrong_letter(monkeypatch, mutate, full):
     result = verify.run_check(check, full=full)
     assert not result.passed
     assert "subtile_of and membership_counts differ" in result.detail
+
+
+# Criteria 5 and 6 read the level-k intervals of `rotation.level_intervals`.
+# A smaller run r only widens an interval, so criterion 6 cannot see it, but
+# criterion 5's gap check must; a left end moved off vdc(n) must fail
+# criterion 6.  Both at both scales.
+
+def _run_with_planted_interval(monkeypatch, number, plant, full):
+    level_intervals = rotation.level_intervals
+
+    def mutant(sys, k, N):
+        n_k, r = level_intervals(sys, k, N)
+        plant(k, n_k, r)
+        return n_k, r
+
+    monkeypatch.setattr(rotation, "level_intervals", mutant)
+    check = next(c for c in verify.CHECKS if c.number == number)
+    return verify.run_check(check, full=full)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_criterion_05_fails_on_a_smaller_run(monkeypatch, full):
+    def plant(k, n_k, r):
+        # n = 2 has code 10, so its level-2 run is 1 and its interval
+        # [phi^-2, phi^-1) is not the last; run 0 stretches it by phi^-4
+        if k == 2:
+            r[2] -= 1
+
+    result = _run_with_planted_interval(monkeypatch, 5, plant, full)
+    assert not result.passed
+    assert result.detail == "length off its gap by 1.46e-01 at m=2, k=2"
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_criterion_06_fails_on_a_wrong_left_end(monkeypatch, full):
+    def plant(k, n_k, r):
+        # n = 2 has code 10, so its level-1 interval starts at vdc(0) = 0;
+        # vdc(2) = phi^-2 lies below vdc(1) = phi^-1, the planted start
+        if k == 1:
+            n_k[2] = 1
+
+    result = _run_with_planted_interval(monkeypatch, 6, plant, full)
+    assert not result.passed
+    assert result.detail == "vdc(2) escaped its interval (m=2, k=1)"

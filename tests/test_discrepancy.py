@@ -92,8 +92,9 @@ def test_star_disc_1d_memory():
 def test_load_points_csv_memory(tmp_path):
     # 2^20 repr rows are 20 MB of text, read one 64 KiB block at a time: the
     # reader peaks at the 8 MiB result, grown in place by quarters, plus a
-    # block's temporaries (10.5 MiB measured); the range checks' four 1 MiB
-    # masks then take load_points_csv to 12.0 MiB, as at np.loadtxt
+    # block's temporaries (10.2-10.5 MiB measured); the row checks then hold
+    # at most two 1 MiB masks at once, so load_points_csv peaks in the read
+    # (four masks at once reach 12.0 MiB)
     x = np.random.default_rng(0).random(2 ** 20)
     path = tmp_path / "pts.csv"
     path.write_text("x1\n" + "\n".join(map(repr, x.tolist())) + "\n")
@@ -112,7 +113,7 @@ def test_load_points_csv_memory(tmp_path):
         return peak
 
     assert traced_peak(lambda fh: read_floats(fh, 1), True) < 11 * 2 ** 20
-    assert traced_peak(load_points_csv, False) < 12.5 * 2 ** 20
+    assert traced_peak(load_points_csv, False) < 11 * 2 ** 20
 
 
 def test_star_disc_multi_examples():

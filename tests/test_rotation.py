@@ -8,14 +8,13 @@ import pytest
 import helpers
 from helpers import run_fresh, ulp_error, vdc_mpmath
 from mbonacci import rotation
-from mbonacci.numeration import digit_codes, encode, make_system
+from mbonacci.numeration import decode, digit_codes, encode, make_system
 from mbonacci.rauzy import build_cloud, fixed_point_prefix
 from mbonacci.rotation import (
     halton_points,
-    interval_for,
+    level_intervals,
     local_discrepancy,
     membership_counts,
-    partition_Ck,
     subtile_of,
     vdc_values,
 )
@@ -121,81 +120,131 @@ def test_halton_points_validation(sys2, sys3):
         halton_points((), 4)
 
 
+def _lengths(sys, k):
+    """Length of a level-k interval by its run r < m of ones below digit k."""
+    return np.array([sum(sys.neg_power(k + i) for i in range(1, sys.m - r + 1))
+                     for r in range(sys.m)])
+
+
+def _partition(sys, k):
+    """Left ends and lengths of the F_k level-k intervals, sorted by left end."""
+    count = sys.basis[k]
+    n_k, r = level_intervals(sys, k, count)
+    left = vdc_values(sys, count)[n_k]
+    length = _lengths(sys, k)[r]
+    order = np.argsort(left)
+    return left[order], length[order]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_level_intervals_match_scalar(m):
+    # the left-end index decodes the low k digits of n's code, and the run
+    # is the one the scalar subtile address reads
+    N = 5000
+    sys = make_system(m)
+    codes = [encode(sys, n) for n in range(N)]
+    for k in (0, 1, 4, 9, 12):
+        n_k, r = level_intervals(sys, k, N)
+        assert n_k.dtype == r.dtype == np.int64
+        assert r.tolist() == [subtile_of(sys, n, k).trailing_ones for n in range(N)]
+        assert n_k.tolist() == [decode(sys, code & ((1 << k) - 1)) for code in codes]
+
+
+def test_level_intervals_refuse_deep_levels(sys2):
+    # the level limit of membership_counts, met before any digit is read:
+    # a count past 2^26 would be refused with another message
+    limit = len(sys2.basis) - 2
+    refusals = ((limit + 1, f"k={limit + 1} past {limit}, the deepest level"),
+                (-1, "k must be >= 0, got -1"))
+    for k, message in refusals:
+        for read_level in (level_intervals, membership_counts):
+            with pytest.raises(ValueError, match=message):
+                read_level(sys2, k, 2 ** 27)
+    n_k, r = level_intervals(sys2, limit, 3)
+    assert n_k.tolist() == [0, 1, 2] and r.tolist() == [0, 0, 0]
+
+
 def test_interval_for_zero(sys2):
     for k in (0, 1, 5):
-        iv = interval_for(sys2, 0, k)
-        assert iv.left == 0.0
-        assert abs(iv.right - sys2.phi_float ** -k) < 1e-12
+        n_k, r = level_intervals(sys2, k, 1)
+        assert n_k[0] == 0 and r[0] == 0
+        assert vdc_values(sys2, 1)[n_k[0]] == 0.0
+        assert abs(_lengths(sys2, k)[0] - sys2.phi_float ** -k) < 1e-12
 
 
 def test_interval_example_m2_n4_k3(sys2):
+    # 4 = 3 + 1 has code 101: its own low three digits, with run 1
     phi = sys2.phi_float
-    iv = interval_for(sys2, 4, 3)
-    assert abs(iv.mu - (phi ** 2 + 1)) < 1e-12
-    assert iv.r == 1
-    assert abs(iv.left - (phi ** 2 + 1) / phi ** 3) < 1e-12
-    assert abs(iv.right - (phi ** 2 + 1 + phi - 1) / phi ** 3) < 1e-12
-    assert iv.contains(vdc_values(sys2, 5)[4], guard=1e-12)
+    n_k, r = level_intervals(sys2, 3, 5)
+    assert n_k[4] == 4 and r[4] == 1
+    left = vdc_values(sys2, 5)[n_k[4]]
+    right = left + _lengths(sys2, 3)[r[4]]
+    assert abs(left * phi ** 3 - (phi ** 2 + 1)) < 1e-12
+    assert abs(left - (phi ** 2 + 1) / phi ** 3) < 1e-12
+    assert abs(right - (phi ** 2 + 1 + phi - 1) / phi ** 3) < 1e-12
+    assert left <= vdc_values(sys2, 5)[4] < right
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_vdc_lands_in_its_interval(m):
-    sys = make_system(m, 10 ** 6)
-    values = vdc_values(sys, 10 ** 6)
-    rng = np.random.default_rng(m * 7)
-    for n in rng.integers(0, 10 ** 6, size=300):
-        x = values[n]
-        for k in range(13):
-            assert interval_for(sys, int(n), k).contains(x, guard=1e-12)
+    N = 10 ** 5
+    sys = make_system(m, N)
+    values = vdc_values(sys, N)
+    for k in range(13):
+        n_k, r = level_intervals(sys, k, N)
+        offset = values - values[n_k]
+        length = _lengths(sys, k)[r]
+        assert (offset >= 0.0).all() and (offset < length).all()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_interval_length_equals_subtile_measure(m):
+    # the subtile measure sum(phi^-(k+i), i <= m - r) is the power product
+    # phi^-k (phi^r - sum(phi^i, i < r)) of the interval's digit geometry
     sys = make_system(m, 10 ** 5)
+    phi = sys.phi_float
     rng = np.random.default_rng(m * 13)
-    for n in rng.integers(0, 10 ** 5, size=100):
-        for k in (1, 4, 9):
-            iv = interval_for(sys, int(n), k)
-            lam = sys.neg_power(k) * sum(sys.neg_power(i) for i in range(1, m - iv.r + 1))
-            assert abs(iv.length - lam) <= 1e-10
+    ns = rng.integers(0, 10 ** 5, size=100)
+    for k in (1, 4, 9):
+        _, r = level_intervals(sys, k, 10 ** 5)
+        lengths = _lengths(sys, k)
+        for run in r[ns].tolist():
+            width = phi ** -k * (phi ** run - sum(phi ** i for i in range(run)))
+            assert abs(width - lengths[run]) <= 1e-10
 
 
 def test_partition_counts_and_examples(sys2, sys3):
-    ivs = partition_Ck(sys2, 1)
-    assert len(ivs) == 2
+    left, length = _partition(sys2, 1)
+    assert len(left) == 2
     inv_phi = 1.0 / sys2.phi_float
-    assert abs(ivs[0].right - inv_phi) < 1e-12 and abs(ivs[1].left - inv_phi) < 1e-12
-    assert abs(ivs[1].right - 1.0) < 1e-12
-    assert len(partition_Ck(sys2, 3)) == 5
-    ivs = partition_Ck(sys3, 4)
-    assert len(ivs) == 13
-    assert abs(sum(iv.length for iv in ivs) - 1.0) < 1e-10
+    assert abs(left[0] + length[0] - inv_phi) < 1e-12 and abs(left[1] - inv_phi) < 1e-12
+    assert abs(left[1] + length[1] - 1.0) < 1e-12
+    assert len(_partition(sys2, 3)[0]) == 5
+    left, length = _partition(sys3, 4)
+    assert len(left) == 13
+    assert abs(length.sum() - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_partition_geometry(m):
     sys = make_system(m, 10 ** 4)
     for k in range(1, 10):
-        ivs = partition_Ck(sys, k)
-        assert len(ivs) == sys.basis[k]
-        assert ivs[0].left <= 1e-12
-        assert abs(ivs[-1].right - 1.0) <= 1e-10
-        for a, b in zip(ivs[:-1], ivs[1:]):
-            assert abs(b.left - a.right) <= 1e-10
+        left, length = _partition(sys, k)
+        assert len(left) == sys.basis[k]
+        assert left[0] <= 1e-12
+        assert abs(left[-1] + length[-1] - 1.0) <= 1e-10
+        assert np.abs(left[1:] - (left[:-1] + length[:-1])).max() <= 1e-10
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_partition_refines(m):
     sys = make_system(m, 10 ** 4)
     for k in range(1, 8):
-        parents = partition_Ck(sys, k)
-        children = partition_Ck(sys, k + 1)
-        for child in children:
-            holders = [
-                p for p in parents
-                if p.left - 1e-10 <= child.left and child.right <= p.right + 1e-10
-            ]
-            assert len(holders) == 1
+        p_left, p_length = _partition(sys, k)
+        p_right = p_left + p_length
+        for left, length in zip(*_partition(sys, k + 1)):
+            holders = (p_left - 1e-10 <= left) & (left + length <= p_right + 1e-10)
+            assert holders.sum() == 1
 
 
 def test_shifted_rotation_matches_digit_membership_m2(sys2, cloud_m2_100k):
