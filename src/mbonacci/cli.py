@@ -164,6 +164,7 @@ def _cmd_disc(args) -> int:
 
 def _cmd_dim(args) -> int:
     start = time.perf_counter()
+    discrepancy.require_levels(args.levels, args.m, args.depth + 1)
     cloud = rauzy.build_cloud(args.m, args.depth)
     est = discrepancy.box_dim_boundary(cloud, args.levels, mode=args.mode)
     _emit_json(args, {

@@ -452,11 +452,20 @@ def decay_fit(samples) -> tuple[float, float, float]:
     y = np.log(ds)
     if np.allclose(y, y[0]):
         raise ValueError("degenerate samples: constant discrepancy")
+    slope, intercept, r2, _ = _line_fit(x, y)
+    return slope, intercept, r2
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line y ~ slope * x + intercept: returns (slope,
+    intercept, r_squared, stderr of the slope)."""
     slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    rss = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot else 1.0
-    return float(slope), float(intercept), r2
+    r2 = 1.0 - rss / ss_tot if ss_tot else 1.0
+    denom = float(np.sum((x - x.mean()) ** 2))
+    stderr = float(np.sqrt(rss / max(len(x) - 2, 1) / denom)) if denom else 0.0
+    return float(slope), float(intercept), r2, stderr
 
 
 @dataclass(frozen=True)
@@ -505,6 +514,27 @@ def _coarser(occ: np.ndarray, lo: list[int], hi: list[int]):
     return occ, clo, chi
 
 
+def require_levels(levels, m: int, points: int) -> tuple[int, ...]:
+    """The box-counting levels as a tuple of ints, refused unless they are
+    positive, hold two distinct values for a slope, and a cloud of `points`
+    points in m - 1 dimensions has on average a point per cell of the
+    finest level; checked before a cloud is built for them."""
+    levels = tuple(int(l) for l in levels)
+    if not levels or any(l < 1 for l in levels):
+        raise ValueError("levels must be positive integers")
+    if len(set(levels)) < 2:
+        raise ValueError(f"levels must hold at least two distinct values for a slope, "
+                         f"got {list(levels)}")
+    finest = max(levels)
+    # points < 2^(finest * (m - 1)), without building that power
+    if points.bit_length() <= finest * (m - 1):
+        raise ValueError(
+            f"cloud of {points} points too sparse for level {finest} "
+            f"(needs at least one point per cell on average)"
+        )
+    return levels
+
+
 def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> DimensionEstimate:
     """Box-counting dimension of the cloud's boundary structure.
 
@@ -531,18 +561,8 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
     """
     if mode not in ("subtile", "outer", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    levels = tuple(int(l) for l in levels)
-    if not levels or any(l < 1 for l in levels):
-        raise ValueError("levels must be positive integers")
-    if len(set(levels)) < 2:
-        raise ValueError(f"levels must hold at least two distinct values for a slope, "
-                         f"got {list(levels)}")
+    levels = require_levels(levels, cloud.m, cloud.size)
     finest = max(levels)
-    if cloud.size < (1 << finest) ** (cloud.m - 1):
-        raise ValueError(
-            f"cloud of {cloud.size} points too sparse for level {finest} "
-            f"(needs at least one point per cell on average)"
-        )
     occ, first = letter_grid(cloud.unreduced, cloud.labels, cloud.m, 1 << finest)
     lo = [f + 1 for f in first]
     hi = [f + n - 2 for f, n in zip(first, occ.shape[1:])]
@@ -559,13 +579,8 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
     # returns only up to rounding
     if xs.size < 2 or np.all(ys == ys[0]):
         return DimensionEstimate(levels=levels, counts=counts, slope=0.0, stderr=0.0, mode=mode)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    denom = float(np.sum((xs - xs.mean()) ** 2))
-    dof = max(len(xs) - 2, 1)
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / denom)) if denom else 0.0
-    return DimensionEstimate(levels=levels, counts=counts, slope=float(slope),
-                             stderr=stderr, mode=mode)
+    slope, _, _, stderr = _line_fit(xs, ys)
+    return DimensionEstimate(levels=levels, counts=counts, slope=slope, stderr=stderr, mode=mode)
 
 
 def theorem_exponent(ms, dims) -> float:

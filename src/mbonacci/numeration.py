@@ -46,17 +46,16 @@ class MBonacciSystem:
     """Numeration context: basis terms, dominant root, cached root powers.
 
     Immutable after construction; all operations on it are pure functions.
-    `phi` is the root in fixed point, the integer floor(phi * 2^ROOT_BITS),
-    and `phi_float` its float64 rounding.  `neg_power_parts[j]` holds the
-    correctly rounded (hi, lo) float64 pair of phi**-(j+1): hi is the
-    nearest float to it and lo the nearest float to the rest.  The
-    vectorised fractional-part helpers use these pairs.
+    `phi` is the root in fixed point, the integer floor(phi * 2^ROOT_BITS).
+    `neg_power_parts[j]` holds the correctly rounded (hi, lo) float64 pair
+    of phi**-(j+1): hi is the nearest float to it and lo the nearest float
+    to the rest.  The vectorised fractional-part helpers and the lattice
+    geometry use these pairs.
     """
 
     m: int
     basis: tuple[int, ...]
     phi: int
-    phi_float: float
     neg_power_parts: np.ndarray
 
     def neg_power(self, j: int) -> float:
@@ -94,13 +93,7 @@ def make_system(m: int, max_n: int = MAX_PRECISE_INDEX) -> MBonacciSystem:
         hi = p / one
         parts[j] = hi, (p - int(hi * one)) / one
     parts.setflags(write=False)
-    return MBonacciSystem(
-        m=m,
-        basis=tuple(terms),
-        phi=phi,
-        phi_float=phi / (1 << ROOT_BITS),
-        neg_power_parts=parts,
-    )
+    return MBonacciSystem(m=m, basis=tuple(terms), phi=phi, neg_power_parts=parts)
 
 
 def encode(sys: MBonacciSystem, n: int) -> int:

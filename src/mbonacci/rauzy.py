@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
 from math import prod
 
 import numpy as np
@@ -38,12 +37,12 @@ def substitute(m: int, word: np.ndarray) -> np.ndarray:
     return out
 
 
-def fixed_point_prefix(m: int, length: int) -> np.ndarray:
+def fixed_point_prefix(sys: numeration.MBonacciSystem, length: int) -> np.ndarray:
     """First `length` letters of the word fixed by the substitution.
 
     The k-fold image s_k of the letter 1 has length F_k, the k-th basis
     term, and is a prefix of s_{k+1}, so the word fills by the
-    prefix-doubling walk of `numeration.digit_codes` (Dumont and Thomas,
+    prefix-doubling walk of `numeration.prefix_ranges` (Dumont and Thomas,
     1989).  For j >= m - 1, s_{j+1} = s_j s_{j-1} ... s_{j+1-m}, and the
     part after s_j is a prefix of s_j: w[F_j:F_{j+1}] = w[:F_{j+1} - F_j].
     For j < m - 1 the basis terms are powers of two and s_{j+1} =
@@ -51,19 +50,14 @@ def fixed_point_prefix(m: int, length: int) -> np.ndarray:
     as its last letter.  `substitute` is the definition the word is tested
     against.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
     if length < 1:
         raise ValueError("length must be >= 1")
     w = np.empty(length, dtype=np.uint8)
     w[0] = 1
-    for j, (start, stop) in enumerate(pairwise(numeration._basis_terms(m))):
-        if start >= length:
-            break
-        end = min(stop, length)
+    for j, start, end in numeration.prefix_ranges(sys, length):
         w[start:end] = w[:end - start]
-        if j < m - 1 and end == stop:
-            w[stop - 1] = j + 2
+        if j < sys.m - 1 and end == sys.basis[j + 1]:
+            w[end - 1] = j + 2
     return w
 
 
@@ -90,7 +84,6 @@ class FractalCloud:
 
     m: int
     depth: int
-    phi: float
     labels: np.ndarray      # uint8, shape (depth+1,)
     unreduced: np.ndarray   # float64, shape (depth+1, m-1)
 
@@ -122,7 +115,7 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
     if depth > DEFAULT_MAX_DEPTH:
         raise ValueError(f"depth {depth} beyond the memory budget {DEFAULT_MAX_DEPTH}")
     sys = numeration.make_system(m)
-    word = fixed_point_prefix(m, depth + 1)
+    word = fixed_point_prefix(sys, depth + 1)
     ns = np.arange(depth + 1, dtype=np.float64)
     counts = np.zeros(depth + 1)
     coords = np.empty((m - 1, depth + 1))
@@ -130,13 +123,7 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
         np.cumsum(word[:depth] == i, dtype=np.float64, out=counts[1:])
         hi, lo = sys.neg_power_parts[i - 1]
         precise_multiples_minus(ns, float(hi), float(lo), counts, out=coords[i - 2])
-    return FractalCloud(
-        m=m,
-        depth=depth,
-        phi=sys.phi_float,
-        labels=word,
-        unreduced=coords.T,
-    )
+    return FractalCloud(m=m, depth=depth, labels=word, unreduced=coords.T)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +212,9 @@ def set_equation_check(cloud: FractalCloud, k: int, resolution: float) -> SetEqu
         raise ValueError("k must be >= 0")
     m = cloud.m
     _require_density(cloud.size, m, resolution)
-    mat = contraction_matrix(m, cloud.phi)
-    gamma = lattice_coords(m, cloud.phi, [1] + [0] * (m - 1))
+    sys = numeration.make_system(m)
+    mat = contraction_matrix(sys)
+    gamma = lattice_coords(sys, [1] + [0] * (m - 1))
 
     def approx(letter: int, level: int) -> np.ndarray:
         if level == 0:

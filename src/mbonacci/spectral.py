@@ -1,13 +1,16 @@
 """Linear-algebraic backbone: dominant root, incidence matrix, the
 projection along the expanding eigenvector, and the lattice-coordinate
-form of the contracting projection.
+form of the contracting projection and of the incidence matrix's action
+on it.
 
 All geometry downstream lives in coordinates with respect to the lattice
 basis pi(e_1 - e_2), ..., pi(e_1 - e_m) of the contracting hyperplane,
 where pi projects R^m along the expanding eigenvector.  In these
 coordinates the lattice is Z^{m-1}, so reduction mod the lattice is an
 ordinary fractional part and the digit-to-rotation correspondence becomes
-the rotation by (phi^-2, ..., phi^-m) on the standard torus.
+the rotation by (phi^-2, ..., phi^-m) on the standard torus.  Every
+geometric constant is read from a numeration system's correctly rounded
+pairs of phi^-j; no float copy of phi is raised to a power.
 """
 
 from __future__ import annotations
@@ -108,41 +111,33 @@ def torus_distance(a, b) -> float:
     return float(np.max(np.minimum(d, 1.0 - d))) if d.size else 0.0
 
 
-def lattice_coords(m: int, phi: float, x) -> np.ndarray:
+def lattice_coords(sys, x) -> np.ndarray:
     """Coordinates of the projected integer vector x in the lattice basis.
 
     Writing pi for the projection along the expanding eigenvector and
     b_{i-1} = pi(e_1 - e_i), the identity pi(e_1) = sum_i phi^-i b_{i-1}
     (i = 2..m) combines with pi(e_i) = pi(e_1) - b_{i-1} and linearity to
-    give coordinate i-1 of pi(x) as (sum_j x_j) phi^-i - x_i.  No linear
-    system is solved per point.
+    give coordinate i-1 of pi(x) as (sum_j x_j) phi^-i - x_i, with phi^-i
+    read from the system's pairs.  No linear system is solved per point.
     """
+    m = sys.m
     x = list(x)
     if len(x) != m:
         raise ValueError(f"x must have length m={m}")
-    total = sum(x)
-    phi = float(phi)
-    powers = np.array([phi ** -i for i in range(2, m + 1)])
-    return total * powers - np.array(x[1:], dtype=np.float64)
+    return sum(x) * sys.neg_power_parts[1:m, 0] - np.array(x[1:], dtype=np.float64)
 
 
-def contraction_matrix(m: int, phi: float) -> np.ndarray:
-    """Action of the incidence matrix on the contracting hyperplane,
+def contraction_matrix(sys) -> np.ndarray:
+    """Action of the incidence matrix M on the contracting hyperplane,
     written in lattice-basis coordinates.
 
-    The incidence matrix sends b_{i-1} = pi(e_1 - e_i) to pi(e_2 - e_{i+1})
-    = b_i - b_1 for i < m, and b_{m-1} to pi(e_2) = pi(e_1) - b_1, with
-    pi(e_1) expanded via lattice_coords.  The result contracts by phi^-1
-    up to a bounded change of basis.
+    pi commutes with M, so M sends b_{i-1} = pi(e_1 - e_i) to
+    pi(M (e_1 - e_i)), and column i-1 is the lattice_coords of that
+    integer vector, column 1 of M minus column i.  The result contracts by
+    phi^-1 up to a bounded change of basis.
     """
-    mat = np.zeros((m - 1, m - 1))
-    for i in range(2, m):
-        mat[0, i - 2] = -1.0
-        mat[i - 1, i - 2] = 1.0
-    e1 = lattice_coords(m, phi, [1] + [0] * (m - 1))
-    mat[:, m - 2] = e1
-    mat[0, m - 2] -= 1.0
-    return mat
+    inc = incidence_matrix(sys.m)
+    return np.column_stack([lattice_coords(sys, inc[:, 0] - inc[:, i]) for i in range(1, sys.m)])
 
 
 def rotation_point(systems, n: int) -> np.ndarray:

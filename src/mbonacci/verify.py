@@ -105,7 +105,7 @@ def _characteristic(full: bool) -> str:
 
 def _lattice_point(sys, n: int) -> np.ndarray:
     return spectral.reduce_array(
-        spectral.lattice_coords(sys.m, sys.phi_float, [n] + [0] * (sys.m - 1)))
+        spectral.lattice_coords(sys, [n] + [0] * (sys.m - 1)))
 
 
 def _conjugacy(full: bool) -> str:
@@ -199,8 +199,8 @@ def _tiling(full: bool) -> str:
 def _letter_frequencies(full: bool) -> str:
     worst = 0.0
     for m in MS:
-        word = rauzy.fixed_point_prefix(m, 10 ** 5)
         sys = numeration.make_system(m)
+        word = rauzy.fixed_point_prefix(sys, 10 ** 5)
         freqs = np.bincount(word, minlength=m + 1)[1:] / word.size
         for i in range(m):
             worst = max(worst, abs(freqs[i] - sys.neg_power(i + 1)))

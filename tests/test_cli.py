@@ -373,6 +373,25 @@ def test_module_error_exit_1():
         out = run_cli("dim", "--m", "3", "--depth", "1000", "--levels", levels)
         assert out.returncode == 1 and out.stdout == "", levels
         assert "levels must hold at least two distinct values" in out.stderr, levels
+
+
+def test_dim_refuses_levels_before_building_the_cloud(capsys, monkeypatch):
+    from mbonacci import cli, rauzy
+
+    def no_cloud(*args):
+        raise AssertionError("the cloud was built")
+
+    monkeypatch.setattr(rauzy, "build_cloud", no_cloud)
+    for argv, message in [
+        (("--m", "4", "--depth", "4000000"), "cloud of 4000001 points too sparse for level 9"),
+        (("--m", "3", "--depth", "4000000", "--levels", "4,4"),
+         "levels must hold at least two distinct values for a slope, got [4, 4]"),
+        (("--m", "3", "--depth", "4000000", "--levels", "0-3"),
+         "levels must be positive integers"),
+    ]:
+        assert cli.main(["dim", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err, argv
     # huge counts are refused before anything is allocated
     huge = str(10 ** 12)
     for argv, count in [

@@ -487,8 +487,7 @@ def _shifted_cloud(m, depth, level, first):
     side = 1 << level
     pts = cloud.unreduced + (first - np.floor(cloud.unreduced * side).min(axis=0)) / side
     assert np.all(np.floor(pts * side).min(axis=0) == first)
-    return rauzy.FractalCloud(m=m, depth=depth, phi=cloud.phi, labels=cloud.labels,
-                              unreduced=pts)
+    return rauzy.FractalCloud(m=m, depth=depth, labels=cloud.labels, unreduced=pts)
 
 
 @pytest.mark.parametrize("m, depth, levels, first", [
@@ -520,8 +519,7 @@ def test_dense_boundary_grid_guard():
     # lattice coordinate: 1.3e8 ambient cells, over the 2^26 grid limit
     n = 1 << 16
     line = np.linspace(0.0, 2000.0, n, endpoint=False)[:, None]
-    cloud = rauzy.FractalCloud(m=2, depth=n - 1, phi=1.618,
-                               labels=np.ones(n, dtype=np.uint8),
+    cloud = rauzy.FractalCloud(m=2, depth=n - 1, labels=np.ones(n, dtype=np.uint8),
                                unreduced=line)
     for mode in ("subtile", "outer", "both"):
         with pytest.raises(ValueError, match="too large"):
@@ -566,7 +564,7 @@ def test_box_dim_degenerate_full_cover_has_no_boundary():
         np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij"), -1
     ).reshape(-1, 2)
     cloud = rauzy.FractalCloud(
-        m=3, depth=len(grid) - 1, phi=1.839,
+        m=3, depth=len(grid) - 1,
         labels=np.ones(len(grid), dtype=np.uint8),
         unreduced=grid.copy(),
     )

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import root_mpmath
 from mbonacci import numeration, rauzy
 from mbonacci.numeration import encode
 from mbonacci.rauzy import (
@@ -27,16 +28,20 @@ def test_substitute_single_letters():
     assert substitute(2, [1, 2]).tolist() == [1, 2, 1]
 
 
+def _word(m: int, length: int) -> np.ndarray:
+    return fixed_point_prefix(numeration.make_system(m), length)
+
+
 def test_fixed_point_prefix_examples():
-    assert fixed_point_prefix(2, 8).tolist() == [1, 2, 1, 1, 2, 1, 2, 1]
-    assert fixed_point_prefix(3, 7).tolist() == [1, 2, 1, 3, 1, 2, 1]
+    assert _word(2, 8).tolist() == [1, 2, 1, 1, 2, 1, 2, 1]
+    assert _word(3, 7).tolist() == [1, 2, 1, 3, 1, 2, 1]
     for m in range(2, 7):
-        assert fixed_point_prefix(m, 1).tolist() == [1]
+        assert _word(m, 1).tolist() == [1]
 
 
 def test_fixed_point_is_fixed():
     for m in (2, 3, 4):
-        w = fixed_point_prefix(m, 200)
+        w = _word(m, 200)
         again = substitute(m, w)[:200]
         assert np.array_equal(w, again)
 
@@ -48,8 +53,9 @@ def test_fixed_point_prefix_matches_iterated_substitution(m):
     word = np.array([1], dtype=np.uint8)
     while word.size < 10 ** 5:
         word = substitute(m, word)
+    sys = numeration.make_system(m)
     for length in list(range(1, 3001)) + [10 ** 5]:
-        assert np.array_equal(fixed_point_prefix(m, length), word[:length]), length
+        assert np.array_equal(fixed_point_prefix(sys, length), word[:length]), length
 
 
 def test_word_length_examples():
@@ -63,11 +69,11 @@ def test_word_lengths_match_basis(m):
     assert word_lengths(m, 12) == numeration.basis_prefix(m, 13)
 
 
-def test_cloud_first_points(sys2):
+def test_cloud_first_points():
     cloud = build_cloud(2, 2000)
     assert cloud.labels[0] == 1
     assert np.allclose(cloud.reduced[0], 0.0)
-    expect = (sys2.phi_float ** -2) % 1.0
+    expect = float(root_mpmath(2) ** -2) % 1.0
     assert abs(cloud.reduced[1][0] - expect) < 1e-12
     assert cloud.labels[1] == 2
 
@@ -75,11 +81,12 @@ def test_cloud_first_points(sys2):
 @pytest.mark.parametrize("m", [2, 3])
 def test_cloud_matches_abelianization_route(m):
     cloud = build_cloud(m, 5000)
+    sys = numeration.make_system(m)
     word = cloud.labels
     rng = np.random.default_rng(m)
     for n in rng.integers(0, 5000, size=40):
         counts = np.bincount(word[: int(n)], minlength=m + 1)[1:]
-        direct = reduce_array(lattice_coords(m, cloud.phi, counts.tolist()))
+        direct = reduce_array(lattice_coords(sys, counts.tolist()))
         assert torus_distance(direct, cloud.reduced[int(n)]) <= 1e-9
 
 
@@ -105,8 +112,8 @@ def test_cloud_frozen_bytes(m, depth, points, labels):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_label_frequencies(m):
-    word = fixed_point_prefix(m, 10 ** 5)
     sys = numeration.make_system(m, 10)
+    word = fixed_point_prefix(sys, 10 ** 5)
     freqs = np.bincount(word, minlength=m + 1)[1:] / word.size
     for i in range(m):
         assert abs(freqs[i] - sys.neg_power(i + 1)) < 1e-3
@@ -117,7 +124,7 @@ def test_label_equals_level0_walk_letter(m):
     # the fixed-point letter after prefix n must match the digit rule:
     # one plus the ones-run at the bottom of the expansion of n
     sys = numeration.make_system(m, 3000)
-    word = fixed_point_prefix(m, 3001)
+    word = fixed_point_prefix(sys, 3001)
     for n in range(3000):
         assert word[n] == subtile_of(sys, n, 0).letter
 
@@ -235,8 +242,9 @@ def test_set_equation_matches_sorted_cells(m, depth, k, resolution):
     from mbonacci.spectral import contraction_matrix
 
     cloud = build_cloud(m, depth)
-    mat = contraction_matrix(m, cloud.phi)
-    gamma = np.asarray(lattice_coords(m, cloud.phi, [1] + [0] * (m - 1)))
+    sys = numeration.make_system(m)
+    mat = contraction_matrix(sys)
+    gamma = np.asarray(lattice_coords(sys, [1] + [0] * (m - 1)))
     sides = {letter: cloud.letter_points(letter) for letter in range(1, m + 1)}
     for _ in range(k):
         sides = {letter: (np.concatenate(list(sides.values())) @ mat.T if letter == 1

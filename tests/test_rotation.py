@@ -169,12 +169,12 @@ def test_interval_for_zero(sys2):
         n_k, r = level_intervals(sys2, k, 1)
         assert n_k[0] == 0 and r[0] == 0
         assert vdc_values(sys2, 1)[n_k[0]] == 0.0
-        assert abs(_lengths(sys2, k)[0] - sys2.phi_float ** -k) < 1e-12
+        assert abs(_lengths(sys2, k)[0] - float(helpers.root_mpmath(2)) ** -k) < 1e-12
 
 
 def test_interval_example_m2_n4_k3(sys2):
     # 4 = 3 + 1 has code 101: its own low three digits, with run 1
-    phi = sys2.phi_float
+    phi = float(helpers.root_mpmath(2))
     n_k, r = level_intervals(sys2, 3, 5)
     assert n_k[4] == 4 and r[4] == 1
     left = vdc_values(sys2, 5)[n_k[4]]
@@ -202,7 +202,7 @@ def test_interval_length_equals_subtile_measure(m):
     # the subtile measure sum(phi^-(k+i), i <= m - r) is the power product
     # phi^-k (phi^r - sum(phi^i, i < r)) of the interval's digit geometry
     sys = make_system(m, 10 ** 5)
-    phi = sys.phi_float
+    phi = float(helpers.root_mpmath(m))
     rng = np.random.default_rng(m * 13)
     ns = rng.integers(0, 10 ** 5, size=100)
     for k in (1, 4, 9):
@@ -216,7 +216,7 @@ def test_interval_length_equals_subtile_measure(m):
 def test_partition_counts_and_examples(sys2, sys3):
     left, length = _partition(sys2, 1)
     assert len(left) == 2
-    inv_phi = 1.0 / sys2.phi_float
+    inv_phi = 1.0 / float(helpers.root_mpmath(2))
     assert abs(left[0] + length[0] - inv_phi) < 1e-12 and abs(left[1] - inv_phi) < 1e-12
     assert abs(left[1] + length[1] - 1.0) < 1e-12
     assert len(_partition(sys2, 3)[0]) == 5
@@ -254,14 +254,14 @@ def test_shifted_rotation_matches_digit_membership_m2(sys2, cloud_m2_100k):
     from mbonacci.spectral import contraction_matrix, lattice_coords
 
     k, N = 1, 50
-    mat = contraction_matrix(2, cloud_m2_100k.phi)
+    mat = contraction_matrix(sys2)
     # the offset: a fixed label-1 point from the middle of a depth-2048
     # cloud, contracted M = max(k, L) times, with L the level covering N - 1
     ref = build_cloud(2, 2048)
     i = 1024 + int(np.argmax(ref.labels[1024:] == 1))
     M = max(k, bisect_right(sys2.basis, N - 1))
     offset = reduce_array(np.linalg.matrix_power(mat, M) @ ref.unreduced[i])
-    gamma = np.asarray(lattice_coords(2, cloud_m2_100k.phi, [1, 0]))
+    gamma = np.asarray(lattice_coords(sys2, [1, 0]))
     cell1 = (cloud_m2_100k.letter_points(1) @ mat.T + gamma) % 1.0
     lo, hi = float(cell1.min()), float(cell1.max())
     assert hi - lo < 0.5  # the digit-one cell is a single arc, no wrap
@@ -340,7 +340,7 @@ def test_word_letter_is_one_plus_the_run_of_ones(m):
     N = 10 ** 5
     sys = make_system(m)
     code = digit_codes(sys, N)
-    word = fixed_point_prefix(m, N)
+    word = fixed_point_prefix(sys, N)
     alive = np.ones(N, dtype=bool)
     run = np.zeros(N, dtype=np.int64)
     for j in range(m):

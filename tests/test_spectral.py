@@ -1,3 +1,4 @@
+import ast
 import os
 import pkgutil
 import subprocess
@@ -81,7 +82,7 @@ def test_root_and_power_pairs_vs_mpmath_oracle():
         phi = root_mpmath(m, 440)
         with mpmath.workprec(440):
             assert sys.phi == dominant_root(m) == int(mpmath.floor(phi * 2 ** ROOT_BITS))
-            assert sys.phi_float == _correctly_rounded_pair(phi)[0]
+            assert sys.phi / 2 ** ROOT_BITS == _correctly_rounded_pair(phi)[0]
             inv, power = 1 / phi, mpmath.mpf(1)
             for j, pair in enumerate(sys.neg_power_parts.tolist(), start=1):
                 power *= inv
@@ -121,7 +122,7 @@ def test_eigen_residuals_closed_form():
         sys = numeration.make_system(m, 10)
         right = sys.neg_power_parts[:m, 0]
         mat = incidence_matrix(m).astype(np.float64)
-        assert np.max(np.abs(mat @ right - sys.phi_float * right)) <= 1e-10
+        assert np.max(np.abs(mat @ right - _root_float(m) * right)) <= 1e-10
         assert abs(right.sum() - 1.0) <= 1e-12
         assert np.all(right > 0)
         # P commutes with the incidence matrix iff its v is the left eigenvector
@@ -142,17 +143,26 @@ def test_right_eigenvector_is_root_powers():
         assert np.max(np.abs(u - sys.neg_power_parts[:m, 0])) < 1e-10
 
 
-def test_lattice_coords_examples():
+def test_lattice_coords_examples(sys3):
     phi3 = _root_float(3)
-    got = lattice_coords(3, phi3, [1, 0, 0])
+    got = lattice_coords(sys3, [1, 0, 0])
     assert np.allclose(got, [phi3 ** -2, phi3 ** -3], atol=1e-14)
     for m in (2, 3, 5):
-        phi = _root_float(m)
         basis_vec = [1, -1] + [0] * (m - 2)
-        got = lattice_coords(m, phi, basis_vec)
+        got = lattice_coords(numeration.make_system(m), basis_vec)
         assert np.allclose(got, [1.0] + [0.0] * (m - 2), atol=1e-14)
-    got = lattice_coords(3, phi3, [0, 1, 0])
+    got = lattice_coords(sys3, [0, 1, 0])
     assert np.allclose(got, [phi3 ** -2 - 1.0, phi3 ** -3], atol=1e-14)
+    with pytest.raises(ValueError, match="length m=3"):
+        lattice_coords(sys3, [1, 0])
+
+
+def test_lattice_coords_of_e1_are_the_system_pairs():
+    # pi(e_1) = sum_i phi^-i b_{i-1}: its coordinates are the cached powers, bit for bit
+    for m in range(2, 7):
+        sys = numeration.make_system(m)
+        got = lattice_coords(sys, [1] + [0] * (m - 1))
+        assert got.tobytes() == sys.neg_power_parts[1:m, 0].tobytes()
 
 
 def test_lattice_coords_matches_ambient_projection():
@@ -160,11 +170,10 @@ def test_lattice_coords_matches_ambient_projection():
     for m in range(2, 7):
         sys = numeration.make_system(m, 10)
         proj = ambient_projection(sys)
-        phi = sys.phi_float
         basis_vectors = [proj @ (np.eye(m)[0] - np.eye(m)[i]) for i in range(1, m)]
         for _ in range(10):
             x = rng.integers(-50, 50, size=m)
-            coords = lattice_coords(m, phi, x.tolist())
+            coords = lattice_coords(sys, x.tolist())
             recon = sum(c * b for c, b in zip(coords, basis_vectors))
             assert np.max(np.abs(proj @ x - recon)) < 1e-10
 
@@ -173,7 +182,7 @@ def test_projected_e1_expansion_in_ambient_space():
     for m in range(2, 7):
         sys = numeration.make_system(m, 10)
         proj = ambient_projection(sys)
-        phi = sys.phi_float
+        phi = float(root_mpmath(m))
         e = np.eye(m)
         lhs = proj @ e[0]
         rhs = sum(phi ** -i * (proj @ (e[0] - e[i - 1])) for i in range(2, m + 1))
@@ -199,7 +208,7 @@ def test_rotation_point_examples(sys2):
     assert rotation_point([sys2], 0).tolist() == [0.0]
     got = rotation_point([sys2], 1)[0]
     assert abs(got - 0.38196601) < 1e-8
-    assert abs(got - (2.0 - sys2.phi_float)) < 1e-12
+    assert abs(got - (2.0 - float(root_mpmath(2)))) < 1e-12
 
 
 def test_rotation_point_concatenates_systems(sys2, sys3):
@@ -211,8 +220,7 @@ def test_conjugacy_lattice_route_vs_rotation(sys2, sys3):
     rng = np.random.default_rng(11)
     for sys in (sys2, sys3):
         for n in np.concatenate(([0, 1, 2], rng.integers(0, 10 ** 4, size=50))):
-            direct = reduce_array(lattice_coords(sys.m, sys.phi_float,
-                                                 [int(n)] + [0] * (sys.m - 1)))
+            direct = reduce_array(lattice_coords(sys, [int(n)] + [0] * (sys.m - 1)))
             rotated = rotation_point([sys], int(n))
             assert torus_distance(direct, rotated) <= 1e-9
 
@@ -243,22 +251,37 @@ def test_rotation_orbit_matches_scalar(sys3):
 
 
 def test_contraction_matrix_m2(sys2):
-    mat = contraction_matrix(2, sys2.phi_float)
+    mat = contraction_matrix(sys2)
     assert mat.shape == (1, 1)
-    assert abs(mat[0, 0] + 1.0 / sys2.phi_float) < 1e-12
+    assert abs(mat[0, 0] + 1.0 / float(root_mpmath(2))) < 1e-12
 
 
 def test_contraction_matrix_intertwines_incidence_action():
     rng = np.random.default_rng(9)
     for m in range(2, 7):
-        phi = _root_float(m)
-        mat = contraction_matrix(m, phi)
+        sys = numeration.make_system(m)
+        mat = contraction_matrix(sys)
         inc = incidence_matrix(m)
         for _ in range(8):
             x = rng.integers(-20, 20, size=m)
-            lhs = mat @ np.asarray(lattice_coords(m, phi, x.tolist()))
-            rhs = np.asarray(lattice_coords(m, phi, (inc @ x).tolist()))
+            lhs = mat @ np.asarray(lattice_coords(sys, x.tolist()))
+            rhs = np.asarray(lattice_coords(sys, (inc @ x).tolist()))
             assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def test_contraction_matrix_spectrum():
+    # on the hyperplane the incidence matrix keeps every root but phi: its
+    # characteristic polynomial times (x - phi) is x^m - x^(m-1) - ... - 1
+    for m in range(2, 7):
+        mat = contraction_matrix(numeration.make_system(m))
+        coeffs = np.polymul(np.poly(mat), [1.0, -float(root_mpmath(m))])
+        assert np.max(np.abs(coeffs - np.array([1.0] + [-1.0] * m))) <= 1e-14, m
+        assert np.max(np.abs(np.linalg.eigvals(mat))) < 1.0, m
+        # the columns of b_{i-1} -> b_i - b_1 (i < m) are exact integers
+        hand = np.zeros((m - 1, m - 2))
+        hand[0] = -1.0
+        hand[np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+        assert np.array_equal(mat[:, :-1], hand), m
 
 
 def test_spectral_is_a_leaf_module():
@@ -275,3 +298,43 @@ def test_spectral_is_a_leaf_module():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "['mbonacci.spectral']"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_a_sibling_private_name():
+    # a module's underscored names are its own: no package module imports
+    # one from a sibling or reads one as `<sibling>._name`
+    pkg = os.path.dirname(os.path.abspath(mbonacci.__file__))
+    names = {info.name for info in pkgutil.iter_modules(mbonacci.__path__)}
+    found = []
+    for name in sorted(names):
+        path = os.path.join(pkg, f"{name}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        siblings = {}  # local name -> sibling module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "mbonacci":
+                siblings.update((a.asname or a.name, a.name) for a in node.names if a.name in names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mbonacci."):
+                found += [f"{name}: from {node.module} import {a.name}"
+                          for a in node.names if _private(a.name)]
+            elif isinstance(node, ast.Import):
+                siblings.update((a.asname, a.name.split(".")[1]) for a in node.names
+                                if a.asname and a.name.startswith("mbonacci."))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                sibling = siblings.get(owner.id)
+            elif (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                  and owner.value.id == "mbonacci"):
+                sibling = owner.attr
+            else:
+                sibling = None
+            if sibling in names and sibling != name:
+                found.append(f"{name}: {sibling}.{node.attr}")
+    assert found == []
