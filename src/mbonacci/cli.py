@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -126,7 +127,10 @@ def _cmd_disc(args) -> int:
     fit = {}
     if args.variant == "1d":
         values = rotation.vdc_values(numeration.make_system(args.m), args.count)
-        # a view of the values: a Halton array of one axis would copy them
+        # the command owns the values, so it sorts them in place and
+        # `star_disc_1d` reads them without a sorted copy; they go in as a
+        # view of one axis, where a Halton array of one axis would copy them
+        values.sort()
         report = discrepancy.star_disc(values[:, None])
     elif args.variant == "multi":
         systems = tuple(numeration.make_system(m) for m in args.ms)
@@ -223,10 +227,14 @@ def _cmd_reproduce(args) -> int:
                                  if c.number in _EXAMPLE_CRITERIA])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # the global option also hangs off every leaf command (SUPPRESS default,
-    # so a late occurrence overrides an early one instead of erasing it);
-    # its default lives in the namespace `main` parses into
+    # built once per process, as a build costs milliseconds: parsing leaves
+    # the parser as it was and every default is immutable, so no call sees
+    # what an earlier one parsed.  The global option also hangs off every
+    # leaf command (SUPPRESS default, so a late occurrence overrides an
+    # early one instead of erasing it); its default lives in the namespace
+    # `main` parses into
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", default=argparse.SUPPRESS,
                         help="output path (default stdout)")
@@ -289,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_dim)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--levels", type=_levels, default=[4, 5, 6, 7, 8, 9])
+    p.add_argument("--levels", type=_levels, default=(4, 5, 6, 7, 8, 9))
     p.add_argument("--mode", choices=("subtile", "outer", "both"), default="both")
 
     p = sub.add_parser("exponent", help="product-fractal decay exponent (JSON)",

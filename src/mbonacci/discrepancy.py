@@ -60,33 +60,54 @@ class DiscrepancyReport:
 
 
 # sorted points per step of `star_disc_1d`
-_CHUNK_POINTS = 1 << 16
+_CHUNK_POINTS = 1 << 15
+
+
+def _ascending(x: np.ndarray) -> bool:
+    """Whether x never decreases, read _CHUNK_POINTS pairs at a time.  A
+    NaN compares false, so an array holding one beside another value is
+    not ascending."""
+    for a in range(0, x.size - 1, _CHUNK_POINTS):
+        b = min(a + _CHUNK_POINTS, x.size - 1)
+        if not np.all(x[a:b] <= x[a + 1:b + 1]):
+            return False
+    return True
 
 
 def star_disc_1d(points) -> float:
     """Exact one-dimensional star discrepancy via the sorted formula,
-    max_i max(i/n - x_(i), x_(i) - (i - 1)/n).  The range check reads the
-    sorted ends, where NaN sorts last.  Both maxima are taken over chunks
-    of _CHUNK_POINTS sorted points, so besides the sorted copy the pass
-    holds no array of full length; the quotients np.arange(a, b + 1) / n
-    of a chunk are those of the whole range, bit for bit."""
+    max_i max(i/n - x_(i), x_(i) - (i - 1)/n).  An ascending input is read
+    as it is, and any other is sorted into a copy, so the caller's array is
+    never reordered.  The range check reads the sorted ends, where NaN
+    sorts last.  Both maxima are taken over chunks of _CHUNK_POINTS sorted
+    points, through an index and a difference buffer of a chunk's length,
+    allocated once; so besides a sorted copy the pass holds no array of
+    full length.  The quotients i/n of a chunk are those of the whole
+    range, bit for bit."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a one-dimensional point set")
-    x = np.sort(x)
     n = x.size
     if n == 0:
         raise ValueError("empty point set")
+    if not _ascending(x):
+        x = np.sort(x)
     if not (x[0] >= 0.0 and x[-1] < 1.0):
         raise ValueError("points must lie in [0, 1)")
+    width = min(_CHUNK_POINTS, n)
+    # idx[k] is a + k for the chunk that starts at a, an integer below 2^53
+    idx = np.arange(width + 1, dtype=np.float64)
+    diff = np.empty(width)
     best = 0.0
     for a in range(0, n, _CHUNK_POINTS):
         b = min(a + _CHUNK_POINTS, n)
-        # q[i] is (a + i)/n, so q[1:] and q[:-1] hold i/n and (i - 1)/n
-        q = np.arange(a, b + 1, dtype=np.float64)
-        q /= n
-        diff = np.subtract(q[1:], x[a:b])
-        best = max(best, diff.max(), np.subtract(x[a:b], q[:-1], out=diff).max())
+        d, xs = diff[:b - a], x[a:b]
+        # i/n - x_(i), then x_(i) - (i - 1)/n, for i = a + 1..b
+        np.divide(idx[1:b - a + 1], n, out=d)
+        best = max(best, np.subtract(d, xs, out=d).max())
+        np.divide(idx[:b - a], n, out=d)
+        best = max(best, np.subtract(xs, d, out=d).max())
+        idx += _CHUNK_POINTS
     return float(best)
 
 

@@ -100,6 +100,11 @@ class FractalCloud:
         return self.unreduced[self.labels == letter]
 
 
+# points per pass of `build_cloud` and `letter_grid`; each pass works
+# through buffers of this many elements, allocated once per call
+_BLOCK = 1 << 15
+
+
 def build_cloud(m: int, depth: int) -> FractalCloud:
     """Cloud of the first depth+1 projected prefixes.
 
@@ -107,22 +112,40 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
     among the first n fixed-point letters, evaluated per point from split
     high-precision powers, so there is no accumulated rounding drift.
     Each coordinate is written in place into one (m - 1, depth + 1) array,
-    whose transpose is `unreduced`; the letter counts are cumulative sums
-    in one float64 buffer, exact below 2^53.
+    whose transpose is `unreduced`; it and the word are the only arrays of
+    full length.  The fill runs _BLOCK points at a time: a block's indices,
+    its cumulative letter counts (exact in float64 below 2^53, the last
+    count carried into the next block) and the products' temporaries go
+    through buffers allocated once.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > DEFAULT_MAX_DEPTH:
         raise ValueError(f"depth {depth} beyond the memory budget {DEFAULT_MAX_DEPTH}")
     sys = numeration.make_system(m)
-    word = fixed_point_prefix(sys, depth + 1)
-    ns = np.arange(depth + 1, dtype=np.float64)
-    counts = np.zeros(depth + 1)
-    coords = np.empty((m - 1, depth + 1))
-    for i in range(2, m + 1):
-        np.cumsum(word[:depth] == i, dtype=np.float64, out=counts[1:])
-        hi, lo = sys.neg_power_parts[i - 1]
-        precise_multiples_minus(ns, float(hi), float(lo), counts, out=coords[i - 2])
+    size = depth + 1
+    word = fixed_point_prefix(sys, size)
+    coords = np.empty((m - 1, size))
+    width = min(_BLOCK, size)
+    # ns[k] is a + k in the block that starts at a
+    ns = np.arange(width, dtype=np.float64)
+    scratch = np.empty(width)
+    counts = np.empty(width + 1)
+    # the count of letter i among the letters before the block
+    carried = [0.0] * (m - 1)
+    for a in range(0, size, _BLOCK):
+        b = min(a + _BLOCK, size)
+        c = counts[:b - a + 1]
+        for i in range(2, m + 1):
+            # c[k] is the count of letter i among the first a + k letters
+            c[0] = carried[i - 2]
+            np.cumsum(word[a:b] == i, dtype=np.float64, out=c[1:])
+            c[1:] += c[0]
+            carried[i - 2] = c[-1]
+            hi, lo = sys.neg_power_parts[i - 1]
+            precise_multiples_minus(ns[:b - a], float(hi), float(lo), c[:-1],
+                                    out=coords[i - 2, a:b], scratch=scratch[:b - a])
+        ns += _BLOCK
     return FractalCloud(m=m, depth=depth, labels=word, unreduced=coords.T)
 
 
@@ -145,7 +168,9 @@ def letter_grid(points: np.ndarray, labels: np.ndarray, groups: int, scale: floa
     scale.  Without `dims` it is the bounding box of the cells plus one
     empty cell on every side, so every occupied cell has all its
     face-neighbours in the grid.  A grid of more than MAX_GRID_CELLS cells
-    is refused before anything of its size is allocated.
+    is refused before anything of its size is allocated.  The points are
+    marked _BLOCK at a time through a key and a cell buffer allocated
+    once, so besides the grid no array of the points' length is allocated.
 
     Returns the bool occupancy of shape (groups, *dims) and the index of
     the grid's first cell on each axis.
@@ -161,20 +186,25 @@ def letter_grid(points: np.ndarray, labels: np.ndarray, groups: int, scale: floa
         first = (0,) * d
     if prod(dims) > MAX_GRID_CELLS:
         raise ValueError(f"occupancy grid of {prod(dims):.3g} cells too large for a dense count")
-    # flat key of (label - 1, cell - first) on the grid of shape (groups, *dims),
-    # one axis at a time through one float buffer; every value is an integer
-    # below 2^53, so the float sums are exact
-    key = labels.astype(np.int64) - 1
-    cell = np.empty(len(key))
-    for j, (f, size) in enumerate(zip(first, dims)):
-        np.multiply(points[:, j], scale, out=cell)
-        np.floor(cell, out=cell)
-        cell -= f
-        key *= size
-        np.add(key, cell, out=key, casting="unsafe")
-    del cell
     occ = np.zeros(groups * prod(dims), dtype=bool)
-    occ[key] = True
+    # flat key of (label - 1, cell - first) on the grid of shape (groups, *dims),
+    # _BLOCK points and one axis at a time through two buffers; every value
+    # is an integer below 2^53, so the float sums are exact
+    count = len(labels)
+    key_buf = np.empty(min(_BLOCK, count), dtype=np.int64)
+    cell_buf = np.empty(len(key_buf))
+    for a in range(0, count, _BLOCK):
+        b = min(a + _BLOCK, count)
+        key, cell = key_buf[:b - a], cell_buf[:b - a]
+        key[...] = labels[a:b]
+        key -= 1
+        for j, (f, size) in enumerate(zip(first, dims)):
+            np.multiply(points[a:b, j], scale, out=cell)
+            np.floor(cell, out=cell)
+            cell -= f
+            key *= size
+            np.add(key, cell, out=key, casting="unsafe")
+        occ[key] = True
     return occ.reshape((groups, *dims)), first
 
 

@@ -35,16 +35,22 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
     block of earlier values (b_hi, b_lo) in double-double: Knuth's
     two-sum of the high parts, the low parts added to its error, then a
     fast renormalisation (the sum is positive and dominates its error).
-    The block's sum and low part go straight into `hi` and `lo`, and the
-    other intermediates through two buffers allocated once, so no block
-    allocates: in a fresh interpreter glibc maps every temporary above
-    128 KB on its own, and each would fault in page by page.
+    The block's sum goes straight into `hi`, the only array of full
+    length, and its low part into `lo`.  No range reads a low part at or
+    past the start F of the last range (see `prefix_ranges`), so `lo`
+    holds F values and the last range's low parts go to a third block
+    buffer.  The other intermediates go through two more such buffers;
+    all three are allocated once, so no block allocates: in a fresh
+    interpreter glibc maps every temporary above 128 KB on its own, and
+    each would fault in page by page.
     """
     ranges = prefix_ranges(sys, count)
+    last = ranges[-1][1] if ranges else 0
     hi = np.zeros(count)
-    lo = np.zeros(count)
+    lo = np.zeros(last)
     s_buf = np.empty(min(_FILL_BLOCK, count))
     t_buf = np.empty_like(s_buf)
+    u_buf = np.empty_like(s_buf)
     for j, start, stop in ranges:
         p_hi, p_lo = sys.neg_power_parts[j]
         for a in range(start, stop, _FILL_BLOCK):
@@ -52,7 +58,8 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
             # the block read ends before hi[a:b] (see `prefix_ranges`), so
             # out_hi may be written before b_hi is read
             b_hi, b_lo = hi[a - start:b - start], lo[a - start:b - start]
-            out_hi, out_lo = hi[a:b], lo[a:b]
+            out_hi = hi[a:b]
+            out_lo = lo[a:b] if start < last else u_buf[:b - a]
             s, t = s_buf[:b - a], t_buf[:b - a]
             np.add(p_hi, b_hi, out=s)
             np.subtract(s, p_hi, out=t)

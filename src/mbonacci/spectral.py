@@ -168,15 +168,17 @@ def veltkamp_split(x):
 
 
 def precise_multiples_minus(ns: np.ndarray, hi: float, lo: float, subtract: np.ndarray,
-                            out: np.ndarray | None = None) -> np.ndarray:
+                            out: np.ndarray | None = None,
+                            scratch: np.ndarray | None = None) -> np.ndarray:
     """n * (hi + lo) - subtract, with the dominant product kept exact;
-    written into `out` when it is given."""
+    written into `out` when it is given, and its two smaller products
+    formed in `scratch`, of the shape of `ns`, when that is given."""
     if ns.size and int(ns.max()) >= MAX_PRECISE_INDEX:
         raise ValueError("index too large for the exact-product fast path")
     hi1, hi2 = veltkamp_split(hi)
     nf = np.asarray(ns, dtype=np.float64)
     out = np.multiply(nf, hi1, out=out)
     out -= subtract
-    out += nf * hi2
-    out += nf * lo
+    out += np.multiply(nf, hi2, out=scratch)
+    out += np.multiply(nf, lo, out=scratch)
     return out

@@ -425,6 +425,40 @@ def test_output_flag_writes_file(tmp_path):
         assert json.loads(path.read_text())["method"] == "theorem_exponent", argv
 
 
+def test_back_to_back_main_calls(tmp_path, capsys, monkeypatch):
+    # one process, one parser: a flag of one call never reaches the next,
+    # and a refused command leaves nothing behind.  The subprocess sees the
+    # same terminal width, so argparse wraps its usage lines alike
+    from mbonacci import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "out.json"
+    exponent = ["exponent", "--ms", "2,3", "--dims", "0,1"]
+    seq = ["seq", "vdc", "--m", "2", "--count", "3"]
+    assert cli.main(exponent + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    path.unlink()
+    assert cli.main(exponent) == 0
+    assert capsys.readouterr().out == run_cli(*exponent).stdout and not path.exists()
+    assert cli.main(seq + ["--digits", "3"]) == 0
+    assert capsys.readouterr().out == run_cli(*seq, "--digits", "3").stdout
+    assert cli.main(seq) == 0
+    assert capsys.readouterr().out == run_cli(*seq).stdout
+    for refused, code in ((["seq", "vdc", "--m", "2", "--count", "0"], 2),
+                          (["--digits", "5"] + seq, 2),
+                          (["exponent", "--ms", "3,3", "--dims", "0,1"], 1)):
+        fresh = run_cli(*refused)
+        if code == 2:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(refused)
+            assert exit_.value.code == 2
+        else:
+            assert cli.main(refused) == 1
+        assert fresh.returncode == code and capsys.readouterr().err == fresh.stderr, refused
+        assert cli.main(seq) == 0
+        assert capsys.readouterr().out == run_cli(*seq).stdout, refused
+
+
 def _rows(header, int_cols, float_cols, d):
     """Row-by-row CSV rendering, the reference for the chunked writer."""
     lines = [",".join(header)]

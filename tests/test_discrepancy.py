@@ -89,6 +89,31 @@ def test_star_disc_1d_memory():
     assert peak < 12 * 2 ** 20
 
 
+def test_star_disc_1d_reads_ascending_input_in_place():
+    # an ascending input is read as it is: only the ascending check's and
+    # the chunk buffers' 0.5 MiB beside it (0.50 MiB measured)
+    x = np.sort(np.random.default_rng(0).random(2 ** 20))
+    tracemalloc.start()
+    try:
+        value = star_disc_1d(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    shuffled = np.random.default_rng(1).permutation(x)
+    assert star_disc_1d(shuffled) == value
+    # any other input is sorted into a copy, and the caller's array keeps
+    # its order; a NaN among ascending values is not ascending, so it
+    # sorts last and is refused
+    small = np.random.default_rng(2).random(300)
+    kept = small.copy()
+    assert star_disc_1d(small) == naive_star_disc(np.sort(small)[:, None])
+    assert np.array_equal(small, kept)
+    for bad in ([0.1, np.nan, 0.5], [np.nan], [0.1, 0.2, np.nan]):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            star_disc_1d(bad)
+
+
 def test_load_points_csv_memory(tmp_path):
     # 2^20 repr rows are 20 MB of text, read one 64 KiB block at a time: the
     # reader peaks at the 8 MiB result, grown in place by quarters, plus a
@@ -548,6 +573,20 @@ def test_dense_boundary_grid_guard():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def test_box_dim_boundary_memory():
+    # the level-9 letter grid (3 MB) and its coarsenings, marked a block of
+    # points at a time (4.04 MiB measured): no key or cell array of the
+    # cloud's length
+    cloud = rauzy.build_cloud(3, 10 ** 6)
+    tracemalloc.start()
+    try:
+        box_dim_boundary(cloud, range(4, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_box_dim_frozen_counts():

@@ -18,7 +18,13 @@ from mbonacci.rauzy import (
     word_lengths,
 )
 from mbonacci.rotation import subtile_of
-from mbonacci.spectral import lattice_coords, reduce_array, rotation_point, torus_distance
+from mbonacci.spectral import (
+    lattice_coords,
+    precise_multiples_minus,
+    reduce_array,
+    rotation_point,
+    torus_distance,
+)
 
 
 def test_substitute_single_letters():
@@ -108,6 +114,67 @@ def test_cloud_frozen_bytes(m, depth, points, labels):
     assert cloud.unreduced.shape == (depth + 1, m - 1) and cloud.unreduced.dtype == np.float64
     assert hashlib.sha256(np.ascontiguousarray(cloud.unreduced).tobytes()).hexdigest() == points
     assert hashlib.sha256(cloud.labels.tobytes()).hexdigest() == labels
+
+
+def _one_shot_cloud(m: int, depth: int) -> np.ndarray:
+    """Coordinates from full-length letter counts and one product call per
+    coordinate: the reference the blocked fill is held to."""
+    sys = numeration.make_system(m)
+    word = fixed_point_prefix(sys, depth + 1)
+    ns = np.arange(depth + 1, dtype=np.float64)
+    coords = np.empty((m - 1, depth + 1))
+    for i in range(2, m + 1):
+        counts = np.zeros(depth + 1)
+        np.cumsum(word[:depth] == i, dtype=np.float64, out=counts[1:])
+        hi, lo = sys.neg_power_parts[i - 1]
+        precise_multiples_minus(ns, float(hi), float(lo), counts, out=coords[i - 2])
+    return coords.T
+
+
+def _one_shot_grid(points, labels, groups, scale, dims=None):
+    """`letter_grid` from one floor over every point at once."""
+    cells = np.floor(points * scale).astype(np.int64)
+    if dims is None:
+        first = cells.min(axis=0) - 1
+        dims = tuple((cells.max(axis=0) - first + 2).tolist())
+    else:
+        first = np.zeros(len(dims), dtype=np.int64)
+    key = labels.astype(np.int64) - 1
+    for j, size in enumerate(dims):
+        key = key * size + (cells[:, j] - first[j])
+    occ = np.zeros(groups * int(np.prod(dims)), dtype=bool)
+    occ[key] = True
+    return occ.reshape((groups, *dims)), tuple(first.tolist())
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_blocked_cloud_and_grid_across_block_seams(m):
+    # depth + 1 points end one short of, at, and one past the second block
+    # seam, so the letter counts are carried across a seam and the last
+    # block is one point short, full, or a single point
+    block = rauzy._BLOCK
+    side = {2: 1024, 3: 64, 4: 16, 5: 8}[m]
+    for depth in (2 * block - 2, 2 * block - 1, 2 * block):
+        cloud = build_cloud(m, depth)
+        assert np.array_equal(cloud.unreduced, _one_shot_cloud(m, depth)), depth
+        for points, scale, dims in ((cloud.unreduced, float(side), None),
+                                    (cloud.reduced, side, (side,) * (m - 1))):
+            got, first = rauzy.letter_grid(points, cloud.labels, m, scale, dims)
+            want, want_first = _one_shot_grid(points, cloud.labels, m, scale, dims)
+            assert first == want_first and np.array_equal(got, want), (depth, dims)
+
+
+def test_build_cloud_memory():
+    # the 16 MB of coordinates and the 1 MB word, with a few block buffers
+    # of 256 KB beside them (17.25 MiB measured); the letter counts, the
+    # indices and the products have no array of full length
+    tracemalloc.start()
+    try:
+        build_cloud(3, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 
@@ -55,6 +56,36 @@ def test_vdc_forms_agree_bit_for_bit(m):
     assert np.array_equal(vdc_values(sys, 1000), table[:1000])
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_vdc_values_at_and_past_basis_terms(m):
+    # a count of F_j ends on a whole range, and F_j + 1 leaves a last range
+    # of one value, whose low part goes to a block buffer and not to `lo`;
+    # every value is the one a longer fill makes, where that range is not
+    # the last, and within half an ulp of the exact value
+    sys = make_system(m, 10 ** 6)
+    table = vdc_values(sys, 10 ** 6)
+    terms = [f for f in sys.basis if 2 <= f < 4 * 10 ** 5]
+    for count in [c for f in terms for c in (f, f + 1)]:
+        values = vdc_values(sys, count)
+        assert np.array_equal(values, table[:count]), count
+    ends = [c - 1 for f in terms for c in (f, f + 1)]
+    exact = vdc_mpmath(m, sys.basis, ends)
+    assert max(ulp_error(float(table[n]), e) for n, e in zip(ends, exact)) <= 0.51
+
+
+def test_vdc_values_memory():
+    # the 16 MB of values, and low parts only below the last range's start
+    # F = 1 346 269: 10.3 MiB (26.28 MiB measured in all)
+    sys = make_system(2, 2 * 10 ** 6)
+    tracemalloc.start()
+    try:
+        vdc_values(sys, 2 * 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27.5 * 2 ** 20
+
+
 _VDC_SHA256 = {
     2: "4c6a7a26f6705819a9bd813b69f7a932f9c908d56f561657ed21cdf742eaae1b",
     3: "71cccdcc251a75e65715321d14a1096f79fddf78fa67186efbcc75397b115b47",
@@ -84,7 +115,8 @@ def test_vdc_fill_reuses_its_buffers():
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "print(after - before)\n"
     )
-    # the hi and lo arrays of 2^20 doubles take 4096 pages of 4 KB
+    # the hi array of 2^20 doubles and the shorter lo array take at most
+    # 4096 pages of 4 KB
     assert int(run_fresh(script)) - 4096 < 1000
 
 
