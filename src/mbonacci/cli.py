@@ -113,6 +113,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_fractal(args) -> int:
+    if args.ppm:
+        rauzy.require_ppm(args.m, args.size)
     cloud = rauzy.build_cloud(args.m, args.depth)
     if args.ppm:
         rauzy.export_cloud_ppm(cloud, args.ppm, size=args.size)

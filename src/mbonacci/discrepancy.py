@@ -28,7 +28,7 @@ hold fewer than 16 cells (t < 4 at s = 2 and 3, t < 2 at s >= 4), the
 search runs at t = 1, where each block is one cell and the block pass is
 the plain sweep of every cell: where nothing prunes, the search costs
 about one plain sweep.  Every pass holds temporaries of at most about
-2^15 cells at a time.
+`numeration.BLOCK` cells at a time.
 
 DEFAULT_MAX_EXACT_OPS bounds the work of each pass, in cells of the plain
 sweep: one per cell at t = 1, two per bounded block above it.  The finest
@@ -44,6 +44,7 @@ from math import prod
 
 import numpy as np
 
+from mbonacci import numeration
 from mbonacci.rauzy import FractalCloud, letter_grid
 from mbonacci.textio import read_floats
 
@@ -59,16 +60,13 @@ class DiscrepancyReport:
     exact: bool = True
 
 
-# sorted points per step of `star_disc_1d`
-_CHUNK_POINTS = 1 << 15
-
-
 def _ascending(x: np.ndarray) -> bool:
-    """Whether x never decreases, read _CHUNK_POINTS pairs at a time.  A
-    NaN compares false, so an array holding one beside another value is
+    """Whether x never decreases, read `numeration.BLOCK` pairs at a time.
+    A NaN compares false, so an array holding one beside another value is
     not ascending."""
-    for a in range(0, x.size - 1, _CHUNK_POINTS):
-        b = min(a + _CHUNK_POINTS, x.size - 1)
+    block = numeration.BLOCK
+    for a in range(0, x.size - 1, block):
+        b = min(a + block, x.size - 1)
         if not np.all(x[a:b] <= x[a + 1:b + 1]):
             return False
     return True
@@ -79,11 +77,11 @@ def star_disc_1d(points) -> float:
     max_i max(i/n - x_(i), x_(i) - (i - 1)/n).  An ascending input is read
     as it is, and any other is sorted into a copy, so the caller's array is
     never reordered.  The range check reads the sorted ends, where NaN
-    sorts last.  Both maxima are taken over chunks of _CHUNK_POINTS sorted
-    points, through an index and a difference buffer of a chunk's length,
-    allocated once; so besides a sorted copy the pass holds no array of
-    full length.  The quotients i/n of a chunk are those of the whole
-    range, bit for bit."""
+    sorts last.  Both maxima are taken over chunks of `numeration.BLOCK`
+    sorted points, through an index and a difference buffer of a chunk's
+    length, allocated once; so besides a sorted copy the pass holds no
+    array of full length.  The quotients i/n of a chunk are those of the
+    whole range, bit for bit."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a one-dimensional point set")
@@ -94,24 +92,24 @@ def star_disc_1d(points) -> float:
         x = np.sort(x)
     if not (x[0] >= 0.0 and x[-1] < 1.0):
         raise ValueError("points must lie in [0, 1)")
-    width = min(_CHUNK_POINTS, n)
+    block = numeration.BLOCK
+    width = min(block, n)
     # idx[k] is a + k for the chunk that starts at a, an integer below 2^53
     idx = np.arange(width + 1, dtype=np.float64)
     diff = np.empty(width)
     best = 0.0
-    for a in range(0, n, _CHUNK_POINTS):
-        b = min(a + _CHUNK_POINTS, n)
+    for a in range(0, n, block):
+        b = min(a + block, n)
         d, xs = diff[:b - a], x[a:b]
         # i/n - x_(i), then x_(i) - (i - 1)/n, for i = a + 1..b
         np.divide(idx[1:b - a + 1], n, out=d)
         best = max(best, np.subtract(d, xs, out=d).max())
         np.divide(idx[:b - a], n, out=d)
         best = max(best, np.subtract(xs, d, out=d).max())
-        idx += _CHUNK_POINTS
+        idx += block
     return float(best)
 
 
-_CHUNK_CELLS = 1 << 15
 # blocks of fewer cells give way to the exact sweep (side 1): a block
 # pass bounds a block with about twice the work of evaluating a cell
 _MIN_BLOCK_CELLS = 16
@@ -209,17 +207,17 @@ def _block_pass(ranks, cands, n, side, best, cap, finish=False):
 
     The pass walks axis 0 in rank order in runs of axis-0 indices, keeping
     the cumulative count plane over the other axes, and evaluates each run
-    in slabs along axis 1 of at most about _CHUNK_CELLS blocks.  The slab
-    temporaries live in buffers allocated once per call, so the slabs reuse
-    the same pages.
+    in slabs along axis 1 of at most about `numeration.BLOCK` blocks.  The
+    slab temporaries live in buffers allocated once per call, so the slabs
+    reuse the same pages.
     """
     shape = _block_shape(cands, side)
     lows = [c[::side] for c in cands]
     highs = [c[np.minimum(np.arange(side - 1, size * side, side), len(c) - 1)]
              for c, size in zip(cands, shape)]
     inner = prod(shape[2:])
-    rows = max(1, _CHUNK_CELLS // (inner * shape[1]))
-    step = max(1, _CHUNK_CELLS // (rows * inner))
+    rows = max(1, numeration.BLOCK // (inner * shape[1]))
+    step = max(1, numeration.BLOCK // (rows * inner))
     corner_cells = rows * step * inner
     slab_cells = (rows + 1) * (step + 1) * prod(size + 1 for size in shape[2:])
     # volumes of s axes alternate between two buffers, the product over
@@ -349,7 +347,7 @@ def _fine_pass(ranks, cands, n, side, best, found):
     lengths = np.array([len(c) for c in cands])
     padded = [np.concatenate((c, np.full(side, c[-1]))) for c in cands]
     index = _rank_index(ranks, cands)
-    batch = max(1, _CHUNK_CELLS // (side + 1) ** len(cands))
+    batch = max(1, numeration.BLOCK // (side + 1) ** len(cands))
     for start in range(0, len(order), batch):
         take = order[start:start + batch]
         take = take[bound[take] > best]
@@ -465,6 +463,8 @@ def decay_fit(samples) -> tuple[float, float, float]:
         raise ValueError("need at least 4 samples")
     ns = np.array([float(n) for n, _ in samples])
     ds = np.array([float(d) for _, d in samples])
+    if not (np.isfinite(ns).all() and np.isfinite(ds).all()):
+        raise ValueError("sample sizes and discrepancy values must be finite")
     if np.any(ns[1:] <= ns[:-1]):
         raise ValueError("sample sizes must be strictly increasing")
     if np.any(ds <= 0.0):

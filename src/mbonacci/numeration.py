@@ -138,6 +138,12 @@ def is_admissible(m: int, code):
 # bulk paths (vectorised; used by measurement runs over large n ranges)
 # ---------------------------------------------------------------------------
 
+# elements per pass of every blocked loop, read at call time.  glibc maps
+# each temporary above 128 KB on its own, faulted in page by page, so the
+# blocked paths allocate their buffers once per call.  No result depends on it.
+BLOCK = 1 << 15
+
+
 def require_count(count: int) -> None:
     """Refuse a count past the exact-index range before allocating for it."""
     if count > MAX_PRECISE_INDEX:

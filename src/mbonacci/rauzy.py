@@ -100,11 +100,6 @@ class FractalCloud:
         return self.unreduced[self.labels == letter]
 
 
-# points per pass of `build_cloud` and `letter_grid`; each pass works
-# through buffers of this many elements, allocated once per call
-_BLOCK = 1 << 15
-
-
 def build_cloud(m: int, depth: int) -> FractalCloud:
     """Cloud of the first depth+1 projected prefixes.
 
@@ -113,10 +108,10 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
     high-precision powers, so there is no accumulated rounding drift.
     Each coordinate is written in place into one (m - 1, depth + 1) array,
     whose transpose is `unreduced`; it and the word are the only arrays of
-    full length.  The fill runs _BLOCK points at a time: a block's indices,
-    its cumulative letter counts (exact in float64 below 2^53, the last
-    count carried into the next block) and the products' temporaries go
-    through buffers allocated once.
+    full length.  The fill runs `numeration.BLOCK` points at a time: a
+    block's indices, its cumulative letter counts (exact in float64 below
+    2^53, the last count carried into the next block) and the products'
+    temporaries go through buffers allocated once.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -126,15 +121,16 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
     size = depth + 1
     word = fixed_point_prefix(sys, size)
     coords = np.empty((m - 1, size))
-    width = min(_BLOCK, size)
+    block = numeration.BLOCK
+    width = min(block, size)
     # ns[k] is a + k in the block that starts at a
     ns = np.arange(width, dtype=np.float64)
     scratch = np.empty(width)
     counts = np.empty(width + 1)
     # the count of letter i among the letters before the block
     carried = [0.0] * (m - 1)
-    for a in range(0, size, _BLOCK):
-        b = min(a + _BLOCK, size)
+    for a in range(0, size, block):
+        b = min(a + block, size)
         c = counts[:b - a + 1]
         for i in range(2, m + 1):
             # c[k] is the count of letter i among the first a + k letters
@@ -145,7 +141,7 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
             hi, lo = sys.neg_power_parts[i - 1]
             precise_multiples_minus(ns[:b - a], float(hi), float(lo), c[:-1],
                                     out=coords[i - 2, a:b], scratch=scratch[:b - a])
-        ns += _BLOCK
+        ns += block
     return FractalCloud(m=m, depth=depth, labels=word, unreduced=coords.T)
 
 
@@ -169,8 +165,9 @@ def letter_grid(points: np.ndarray, labels: np.ndarray, groups: int, scale: floa
     empty cell on every side, so every occupied cell has all its
     face-neighbours in the grid.  A grid of more than MAX_GRID_CELLS cells
     is refused before anything of its size is allocated.  The points are
-    marked _BLOCK at a time through a key and a cell buffer allocated
-    once, so besides the grid no array of the points' length is allocated.
+    marked `numeration.BLOCK` at a time through a key and a cell buffer
+    allocated once, so besides the grid no array of the points' length is
+    allocated.
 
     Returns the bool occupancy of shape (groups, *dims) and the index of
     the grid's first cell on each axis.
@@ -188,13 +185,14 @@ def letter_grid(points: np.ndarray, labels: np.ndarray, groups: int, scale: floa
         raise ValueError(f"occupancy grid of {prod(dims):.3g} cells too large for a dense count")
     occ = np.zeros(groups * prod(dims), dtype=bool)
     # flat key of (label - 1, cell - first) on the grid of shape (groups, *dims),
-    # _BLOCK points and one axis at a time through two buffers; every value
-    # is an integer below 2^53, so the float sums are exact
+    # a block of points and one axis at a time through two buffers; every
+    # value is an integer below 2^53, so the float sums are exact
+    block = numeration.BLOCK
     count = len(labels)
-    key_buf = np.empty(min(_BLOCK, count), dtype=np.int64)
+    key_buf = np.empty(min(block, count), dtype=np.int64)
     cell_buf = np.empty(len(key_buf))
-    for a in range(0, count, _BLOCK):
-        b = min(a + _BLOCK, count)
+    for a in range(0, count, block):
+        b = min(a + block, count)
         key, cell = key_buf[:b - a], cell_buf[:b - a]
         key[...] = labels[a:b]
         key -= 1
@@ -213,6 +211,8 @@ _MIN_POINTS_PER_CELL = 100.0
 
 
 def _require_density(npoints: int, m: int, resolution: float) -> None:
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
     need = _MIN_POINTS_PER_CELL * resolution ** -(m - 1)
     if npoints < need:
         raise ValueError(
@@ -320,25 +320,33 @@ def export_cloud_csv(cloud: FractalCloud, stream, digits: int = 15) -> None:
     write_csv(stream, header, [range(cloud.size), cloud.labels], list(cloud.reduced.T), digits)
 
 
-def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytearray:
-    """Binary PPM render of the reduced cloud, one colour per letter.
-
-    Two-dimensional torus coordinates render as a size x size image; the
-    one-dimensional case renders as a strip.  Higher dimensions are not
-    renderable in this format.  The pixels are painted in place after the
-    header, in the one buffer that is returned.
-    """
+def require_ppm(m: int, size: int) -> tuple[int, int]:
+    """The (width, height) of the PPM render of an m-letter cloud at
+    `size`, refused unless size >= 1, m is 2 or 3 and the image has at most
+    MAX_GRID_CELLS pixels; checked before a cloud is built for it."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    if cloud.m == 3:
+    if m == 3:
         width = height = size
-    elif cloud.m == 2:
+    elif m == 2:
         width, height = size, max(8, size // 8)
     else:
         raise ValueError("PPM rendering supports m = 2 or 3 only")
     if width * height > MAX_GRID_CELLS:
         raise ValueError(f"size {size} gives a {width} x {height} image, "
                          f"above the limit of {MAX_GRID_CELLS} pixels")
+    return width, height
+
+
+def render_cloud_ppm(cloud: FractalCloud, size: int = 512) -> bytearray:
+    """Binary PPM render of the reduced cloud, one colour per letter.
+
+    Two-dimensional torus coordinates render as a size x size image; the
+    one-dimensional case renders as a strip (see `require_ppm`).  Higher
+    dimensions are not renderable in this format.  The pixels are painted
+    in place after the header, in the one buffer that is returned.
+    """
+    width, height = require_ppm(cloud.m, size)
     occ, _ = letter_grid(cloud.reduced, cloud.labels, cloud.m, size, (size,) * (cloud.m - 1))
     header = f"P6\n{width} {height}\n255\n".encode()
     data = bytearray(len(header) + height * width * 3)

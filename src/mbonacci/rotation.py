@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mbonacci import numeration
 from mbonacci.numeration import MBonacciSystem, digit_codes, encode, prefix_ranges, require_count
-
-
-# elements per double-double pass of the prefix fill; each pass writes
-# through two scratch buffers of this many doubles, allocated once per call
-_FILL_BLOCK = 1 << 15
 
 
 def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
@@ -35,26 +31,26 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
     block of earlier values (b_hi, b_lo) in double-double: Knuth's
     two-sum of the high parts, the low parts added to its error, then a
     fast renormalisation (the sum is positive and dominates its error).
-    The block's sum goes straight into `hi`, the only array of full
-    length, and its low part into `lo`.  No range reads a low part at or
-    past the start F of the last range (see `prefix_ranges`), so `lo`
-    holds F values and the last range's low parts go to a third block
-    buffer.  The other intermediates go through two more such buffers;
-    all three are allocated once, so no block allocates: in a fresh
-    interpreter glibc maps every temporary above 128 KB on its own, and
-    each would fault in page by page.
+    The blocks are `numeration.BLOCK` values long.  A block's sum goes
+    straight into `hi`, the only array of full length, and its low part
+    into `lo`.  No range reads a low part at or past the start F of the
+    last range (see `prefix_ranges`), so `lo` holds F values and the last
+    range's low parts go to a third block buffer.  The other
+    intermediates go through two more such buffers, all three allocated
+    once per call.
     """
+    block = numeration.BLOCK
     ranges = prefix_ranges(sys, count)
     last = ranges[-1][1] if ranges else 0
     hi = np.zeros(count)
     lo = np.zeros(last)
-    s_buf = np.empty(min(_FILL_BLOCK, count))
+    s_buf = np.empty(min(block, count))
     t_buf = np.empty_like(s_buf)
     u_buf = np.empty_like(s_buf)
     for j, start, stop in ranges:
         p_hi, p_lo = sys.neg_power_parts[j]
-        for a in range(start, stop, _FILL_BLOCK):
-            b = min(a + _FILL_BLOCK, stop)
+        for a in range(start, stop, block):
+            b = min(a + block, stop)
             # the block read ends before hi[a:b] (see `prefix_ranges`), so
             # out_hi may be written before b_hi is read
             b_hi, b_lo = hi[a - start:b - start], lo[a - start:b - start]

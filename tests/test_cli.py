@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -409,6 +410,68 @@ def test_dim_refuses_levels_before_building_the_cloud(capsys, monkeypatch):
                   "--size", "100000")
     assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
     assert "size 100000 gives a 100000 x 100000 image" in out.stderr
+
+
+def test_fractal_refuses_ppm_settings_before_building_the_cloud(capsys, monkeypatch):
+    from mbonacci import cli, rauzy
+
+    def no_cloud(*args):
+        raise AssertionError("the cloud was built")
+
+    monkeypatch.setattr(rauzy, "build_cloud", no_cloud)
+    for argv, message in [
+        (("--m", "4", "--depth", "4000000"), "PPM rendering supports m = 2 or 3 only"),
+        (("--m", "3", "--depth", "100", "--size", "0"), "size must be >= 1, got 0"),
+        (("--m", "3", "--depth", "4000000", "--size", "100000"),
+         "size 100000 gives a 100000 x 100000 image, above the limit of 67108864 pixels"),
+    ]:
+        assert cli.main(["fractal", *argv, "--ppm", os.devnull]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+
+
+# the "Console script" pins of .github/workflows/tests.yml that no other
+# test holds, with the workflow's values: a SHA-256 of the output, JSON
+# fields, or None for exit status 0 alone
+_CI_PINS = [
+    # the double-double prefix fill of every van der Corput value
+    (("seq", "vdc", "--m", "3", "--count", "200000"),
+     "92d0ebce460f7cca4c9fb7c96ac7a3f049efe1c85efdc04974073b8fac96148f"),
+    (("seq", "halton", "--ms", "2,3,5", "--count", "100000"),
+     "74015653f4263228cbcae06e5aaf30d5b3efe3001282ce906b588a89ba3631ab"),
+    (("disc", "1d", "--m", "2", "--count", "2000000"), {"value": 2.468520585052758e-06}),
+    # one past the basis term 1 346 269, so the fill's last range holds one value
+    (("disc", "1d", "--m", "2", "--count", "1346270"), {"value": 1.6118688866809702e-06}),
+    # the CSV point reader on the benchmark's 200 000 repr rows (perfbench/workloads.py, seed 1)
+    (("disc", "file", "--input", "points.csv"), {"value": 0.0016998187979841983}),
+    # a deep level, counted over the visited addresses only
+    (("local-disc", "--m", "3", "--k", "20", "--count", "1000000"),
+     {"k": 20, "delta": 5.056091428186279e-07}),
+    # the deepest level is fixed by m, not by the count
+    (("local-disc", "--m", "2", "--k", "41", "--count", "1"),
+     {"k": 41, "delta": 0.9999999983307587}),
+    # 3-D box counting at the depth cap, pooled from the finest level
+    (("dim", "--m", "4", "--depth", "4000000", "--levels", "3-6"),
+     {"counts": [628, 2490, 10330, 43898]}),
+    (("disc", "multi", "--ms", "2,3", "--count", "100000"), {"exact": True}),
+    (("disc", "fit", "--ms", "2,3", "--min-exp", "8", "--max-exp", "16"), None),
+]
+
+
+@pytest.mark.parametrize("argv, want", _CI_PINS, ids=[" ".join(argv) for argv, _ in _CI_PINS])
+def test_console_script_pins(tmp_path, argv, want):
+    if "points.csv" in argv:
+        r = random.Random(1)
+        points = tmp_path / "points.csv"
+        points.write_text("x1\n" + "".join(f"{r.random()!r}\n" for _ in range(200000)))
+        argv = tuple(str(points) if a == "points.csv" else a for a in argv)
+    out = subprocess.run(CMD + list(argv), capture_output=True)
+    assert out.returncode == 0, out.stderr
+    if isinstance(want, str):
+        assert hashlib.sha256(out.stdout).hexdigest() == want
+    elif want is not None:
+        payload = json.loads(out.stdout)
+        assert {key: payload[key] for key in want} == want
 
 
 def test_output_flag_writes_file(tmp_path):

@@ -65,7 +65,7 @@ def test_star_disc_1d_chunk_seams(n):
     # x_(i) - (i - 1)/n on the first point after.  The seam is the first
     # chunk boundary, or the end of the only chunk.  66 corners keep the
     # oracle cheap.
-    seam = min(n, discrepancy._CHUNK_POINTS)
+    seam = min(n, numeration.BLOCK)
     width = n // 8
     x = np.floor(np.arange(n) * 64 / n) / 64
     x[seam - width:seam] = x[seam - width]
@@ -326,7 +326,7 @@ def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch):
         return block_pass(*args, **kwargs)
 
     monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
-    monkeypatch.setattr(discrepancy, "_CHUNK_CELLS", 1024)
+    monkeypatch.setattr(numeration, "BLOCK", 1024)
     monkeypatch.setattr(discrepancy, "_MAX_KEPT", 128)
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 11552)
     systems = tuple(numeration.make_system(m, 300) for m in (2, 3))
@@ -359,7 +359,7 @@ def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
     monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
     monkeypatch.setattr(discrepancy, "_block_values", record_values)
     monkeypatch.setattr(discrepancy, "_MIN_BLOCK_CELLS", 2)
-    monkeypatch.setattr(discrepancy, "_CHUNK_CELLS", 64)
+    monkeypatch.setattr(numeration, "BLOCK", 64)
     rng = np.random.default_rng(1212)
     for trial in range(45):
         s = (2, 3, 4)[trial % 3]
@@ -437,6 +437,13 @@ def test_decay_fit_validation():
         decay_fit([(10, 0.1), (20, 0.1), (40, 0.1), (80, 0.1)])
     with pytest.raises(ValueError):
         decay_fit([(10, 0.1), (20, -0.1), (40, 0.02), (80, 0.01)])
+    # non-finite samples are refused before the fit, which would return nan
+    # or raise LinAlgError on them
+    for samples in ([(10, 0.1), (20, float("nan")), (40, 0.02), (80, 0.01)],
+                    [(10, 0.1), (20, float("inf")), (40, 0.02), (80, 0.01)],
+                    [(10, 0.1), (20, 0.05), (40, 0.02), (float("inf"), 0.01)]):
+        with pytest.raises(ValueError, match="must be finite"):
+            decay_fit(samples)
 
 
 def test_vdc_sequence_decay(sys2):

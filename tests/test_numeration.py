@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_expansions, count_admissible_bruteforce
-from mbonacci import numeration
+from helpers import brute_force_expansions, count_admissible_bruteforce, naive_star_disc
+from mbonacci import discrepancy, numeration, rauzy, rotation
 from mbonacci.numeration import (
     decode,
     digit_codes,
@@ -237,3 +237,64 @@ def test_greedy_maximality(m):
             flipped += sys.basis[j]
             assert flipped > n
 
+
+def _bulk_results():
+    """(name, result) of every blocked path on inputs that cross the block
+    seams of small blocks: fills ending just before, at and just after
+    basis terms, clouds of 2 to 302 points, their plain and torus letter
+    grids, one-dimensional sets that are ascending but for one adjacent
+    swap, and Halton point sets of two to four dimensions, the pair large
+    enough for the corner search to reach its fine pass."""
+    results = []
+    for m in (2, 3, 4, 5):
+        sys = make_system(m)
+        counts = {f + d for f in sys.basis if f < 300 for d in (-1, 0, 1)} | {300}
+        results += [(f"vdc m={m} count={c}", rotation.vdc_values(sys, c)) for c in sorted(counts)]
+        for depth in (1, 2, 6, 7, 8, 13, 14, 15, 301):
+            cloud = rauzy.build_cloud(m, depth)
+            results += [(f"cloud m={m} depth={depth}", cloud.unreduced),
+                        (f"labels m={m} depth={depth}", cloud.labels)]
+        for points, scale, dims in ((cloud.unreduced, 16.0, None),
+                                    (cloud.reduced, 4, (4,) * (m - 1))):
+            occ, first = rauzy.letter_grid(points, cloud.labels, m, scale, dims)
+            results += [(f"grid m={m} dims={dims}", occ),
+                        (f"grid first m={m} dims={dims}", np.array(first))]
+    # at midpoints the discrepancy is 0.5/n, and any swap read as ascending
+    # raises it to 1.5/n
+    x = (np.arange(30) + 0.5) / 30
+    results.append(("1d ascending", discrepancy.star_disc_1d(x)))
+    for i in range(len(x) - 1):
+        swapped = x.copy()
+        swapped[[i, i + 1]] = x[[i + 1, i]]
+        results.append((f"1d swap {i}", discrepancy.star_disc_1d(swapped)))
+    shuffled = np.random.default_rng(30).permutation(rotation.vdc_values(make_system(2), 100))
+    results.append(("1d shuffled", discrepancy.star_disc_1d(shuffled)))
+    for ms, count in (((2, 3), 200), ((2, 3, 5), 20), ((2, 3, 4, 5), 10)):
+        pts = rotation.halton_points([make_system(m) for m in ms], count)
+        results += [(f"halton {ms}", pts),
+                    (f"multi {ms}", discrepancy.star_disc_multi(pts).value)]
+    return results
+
+
+@pytest.fixture(scope="module")
+def default_block_results():
+    return _bulk_results()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_one_block_size_reaches_every_bulk_path(monkeypatch, default_block_results, block):
+    # patching numeration.BLOCK alone moves the seams of the van der Corput
+    # fill, the cloud fill, the letter grid, the 1-D pass and the corner
+    # grid's slabs and batches; no result may change by a bit
+    monkeypatch.setattr(numeration, "BLOCK", block)
+    got = _bulk_results()
+    assert [name for name, _ in got] == [name for name, _ in default_block_results]
+    for (name, value), (_, want) in zip(got, default_block_results):
+        value, want = np.asarray(value), np.asarray(want)
+        assert value.dtype == want.dtype and value.shape == want.shape, name
+        assert value.tobytes() == want.tobytes(), name
+    for name, value in got:
+        if name.startswith("halton"):
+            pts = value
+        elif name.startswith("multi"):
+            assert value == naive_star_disc(pts), name

@@ -152,7 +152,7 @@ def test_blocked_cloud_and_grid_across_block_seams(m):
     # depth + 1 points end one short of, at, and one past the second block
     # seam, so the letter counts are carried across a seam and the last
     # block is one point short, full, or a single point
-    block = rauzy._BLOCK
+    block = numeration.BLOCK
     side = {2: 1024, 3: 64, 4: 16, 5: 8}[m]
     for depth in (2 * block - 2, 2 * block - 1, 2 * block):
         cloud = build_cloud(m, depth)
@@ -331,6 +331,15 @@ def test_density_guards():
         tiling_check(cloud, 2 ** -6)
     with pytest.raises(ValueError):
         set_equation_check(cloud, 1, 2 ** -6)
+    # a resolution outside (0, 1] is refused first, where it would divide by
+    # zero, fail inside numpy, or give set_equation_check a passing
+    # max_ratio of 0.0
+    for resolution in (0.0, -0.5, 2.0, float("inf"), float("nan")):
+        message = f"^resolution must lie in \\(0, 1\\], got {resolution}$"
+        with pytest.raises(ValueError, match=message):
+            tiling_check(cloud, resolution)
+        with pytest.raises(ValueError, match=message):
+            set_equation_check(cloud, 1, resolution)
 
 
 def test_build_cloud_validation(monkeypatch):
