@@ -4,7 +4,10 @@ addresses, and local discrepancies.
 
 Counting never touches geometric boundaries: membership in a level-k
 subtile is decided entirely from digit strings, which is exact where a
-point-in-fractal test would be boundary-fragile.
+point-in-fractal test would be boundary-fragile.  Greedy codes keep the
+order of n, so the count of n < N in each address follows from the code
+of N alone (`letter_counts`); the bulk counts of `membership_counts` read
+the code of every n and are the independent route that checks it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from mbonacci import numeration
-from mbonacci.numeration import MBonacciSystem, digit_codes, encode, prefix_ranges, require_count
+from mbonacci.numeration import (
+    MBonacciSystem,
+    decode,
+    digit_codes,
+    encode,
+    prefix_ranges,
+    require_count,
+)
 
 
 def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
@@ -33,17 +43,18 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
     fast renormalisation (the sum is positive and dominates its error).
     The blocks are `numeration.BLOCK` values long.  A block's sum goes
     straight into `hi`, the only array of full length, and its low part
-    into `lo`.  No range reads a low part at or past the start F of the
-    last range (see `prefix_ranges`), so `lo` holds F values and the last
-    range's low parts go to a third block buffer.  The other
-    intermediates go through two more such buffers, all three allocated
-    once per call.
+    into `lo`.  Range j reads low parts only below stop - F_j (see
+    `prefix_ranges`), so `lo` holds the read horizon, the longest range's
+    length, and a low part at or past it goes to a third block buffer;
+    the one block that straddles the horizon is copied back into `lo`.
+    The other intermediates go through two more such buffers, all three
+    allocated once per call.
     """
     block = numeration.BLOCK
     ranges = prefix_ranges(sys, count)
-    last = ranges[-1][1] if ranges else 0
+    horizon = max((stop - start for _, start, stop in ranges), default=0)
     hi = np.zeros(count)
-    lo = np.zeros(last)
+    lo = np.zeros(horizon)
     s_buf = np.empty(min(block, count))
     t_buf = np.empty_like(s_buf)
     u_buf = np.empty_like(s_buf)
@@ -55,7 +66,7 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
             # out_hi may be written before b_hi is read
             b_hi, b_lo = hi[a - start:b - start], lo[a - start:b - start]
             out_hi = hi[a:b]
-            out_lo = lo[a:b] if start < last else u_buf[:b - a]
+            out_lo = lo[a:b] if b <= horizon else u_buf[:b - a]
             s, t = s_buf[:b - a], t_buf[:b - a]
             np.add(p_hi, b_hi, out=s)
             np.subtract(s, p_hi, out=t)
@@ -68,6 +79,8 @@ def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
             np.add(s, t, out=out_hi)
             np.subtract(out_hi, s, out=out_lo)     # lo = t - (hi - s)
             np.subtract(t, out_lo, out=out_lo)
+            if a < horizon < b:
+                lo[a:] = out_lo[:horizon - a]
     return hi
 
 
@@ -153,7 +166,7 @@ def level_intervals(sys: MBonacciSystem, k: int, N: int) -> tuple[np.ndarray, np
     return np.searchsorted(code[:sys.basis[k]], code), r
 
 
-def _letter_totals(sys: MBonacciSystem, k: int) -> list[int]:
+def letter_totals(sys: MBonacciSystem, k: int) -> list[int]:
     """Number of level-k addresses with letter i, for i = 1..m.
 
     A k-digit string whose trailing run of ones has length r < k is an
@@ -173,10 +186,10 @@ def membership_counts(sys: MBonacciSystem, k: int,
 
     The letter is one more than the run of ones from digit k, which is
     shorter than m in an admissible code; so key * m + letter - 1 names an
-    address, and one `np.unique` over it counts them all.  Up to level
-    len(sys.basis) - m the system holds every basis term and root power
-    that `_letter_totals` and the subtile measures read; a deeper level is
-    refused before any digit is read.
+    address, and one `np.unique` over it counts them all.  This is the
+    bulk route: it reads the code of every n < N, in O(N) time and
+    memory, where `letter_counts` reads the code of N alone.  A level past
+    len(sys.basis) - m is refused before any digit is read.
     """
     _require_level(sys, k)
     code = digit_codes(sys, N)
@@ -192,20 +205,55 @@ def membership_counts(sys: MBonacciSystem, k: int,
     return combined // sys.m, combined % sys.m + 1, counts
 
 
+def letter_counts(sys: MBonacciSystem, k: int, N: int) -> list[tuple[int, int]]:
+    """Per letter l = 1..m, the pair (Q_l, A_l): each of the
+    `letter_totals` letter-l addresses at level k holds Q_l or Q_l + 1 of
+    the n < N, and A_l of them hold Q_l + 1.
+
+    Greedy codes keep the order of n (Parry, 1960), so n < N exactly when
+    code(n) < C = code(N).  The address (key, l) fixes the low k + l
+    digits to P = key + (2^(l-1) - 1) 2^k, whose top digit k + l - 1 is
+    0, so any admissible high part H may sit above P.  Its count is the
+    number of H below C >> (k + l), Q_l = decode(C >> (k + l)), plus
+    [P < L] for L = C mod 2^(k+l).  That holds for every key when digit
+    k + l - 1 of C is 1.  When it is 0 and digits k..k+l-2 are ones, it
+    holds for the keys below the low k digits of C, whose decode counts
+    them: none has a longer run of ones than C's, so all take letter l.
+    Otherwise it holds for no key.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _require_level(sys, k)
+    require_count(N)
+    code = encode(sys, N)
+    below = decode(sys, code & ((1 << k) - 1))
+    pairs = []
+    for l, total in enumerate(letter_totals(sys, k), start=1):
+        digits = code >> k & ((1 << l) - 1)
+        if digits >> (l - 1):
+            above = total
+        elif digits == (1 << (l - 1)) - 1:
+            above = below
+        else:
+            above = 0
+        pairs.append((decode(sys, code >> (k + l)), above))
+    return pairs
+
+
 def local_discrepancy(sys: MBonacciSystem, k: int, N: int) -> float:
     """Worst deviation, over level-k addresses, of the empirical index
     frequency from the subtile measure phi^-(k + letter).
 
-    A visited address deviates by |c/N - phi^-(k + letter)|, an unvisited
-    one by its whole measure; so each letter with fewer visited addresses
-    than `_letter_totals` counts adds phi^-(k + letter).
+    An address that holds c of the n < N deviates by |c/N - phi^-(k +
+    letter)|, and per letter only the two counts of `letter_counts` occur,
+    so the cost does not grow with N.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _, letters, counts = membership_counts(sys, k, N)
-    delta = float(np.abs(counts / N - sys.neg_power_parts[k + letters - 1, 0]).max())
-    visited = np.bincount(letters, minlength=sys.m + 1)[1:]
-    for i, (seen, total) in enumerate(zip(visited.tolist(), _letter_totals(sys, k)), start=1):
-        if seen < total:
-            delta = max(delta, sys.neg_power(k + i))
+    delta = 0.0
+    pairs = zip(letter_counts(sys, k, N), letter_totals(sys, k))
+    for l, ((q, above), total) in enumerate(pairs, start=1):
+        measure = sys.neg_power(k + l)
+        if above < total:
+            delta = max(delta, abs(q / N - measure))
+        if above:
+            delta = max(delta, abs((q + 1) / N - measure))
     return delta

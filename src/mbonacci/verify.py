@@ -267,6 +267,41 @@ def _multi_discrepancy_oracle(full: bool) -> str:
     return f"{trials} instances, worst |fast - naive| = {worst:.2e}"
 
 
+def bulk_local_discrepancy(sys, k: int, N: int, letters, counts) -> float:
+    """The level-k local discrepancy from the letters and counts of
+    `rotation.membership_counts`: a visited address deviates by
+    |c/N - phi^-(k + letter)|, and each letter with fewer visited
+    addresses than `rotation.letter_totals` counts adds its whole measure."""
+    delta = float(np.abs(counts / N - sys.neg_power_parts[k + letters - 1, 0]).max())
+    visited = np.bincount(letters, minlength=sys.m + 1)[1:]
+    for i, (seen, total) in enumerate(zip(visited.tolist(), rotation.letter_totals(sys, k)),
+                                      start=1):
+        if seen < total:
+            delta = max(delta, sys.neg_power(k + i))
+    return delta
+
+
+def bulk_letter_histograms(sys, k: int, letters, counts) -> list[Counter]:
+    """Per letter, how many level-k addresses hold each count, from the
+    letters and counts of `rotation.membership_counts`; an address it does
+    not list holds 0."""
+    histograms = []
+    for i, total in enumerate(rotation.letter_totals(sys, k), start=1):
+        held, addresses = np.unique(counts[letters == i], return_counts=True)
+        histogram = Counter(dict(zip(held.tolist(), addresses.tolist())))
+        histogram[0] = total - histogram.total()
+        histograms.append(histogram)
+    return histograms
+
+
+def closed_form_histograms(sys, k: int, N: int) -> list[Counter]:
+    """Per letter, how many level-k addresses hold each count by the
+    closed form of `rotation.letter_counts`: A_l of them hold Q_l + 1 and
+    the others Q_l."""
+    return [Counter({q: total - above, q + 1: above}) for (q, above), total
+            in zip(rotation.letter_counts(sys, k, N), rotation.letter_totals(sys, k))]
+
+
 # frozen on first computation: local discrepancies for m=2 at N = F_22
 _FROZEN_DELTA_M2_F22 = {
     0: 2.0800716704627575e-10,
@@ -280,6 +315,8 @@ _FROZEN_DELTA_M2_F22 = {
 
 
 def _local_discrepancies(full: bool) -> str:
+    # the bulk counts of membership_counts against the scalar subtile_of and
+    # against the closed form of letter_counts, which reads only code(count)
     count, kmax = (5000, 8) if full else (2000, 6)
     sys2 = numeration.make_system(2)
     for sys in (sys2, numeration.make_system(3)):
@@ -292,6 +329,12 @@ def _local_discrepancies(full: bool) -> str:
                 bulk = zip(zip(keys.tolist(), letters.tolist()), counts.tolist())
                 assert sorted(scalar.items()) == list(bulk), \
                     f"level-{k} counts of subtile_of and membership_counts differ (m={sys.m})"
+            closed = closed_form_histograms(sys, k, count)
+            assert closed == bulk_letter_histograms(sys, k, letters, counts), \
+                f"level-{k} counts of letter_counts and membership_counts differ (m={sys.m})"
+            delta = rotation.local_discrepancy(sys, k, count)
+            assert delta == bulk_local_discrepancy(sys, k, count, letters, counts), \
+                f"level-{k} delta of local_discrepancy and membership_counts differ (m={sys.m})"
     n_f22 = sys2.basis[22]
     assert n_f22 == 46368, f"F_22 = {n_f22}"
     for k in range(7):

@@ -101,6 +101,38 @@ def test_criterion_13_fails_on_a_wrong_letter(monkeypatch, mutate, full):
     assert "subtile_of and membership_counts differ" in result.detail
 
 
+# Criterion 13 also holds the closed form of `rotation.letter_counts`, which
+# reads the code of the count alone, against the bulk counts, so a closed
+# form without its [P < L] term, or with one more in Q_l, must fail it, at
+# both scales, naming the two routes.
+
+def _without_the_carry(q, above):
+    return q, 0
+
+
+def _one_more_in_q(q, above):
+    return q + 1, above
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("plant", [_without_the_carry, _one_more_in_q])
+def test_criterion_13_fails_on_a_wrong_closed_form(monkeypatch, plant, full):
+    letter_counts = rotation.letter_counts
+
+    def mutant(sys, k, N):
+        return [plant(q, above) for q, above in letter_counts(sys, k, N)]
+
+    monkeypatch.setattr(rotation, "letter_counts", mutant)
+    check = next(c for c in verify.CHECKS if c.number == 13)
+    result = verify.run_check(check, full=full)
+    # at quick scale the count 2000 has code 1001000001001000, whose digits
+    # 0 and 1 are 0, so levels 0 and 1 have no address at Q_l + 1
+    level = 2 if plant is _without_the_carry and not full else 0
+    assert not result.passed
+    assert result.detail == (
+        f"level-{level} counts of letter_counts and membership_counts differ (m=2)")
+
+
 # Criteria 5 and 6 read the level-k intervals of `rotation.level_intervals`.
 # A smaller run r only widens an interval, so criterion 6 cannot see it, but
 # criterion 5's gap check must; a left end moved off vdc(n) must fail

@@ -444,9 +444,12 @@ _CI_PINS = [
     (("disc", "1d", "--m", "2", "--count", "1346270"), {"value": 1.6118688866809702e-06}),
     # the CSV point reader on the benchmark's 200 000 repr rows (perfbench/workloads.py, seed 1)
     (("disc", "file", "--input", "points.csv"), {"value": 0.0016998187979841983}),
-    # a deep level, counted over the visited addresses only
+    # a deep level, each address's count read off the digit code of the count alone
     (("local-disc", "--m", "3", "--k", "20", "--count", "1000000"),
      {"k": 20, "delta": 5.056091428186279e-07}),
+    # the count limit 2^26, whose closed form reads no digit code of size N
+    (("local-disc", "--m", "5", "--k", "12", "--count", "67108864"),
+     {"k": 12, "delta": 1.4726104532623505e-08}),
     # the deepest level is fixed by m, not by the count
     (("local-disc", "--m", "2", "--k", "41", "--count", "1"),
      {"k": 41, "delta": 0.9999999983307587}),

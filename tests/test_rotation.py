@@ -13,6 +13,7 @@ from mbonacci.numeration import decode, digit_codes, encode, make_system
 from mbonacci.rauzy import build_cloud, fixed_point_prefix
 from mbonacci.rotation import (
     halton_points,
+    letter_counts,
     level_intervals,
     local_discrepancy,
     membership_counts,
@@ -20,6 +21,7 @@ from mbonacci.rotation import (
     vdc_values,
 )
 from mbonacci.spectral import reduce_array
+from mbonacci.verify import bulk_letter_histograms, bulk_local_discrepancy, closed_form_histograms
 
 
 def test_vdc_examples(sys2):
@@ -56,16 +58,17 @@ def test_vdc_forms_agree_bit_for_bit(m):
     assert np.array_equal(vdc_values(sys, 1000), table[:1000])
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("m", range(2, 7))
 def test_vdc_values_at_and_past_basis_terms(m):
-    # a count of F_j ends on a whole range, and F_j + 1 leaves a last range
-    # of one value, whose low part goes to a block buffer and not to `lo`;
-    # every value is the one a longer fill makes, where that range is not
-    # the last, and within half an ulp of the exact value
+    # a count of F_j ends on a whole range, F_j - 1 one short of it, and
+    # F_j + 1 leaves a last range of one value; each moves the read horizon,
+    # the longest range, past which low parts go to a block buffer and not
+    # to `lo`.  Every value is the one a longer fill makes, where the
+    # horizon lies elsewhere, and within half an ulp of the exact value
     sys = make_system(m, 10 ** 6)
     table = vdc_values(sys, 10 ** 6)
     terms = [f for f in sys.basis if 2 <= f < 4 * 10 ** 5]
-    for count in [c for f in terms for c in (f, f + 1)]:
+    for count in [c for f in terms for c in (f - 1, f, f + 1)]:
         values = vdc_values(sys, count)
         assert np.array_equal(values, table[:count]), count
     ends = [c - 1 for f in terms for c in (f, f + 1)]
@@ -74,8 +77,9 @@ def test_vdc_values_at_and_past_basis_terms(m):
 
 
 def test_vdc_values_memory():
-    # the 16 MB of values, and low parts only below the last range's start
-    # F = 1 346 269: 10.3 MiB (26.28 MiB measured in all)
+    # the 16 MB of values, and low parts only below the read horizon, the
+    # longest range 2 000 000 - 1 346 269 = 653 731: 5.0 MiB (21.00 MiB
+    # measured in all; 26.28 MiB with low parts up to 1 346 269)
     sys = make_system(2, 2 * 10 ** 6)
     tracemalloc.start()
     try:
@@ -83,7 +87,7 @@ def test_vdc_values_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 27.5 * 2 ** 20
+    assert peak < 22 * 2 ** 20
 
 
 _VDC_SHA256 = {
@@ -331,7 +335,7 @@ def test_level_addresses_counts_and_measures(m):
     for k in range(0, 12):
         addrs = helpers.level_addresses(m, k)
         assert len({key for key, _ in addrs}) == sys.basis[k]
-        totals = rotation._letter_totals(sys, k)
+        totals = rotation.letter_totals(sys, k)
         assert totals == [sum(1 for _, letter in addrs if letter == i) for i in range(1, m + 1)]
         measure = sum(t * sys.neg_power(k + i) for i, t in enumerate(totals, start=1))
         assert abs(measure - 1.0) < 1e-12
@@ -440,3 +444,70 @@ def test_local_discrepancy_small_at_basis_sizes(sys2):
     N = sys2.basis[16]
     for k in range(0, 5):
         assert local_discrepancy(sys2, k, N) <= 50.0 / N
+
+
+def _closed_form_cases(sys):
+    """(k, N) over k in {0, 1, 2, 3, 5, 8, 11, len(basis) - m} and N = 1..39,
+    F_j - 1, F_j and F_j + 1 for j <= 25, and 12 seeded random N < 3·10^5.
+    Basis terms past 2^20 are left out: at F_25 = 28 261 168 (m = 6) the
+    bulk route's codes and sort alone take about 700 MB."""
+    rng = np.random.default_rng(310 + sys.m)
+    terms = {f + d for f in sys.basis[:26] for d in (-1, 0, 1)}
+    sizes = (set(range(1, 40)) | {N for N in terms if 1 <= N <= 2 ** 20}
+             | set(rng.integers(1, 3 * 10 ** 5, size=12).tolist()))
+    levels = (0, 1, 2, 3, 5, 8, 11, len(sys.basis) - sys.m)
+    return [(k, N) for k in levels for N in sorted(sizes)]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_closed_form_matches_the_bulk_counts(m):
+    # the closed form reads the code of N alone; membership_counts counts the
+    # code of every n < N, with each unvisited address holding 0
+    sys = make_system(m)
+    cases = _closed_form_cases(sys) + ([(8, 2 ** 22)] if m == 3 else [])
+    for k, N in cases:
+        _, letters, counts = membership_counts(sys, k, N)
+        assert closed_form_histograms(sys, k, N) == bulk_letter_histograms(
+            sys, k, letters, counts), (k, N)
+        assert local_discrepancy(sys, k, N) == bulk_local_discrepancy(
+            sys, k, N, letters, counts), (k, N)
+
+
+def test_letter_counts_examples(sys2):
+    # m = 2, k = 1, N = 4 = 1 + 3 (code 101): n = 0..3 have codes 0, 1, 10
+    # and 100, so the addresses (0, 1), (1, 1) and (0, 2) hold 2, 1 and 1
+    assert rotation.letter_totals(sys2, 1) == [2, 1]
+    assert letter_counts(sys2, 1, 4) == [(1, 1), (0, 1)]
+    assert closed_form_histograms(sys2, 1, 4) == [Counter({1: 1, 2: 1}), Counter({1: 1})]
+    # below F_k every code is a k-digit key with digit k zero, so at N = F_k
+    # each letter-1 address holds one n and every other address none
+    for k in (0, 5, 12):
+        totals = rotation.letter_totals(sys2, k)
+        assert letter_counts(sys2, k, sys2.basis[k]) == [(0, totals[0]), (0, 0)], k
+
+
+def test_local_discrepancy_reads_nothing_of_size_N():
+    # the count limit 2^26 at m = 5, where the bulk route's codes and sort
+    # take about 1.5 GB
+    sys = make_system(5)
+    tracemalloc.start()
+    try:
+        delta = local_discrepancy(sys, 12, 2 ** 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta == 1.4726104532623505e-08
+    assert peak < 64 * 2 ** 10
+
+
+def test_local_discrepancy_refusal_order(sys2):
+    # N, then the level, then the count limit, whichever else is wrong
+    limit = len(sys2.basis) - 2
+    for k, N, message in ((limit + 1, 0, "N must be >= 1"),
+                          (-1, 0, "N must be >= 1"),
+                          (limit + 1, 2 ** 27, f"k={limit + 1} past {limit}"),
+                          (-1, 2 ** 27, "k must be >= 0, got -1"),
+                          (3, 2 ** 27, "count 134217728 above the limit 2\\^26")):
+        for read in (local_discrepancy, letter_counts):
+            with pytest.raises(ValueError, match=message):
+                read(sys2, k, N)
