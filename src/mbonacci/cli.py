@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+import types
 
 from mbonacci import discrepancy, numeration, rauzy, rotation, textio
 
@@ -67,17 +68,23 @@ def _levels(text: str) -> list[int]:
 
 @contextlib.contextmanager
 def _output(args):
-    """The stream a command writes to: stdout for no path or `-`, else the file."""
+    """The binary stream a command writes to: for no path or `-`, the byte
+    layer under stdout, once the text already written to stdout is
+    flushed into it; else the file, opened for bytes."""
     if args.output in (None, "-"):
-        yield sys.stdout
+        sys.stdout.flush()
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text stream with no byte layer, as under redirect_stdout
+            buffer = types.SimpleNamespace(write=lambda data: sys.stdout.write(str(data, "utf-8")))
+        yield buffer
         return
-    with open(args.output, "w") as fh:
+    with open(args.output, "wb") as fh:
         yield fh
 
 
 def _emit(args, text: str) -> None:
     with _output(args) as stream:
-        stream.write(text)
+        stream.write(text.encode("utf-8"))
 
 
 def _emit_json(args, payload: dict) -> None:

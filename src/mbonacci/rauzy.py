@@ -315,7 +315,8 @@ _PALETTE = (
 
 
 def export_cloud_csv(cloud: FractalCloud, stream, digits: int = 15) -> None:
-    """Write `n,label,c1,...,c(m-1)` rows with fixed decimal places."""
+    """Write `n,label,c1,...,c(m-1)` rows with fixed decimal places to the
+    binary `stream`, piece by piece from one row buffer (`write_csv`)."""
     header = ["n", "label"] + [f"c{i}" for i in range(1, cloud.m)]
     write_csv(stream, header, [range(cloud.size), cloud.labels], list(cloud.reduced.T), digits)
 

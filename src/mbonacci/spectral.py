@@ -100,7 +100,9 @@ def ambient_projection(sys) -> np.ndarray:
 def reduce_array(coords: np.ndarray) -> np.ndarray:
     """Torus reduction of a coordinate array of any shape: the fractional
     part, with a value landing exactly on 1.0 mapped to 0.0."""
-    frac = coords - np.floor(coords)
+    # the floor is the output's buffer, so one array of the input's size is made
+    frac = np.floor(coords)
+    np.subtract(coords, frac, out=frac)
     frac[frac >= 1.0] = 0.0
     return frac
 

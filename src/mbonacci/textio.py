@@ -5,21 +5,25 @@ columns printed with a fixed number of decimal places, exactly as
 `format(v, f".{d}f")` prints them, so runs with identical flags are
 byte-identical.
 
-Rows are formatted CHUNK_ROWS at a time by one numpy formatter: each
-chunk becomes a fixed-width `uint8` matrix, one row per CSV line, written
-as a single string.  A float v in [0, 1) at d <= 15 decimal places is
-rounded exactly: Dekker's two-product (T. J. Dekker, Numer. Math. 18,
-1971) gives v * 10^d = p + err with both parts doubles, and because
-p < 2^50 the fraction t = (p - floor(p)) - 0.5 is exact (for p >= 1/4;
-a smaller p rounds down whatever t's last bits), so the product rounds
-up iff t > -err, and half to even when t == -err.  Integers
-(non-negative) are written zero-padded to the chunk's widest value and the
-pad bytes are then squeezed out.
+Every write goes to a binary stream.  Rows are formatted CHUNK_ROWS at a
+time by one numpy formatter.  A chunk is cut into pieces where an integer
+column changes its decimal width (a range index only at powers of ten),
+so within a piece every column has one width.  Each piece becomes a
+fixed-width `uint8` matrix, one row per CSV line, laid out in one row
+buffer allocated once per call and written from it as it stands.
+
+A float v in [0, 1) at d <= 15 decimal places is rounded exactly:
+Dekker's two-product (T. J. Dekker, Numer. Math. 18, 1971) gives
+v * 10^d = p + err with both parts doubles, and because p < 2^50 the
+fraction t = (p - floor(p)) - 0.5 is exact (for p >= 1/4; a smaller p
+rounds down whatever t's last bits), so the product rounds up iff
+t > -err, and half to even when t == -err.  Integers (non-negative) fill
+their piece's width exactly, so no byte is padded.
 
 A chunk the formatter does not cover falls back to `str.format` row by
-row: d >= 16 (10^d * v no longer fits below 2^53), or a float that is not
-in [0, 1), is NaN or infinite, or is -0.0 (which `format` prints with its
-sign), or a negative integer.
+row, its text encoded as ASCII: d >= 16 (10^d * v no longer fits below
+2^53), or a float that is not in [0, 1), is NaN or infinite, or is -0.0
+(which `format` prints with its sign), or a negative integer.
 
 Reading.  `read_floats` takes the rows after a header in blocks of at most
 READ_BLOCK characters, each cut at its last newline, and parses a block
@@ -55,8 +59,10 @@ import numpy as np
 
 from mbonacci.spectral import veltkamp_split
 
-# rows formatted and written per `stream.write` call
-CHUNK_ROWS = 1 << 14
+# rows formatted per chunk; at 2^13 rows each float column's temporaries
+# are 64 KiB, so they come from the heap and not from a fresh mapping of
+# their own (see the glibc note at `numeration.BLOCK`)
+CHUNK_ROWS = 1 << 13
 
 # most decimal places the numpy formatter rounds exactly
 _MAX_FAST_DIGITS = 15
@@ -104,23 +110,18 @@ def _widths(n: np.ndarray) -> np.ndarray:
     return width
 
 
-def _formatted(ints: list[np.ndarray], floats: list[np.ndarray], digits: int) -> str:
-    """The CSV lines of one chunk, built in a fixed-width uint8 matrix."""
-    rows = len(ints[0]) if ints else len(floats[0])
-    int_widths = [_widths(c) for c in ints]
-    fields = [int(w.max()) for w in int_widths] + [digits + 2] * len(floats)
-    out = np.empty((rows, sum(fields) + len(fields)), dtype=np.uint8)
-    keep = None
+def _write_piece(stream, buf: np.ndarray, ints: list[np.ndarray],
+                 floats: list[np.ndarray], digits: int) -> None:
+    """Write rows whose integer columns each have one width, as one
+    fixed-width uint8 matrix laid out at the start of `buf`."""
+    rows = len((ints + floats)[0])
+    fields = [len(str(int(c[0]))) for c in ints] + [digits + 2] * len(floats)
+    out = buf[:rows * (sum(fields) + len(fields))].reshape(rows, -1)
     start = 0
     for i, width in enumerate(fields):
         cell = out[:, start:start + width]
         if i < len(ints):
             _write_digits(cell, ints[i])
-            pad = np.arange(width) < (width - int_widths[i])[:, None]
-            if pad.any():
-                if keep is None:
-                    keep = np.ones(out.shape, dtype=bool)
-                keep[:, start:start + width] = ~pad
         else:
             n = _rounded_scaled(floats[i - len(ints)], digits)
             carry = n >= 10 ** digits  # rounds to 1.000...
@@ -130,11 +131,11 @@ def _formatted(ints: list[np.ndarray], floats: list[np.ndarray], digits: int) ->
         out[:, start + width] = ord(",")
         start += width + 1
     out[:, -1] = ord("\n")
-    return (out.tobytes() if keep is None else out[keep].tobytes()).decode("ascii")
+    stream.write(out.data)
 
 
 def _formattable(ints: list[np.ndarray], floats: list[np.ndarray], digits: int) -> bool:
-    """Whether `_formatted` prints this chunk exactly as `format` does."""
+    """Whether `_write_piece` prints this chunk exactly as `format` does."""
     if digits > _MAX_FAST_DIGITS:
         return False
     # NaN fails both comparisons
@@ -143,9 +144,9 @@ def _formattable(ints: list[np.ndarray], floats: list[np.ndarray], digits: int) 
     return all(c.min() >= 0 for c in ints)
 
 
-def _format_rows(ints: list[np.ndarray], floats: list[np.ndarray], digits: int) -> str:
+def _format_rows(ints: list[np.ndarray], floats: list[np.ndarray], digits: int) -> bytes:
     row = ",".join(["{}"] * len(ints) + [f"{{:.{digits}f}}"] * len(floats)) + "\n"
-    return "".join(map(row.format, *(c.tolist() for c in ints + floats)))
+    return "".join(map(row.format, *(c.tolist() for c in ints + floats))).encode("ascii")
 
 
 def _chunk(col, start: int, dtype) -> np.ndarray:
@@ -156,20 +157,38 @@ def _chunk(col, start: int, dtype) -> np.ndarray:
 
 
 def write_csv(stream, header, int_cols, float_cols, digits: int) -> None:
-    """Write the `header` names and one row per index of the columns.
+    """Write the `header` names and one row per index of the columns to
+    the binary `stream`.
 
     `int_cols` and `float_cols` are equal-length 1-D sequences (numpy
     arrays or ranges); integers print as `str(int)`, floats with `digits`
     fixed decimal places.  Rows are formatted and written in chunks of
-    CHUNK_ROWS, so the text of the whole output is never held at once.
+    CHUNK_ROWS, each cut into pieces where an integer column changes its
+    width, and every piece is laid out in one row buffer allocated once
+    per call; so the text of the whole output is never held at once.
     """
-    stream.write(",".join(header) + "\n")
+    stream.write((",".join(header) + "\n").encode("ascii"))
     cols = list(int_cols) + list(float_cols)
+    buf = None
     for start in range(0, len(cols[0]), CHUNK_ROWS):
         ints = [_chunk(c, start, np.int64) for c in int_cols]
         floats = [_chunk(c, start, np.float64) for c in float_cols]
-        fast = _formattable(ints, floats, digits)
-        stream.write((_formatted if fast else _format_rows)(ints, floats, digits))
+        if not _formattable(ints, floats, digits):
+            stream.write(_format_rows(ints, floats, digits))
+            continue
+        if buf is None:  # the longest row: each integer column at its largest value
+            tops = [max(c[0], c[-1]) if isinstance(c, range) else np.max(c) for c in int_cols]
+            fields = [len(str(max(int(t), 0))) for t in tops] + [digits + 2] * len(floats)
+            buf = np.empty(CHUNK_ROWS * (sum(fields) + len(fields)), dtype=np.uint8)
+        # cut where some integer column changes its width; a range's values
+        # change it only at powers of ten
+        cuts = set()
+        for c in ints:
+            width = _widths(c)
+            cuts.update((np.flatnonzero(width[1:] != width[:-1]) + 1).tolist())
+        edges = [0, *sorted(cuts), len((ints + floats)[0])]
+        for a, b in zip(edges[:-1], edges[1:]):
+            _write_piece(stream, buf, [c[a:b] for c in ints], [c[a:b] for c in floats], digits)
 
 
 # characters read per block of `read_floats`, each cut at its last newline

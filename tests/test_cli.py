@@ -439,6 +439,9 @@ _CI_PINS = [
      "92d0ebce460f7cca4c9fb7c96ac7a3f049efe1c85efdc04974073b8fac96148f"),
     (("seq", "halton", "--ms", "2,3,5", "--count", "100000"),
      "74015653f4263228cbcae06e5aaf30d5b3efe3001282ce906b588a89ba3631ab"),
+    # the same bytes through the file route as through stdout's byte layer
+    (("seq", "halton", "--ms", "2,3,5", "--count", "100000", "-o", "h.csv"),
+     "74015653f4263228cbcae06e5aaf30d5b3efe3001282ce906b588a89ba3631ab"),
     (("disc", "1d", "--m", "2", "--count", "2000000"), {"value": 2.468520585052758e-06}),
     # one past the basis term 1 346 269, so the fill's last range holds one value
     (("disc", "1d", "--m", "2", "--count", "1346270"), {"value": 1.6118688866809702e-06}),
@@ -468,10 +471,15 @@ def test_console_script_pins(tmp_path, argv, want):
         points = tmp_path / "points.csv"
         points.write_text("x1\n" + "".join(f"{r.random()!r}\n" for _ in range(200000)))
         argv = tuple(str(points) if a == "points.csv" else a for a in argv)
+    written = tmp_path / "h.csv"
+    argv = tuple(str(written) if a == "h.csv" else a for a in argv)
     out = subprocess.run(CMD + list(argv), capture_output=True)
     assert out.returncode == 0, out.stderr
     if isinstance(want, str):
-        assert hashlib.sha256(out.stdout).hexdigest() == want
+        if "-o" in argv:
+            assert out.stdout == b""
+        text = written.read_bytes() if "-o" in argv else out.stdout
+        assert hashlib.sha256(text).hexdigest() == want
     elif want is not None:
         payload = json.loads(out.stdout)
         assert {key: payload[key] for key in want} == want

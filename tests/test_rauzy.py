@@ -352,9 +352,9 @@ def test_build_cloud_validation(monkeypatch):
 
 def test_csv_export_format():
     cloud = build_cloud(3, 50)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     rauzy.export_cloud_csv(cloud, buf, digits=6)
-    lines = buf.getvalue().strip().split("\n")
+    lines = buf.getvalue().decode("ascii").strip().split("\n")
     assert lines[0] == "n,label,c1,c2"
     assert len(lines) == 52
     n, label, c1, c2 = lines[1].split(",")

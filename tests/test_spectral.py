@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -197,6 +198,22 @@ def test_torus_reduce_examples():
     out = reduce_array(np.array([[-1e-20, 1.0 - 2 ** -53], [7.5, -3.25]]))
     assert out.tolist() == [[0.0, 1.0 - 2 ** -53], [0.5, 0.75]]
     assert np.all((0.0 <= out) & (out < 1.0))
+
+
+def test_torus_reduce_memory():
+    # the floor is the output's buffer: the peak is the output and its
+    # >= 1.0 mask, where a separate floor array would double the output
+    coords = np.random.default_rng(5).uniform(-8.0, 8.0, (2 ** 19, 2))
+    tracemalloc.start()
+    try:
+        out = reduce_array(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = coords - np.floor(coords)
+    want[want >= 1.0] = 0.0
+    assert np.array_equal(out, want)
+    assert peak <= coords.nbytes + coords.size + 2 ** 16
 
 
 def test_torus_distance_wraps():

@@ -11,6 +11,7 @@ all other text to `np.loadtxt`; both must give `np.loadtxt`'s array.
 import hashlib
 import io
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -25,9 +26,9 @@ FAST_DIGITS = range(1, 16)
 
 def _write(int_cols, float_cols, digits):
     header = [f"i{j}" for j in range(len(int_cols))] + [f"x{j}" for j in range(len(float_cols))]
-    buf = io.StringIO()
+    buf = io.BytesIO()
     textio.write_csv(buf, header, int_cols, float_cols, digits)
-    head, _, body = buf.getvalue().partition("\n")
+    head, _, body = buf.getvalue().decode("ascii").partition("\n")
     assert head == ",".join(header)
     return body
 
@@ -98,6 +99,55 @@ def test_fallback_triggers_format_rows(monkeypatch, trigger, digits):
     assert calls == ([textio.CHUNK_ROWS, 3] if digits > 15 else [3])
 
 
+def test_pieces_cut_where_an_integer_width_changes(fast_path_only, monkeypatch):
+    pieces = []
+    write_piece = textio._write_piece
+
+    def spy(stream, buf, ints, floats, digits):
+        pieces.append(len(floats[0]))
+        write_piece(stream, buf, ints, floats, digits)
+
+    monkeypatch.setattr(textio, "_write_piece", spy)
+    rows = textio.CHUNK_ROWS
+    values = np.arange(rows) / rows
+    # a range index that crosses 10^4 inside one chunk
+    index = range(10 ** 4 - 5, 10 ** 4 - 5 + rows)
+    assert_same_lines(_write([index], [values], 3),
+                      "".join(f"{n},{v:.3f}\n" for n, v in zip(index, values.tolist())))
+    assert pieces == [5, rows - 5]
+    # a label column that crosses 9 -> 10, and back
+    pieces.clear()
+    labels = np.array([8, 9, 9, 10, 10, 9, 11])
+    assert _write([range(7), labels], [values[:7]], 2) == "".join(
+        f"{n},{b},{v:.2f}\n" for n, (b, v) in enumerate(zip(labels.tolist(), values.tolist())))
+    assert pieces == [3, 2, 1, 1]
+    # a column whose width changes on every row, through all 19 int64 widths
+    pieces.clear()
+    ints = np.array([10 ** (j % 19) for j in range(40)])
+    assert _write([ints], [values[:40]], 4) == "".join(
+        f"{a},{v:.4f}\n" for a, v in zip(ints.tolist(), values.tolist()))
+    assert pieces == [1] * 40
+
+
+class _Discard:
+    def write(self, data):
+        pass
+
+
+def test_write_csv_memory():
+    # the peak is one row buffer of CHUNK_ROWS rows and one chunk's
+    # temporaries: a chunk's text is never copied
+    rows = 100_000
+    floats = list(np.random.default_rng(6).random((3, rows)))
+    tracemalloc.start()
+    try:
+        textio.write_csv(_Discard(), ["n", "a", "b", "c"], [range(rows)], floats, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
+
+
 def test_negative_integer_falls_back():
     assert _write([np.array([-3, 12])], [np.array([0.5, 0.25])], 2) == "-3,0.50\n12,0.25\n"
 
@@ -133,7 +183,7 @@ FROZEN_SHA256 = {
 
 @pytest.mark.parametrize("digits", [1, 6, 15, 16, 30])
 def test_cli_output_matches_frozen_sha256(tmp_path, capsys, digits):
-    assert ROWS == textio.CHUNK_ROWS + 3  # so the output crosses a chunk boundary
+    assert ROWS > textio.CHUNK_ROWS  # so the output crosses a chunk boundary
     for argv, hashes in FROZEN_SHA256.items():
         full = list(argv) + [str(ROWS), "--digits", str(digits)]
         path = tmp_path / "out.csv"
