@@ -21,20 +21,37 @@ float64, so the bound holds for the float values, not only the real ones.
 A fine pass then evaluates the cells of the blocks whose bound exceeds the
 best corner value, in the oracle's arithmetic and in descending order of
 bound, and stops at the first block that cannot raise the maximum.  So
-the value equals that of evaluating every cell.  t starts where the grid
-has about as many blocks as a block has cells, and halves while a pass
-keeps blocks of more cells than it bounded blocks.  Once a block would
-hold fewer than 16 cells (t < 4 at s = 2 and 3, t < 2 at s >= 4), the
-search runs at t = 1, where each block is one cell and the block pass is
-the plain sweep of every cell: where nothing prunes, the search costs
-about one plain sweep.  Every pass holds temporaries of at most about
-`numeration.BLOCK` cells at a time.
+the value equals that of evaluating every cell.
 
-DEFAULT_MAX_EXACT_OPS bounds the work of each pass, in cells of the plain
-sweep: one per cell at t = 1, two per bounded block above it.  The finest
-pass that fits walks all its blocks; if it keeps too many for the fine
-pass, its best exact corner value is reported as a lower bound.  A grid
-of at most DEFAULT_MAX_EXACT_OPS cells fits every pass, so it is exact.
+t starts where the grid has about as many blocks as a block has cells.
+The blocks a pass keeps are refined rather than swept again: each splits
+into its at most 2^s children of side t/2, whose counts at the bottom and
+top corners are the parent's count below it plus counts in its
+half-slabs.  Each child's two exact corner values raise the best, the
+children whose bound (the block pass's own) exceeds it are split in turn,
+level by level, and the last level that holds at least 16 cells per
+block goes to the fine pass.  Each kept block is charged 2^s s t, for
+its 2^s children and the about s t points of its slabs, so a pass keeps
+its blocks only when they number at most blocks(t/2) / (2^s s t): their
+refinement then costs less than a pass at t/2.  Else the search moves on
+to t/2.  Where a child would hold fewer than 16 cells (t <= 4 at s = 2
+and 3, t = 2 at s >= 4), a pass keeps blocks only when they hold at most
+as many cells as it bounded blocks, and sends them straight to the fine
+pass; once a block itself would hold fewer than 16 cells, the search
+runs at t = 1, where each block is one cell and the block pass is the
+plain sweep of every cell: where nothing prunes, the search costs about
+one plain sweep.  Every pass and every batch of a level holds
+temporaries of at most about `numeration.BLOCK` cells or points at a
+time.
+
+DEFAULT_MAX_EXACT_OPS bounds the work of each pass, each level and the
+fine pass, in cells of the plain sweep: one per cell at t = 1 and in the
+fine pass, two per bounded block or child above it.  The finest pass
+that fits walks all its blocks.  If it keeps too many blocks to refine
+or evaluate, or a refinement level or the fine pass does not fit, the
+best exact corner value is reported as a lower bound.
+A grid of at most DEFAULT_MAX_EXACT_OPS cells fits every pass, so it is
+exact.
 """
 
 from __future__ import annotations
@@ -113,11 +130,12 @@ def star_disc_1d(points) -> float:
 # blocks of fewer cells give way to the exact sweep (side 1): a block
 # pass bounds a block with about twice the work of evaluating a cell
 _MIN_BLOCK_CELLS = 16
-# a block pass that would keep blocks of more cells than it has blocks, or
-# more than _MAX_KEPT blocks (32 bytes each), gives way to a pass at half
-# the side.  So the fine pass evaluates at most a 16th of the grid's cells;
-# at 4 to 10 times the cost of a cell of the plain sweep, that costs less
-# than the sweep
+# a block pass that would keep more than _MAX_KEPT blocks (32 bytes each)
+# gives way to a pass at half the side, as does one whose blocks go
+# straight to the fine pass and would hold more cells than it has blocks.
+# So that fine pass evaluates at most a 16th of the grid's cells; at 4 to
+# 10 times the cost of a cell of the plain sweep, that costs less than the
+# sweep
 _MAX_KEPT = 1 << 14
 
 
@@ -267,19 +285,20 @@ def _block_pass(ranks, cands, n, side, best, cap, finish=False):
     return best, found
 
 
-def _local_counts(ranks, index, lo, hi, below, side):
-    """Cumulative counts over the cells of blocks, one leading slot per axis.
+def _local_counts(ranks, index, lo, hi, below, width, size):
+    """Cumulative counts over the buckets of blocks, one leading slot per axis.
 
-    For block k, ``out[k, 1 + i]`` is the number of points whose ranks are
-    at most ``lo[k] + i`` componentwise, and the leading slots count the
-    ranks below ``lo[k]``.  ``below[k]`` is the number of points below
+    Bucket i of an axis holds the ranks from ``lo[k] + i * width`` up to
+    the next edge or ``hi[k]``, and there are ``size - 1`` of them.  For
+    block k, ``out[k, 1 + i]`` is the number of points whose ranks are at
+    most bucket i's last rank componentwise, and the leading slots count
+    the ranks below ``lo[k]``.  ``below[k]`` is the number of points below
     ``lo[k]`` on every axis; the others that count lie in one of the
     block's axis slabs, ``lo[k, j] <= rank_j <= hi[k, j]``, which
     `index` (see `_rank_index`) lists.  A point is taken from the first
     axis whose slab holds it.
     """
     nb, s = lo.shape
-    size = side + 1
     keys = []
     for j, (order, starts) in enumerate(index):
         start = starts[lo[:, j]]
@@ -295,7 +314,7 @@ def _local_counts(ranks, index, lo, hi, below, side):
                 continue
             if i > j:
                 keep &= rank <= hi[block, i]
-            key += np.maximum(rank - first + 1, 0) * size ** (s - 1 - i)
+            key += np.maximum((rank - first) // width + 1, 0) * size ** (s - 1 - i)
         keys.append(key[keep])
     counts = np.bincount(np.concatenate(keys), minlength=nb * size ** s)
     counts = counts.astype(np.float64).reshape((nb,) + (size,) * s)
@@ -325,7 +344,7 @@ def _block_values(ranks, index, padded, n, side, lo, hi, below):
     cut off by the grid's end is evaluated at full side: `padded` repeats
     the last candidate 1.0, so each extra cell repeats the closed value of
     the last cell of its axis and has at most its open value."""
-    counts = _local_counts(ranks, index, lo, hi, below, side)
+    counts = _local_counts(ranks, index, lo, hi, below, 1, side + 1)
     nb, s = lo.shape
     steps = np.arange(side)
     vol = padded[0][lo[:, :1] + steps]
@@ -337,13 +356,12 @@ def _block_values(ranks, index, padded, n, side, lo, hi, below):
     return max(float((above - vol).max()), float((vol - under).max()))
 
 
-def _fine_pass(ranks, cands, n, side, best, found):
-    """Raise `best` to the maximum over the cells of the blocks `found` by
-    `_block_pass`, visiting them in descending order of their bounds and
-    stopping at the first bound that is not above `best`."""
-    flat, bound, below = (np.concatenate(column) for column in zip(*found))
+def _fine_pass(ranks, cands, n, side, best, lo, bound, below):
+    """Raise `best` to the maximum over the cells of the blocks of `side`
+    with bottom corners `lo`, bounds `bound` and counts `below` under
+    them, visiting them in descending order of their bounds and stopping
+    at the first bound that is not above `best`."""
     order = np.argsort(-bound, kind="stable")
-    shape = _block_shape(cands, side)
     lengths = np.array([len(c) for c in cands])
     padded = [np.concatenate((c, np.full(side, c[-1]))) for c in cands]
     index = _rank_index(ranks, cands)
@@ -353,10 +371,99 @@ def _fine_pass(ranks, cands, n, side, best, found):
         take = take[bound[take] > best]
         if not take.size:
             break
-        lo = np.stack(np.unravel_index(flat[take], shape), axis=1) * side
-        hi = np.minimum(lo + side, lengths) - 1
-        best = max(best, _block_values(ranks, index, padded, n, side, lo, hi, below[take]))
+        hi = np.minimum(lo[take] + side, lengths) - 1
+        best = max(best, _block_values(ranks, index, padded, n, side, lo[take], hi, below[take]))
     return best
+
+
+def _half_counts(slabs, lengths, lo, hi, below, half):
+    """s = 2: cumulative counts at the corners lo - 1, lo + half - 1 and hi
+    on each axis of the blocks from `lo` to `hi`, as a (blocks, 3, 3) array.
+
+    ``slabs[j]`` holds the keys ``(rank_j // half) * lengths[1 - j] +
+    rank_(1 - j)`` of the points, sorted, and for each half-slab q of axis
+    j where its keys start, so the points of slab q whose other rank is at
+    most r are the keys up to ``q * lengths[1 - j] + r`` from there.  A
+    count is `below`, plus the points in the block's two axis-0 half-slabs
+    up to the corner on axis 1, plus the points under lo on axis 0 in its
+    axis-1 half-slabs.  The middle corner on axis 1 is capped at hi, so
+    that in a block cut short by the grid's end its search stays inside
+    slab q.  The searches run slab by slab, so for blocks in row-major
+    order most of them ascend.
+    """
+    counts = np.empty((len(lo), 3, 3))
+    counts[:] = below[:, None, None]
+    keys, starts = slabs[0]
+    q = lo[:, 0] // half + np.arange(2)[:, None]
+    tops = np.stack((lo[:, 1] - 1, lo[:, 1] + half - 1, hi[:, 1]), axis=1)
+    np.minimum(tops[:, 1], hi[:, 1], out=tops[:, 1])
+    at = np.searchsorted(keys, (q * lengths[1])[..., None] + tops, side="right")
+    at -= starts[q][..., None]
+    counts[:, 1] += at[0]
+    counts[:, 2] += at[0] + at[1]
+    keys, starts = slabs[1]
+    q = lo[:, 1] // half + np.arange(2)[:, None]
+    at = np.searchsorted(keys, q * lengths[0] + lo[:, 0] - 1, side="right") - starts[q]
+    counts[:, :, 1] += at[0][:, None]
+    counts[:, :, 2] += (at[0] + at[1])[:, None]
+    return counts
+
+
+def _refine(ranks, cands, n, side, best, lo, below):
+    """Split the blocks of `side` with bottom corners `lo` and counts
+    `below` under them into their children of side/2, at most 2^s each,
+    dropping those past the grid's end.
+
+    Per axis the children need the counts at lo - 1, lo + side/2 - 1 and
+    hi: from `_half_counts` at s = 2, from `_local_counts` with buckets of
+    side/2 ranks above.  Each child's bottom and top corner values raise
+    `best`, and its bound is `_block_pass`'s, in the same arithmetic.
+    Returns `best` and the bottom corners, bounds and counts under them of
+    the children whose bound exceeds it.  Blocks go through in batches of
+    ``numeration.BLOCK // (s * side)``, so a batch's temporaries hold
+    about `numeration.BLOCK` searches or gathered points.
+    """
+    s = lo.shape[1]
+    half = side // 2
+    lengths = np.array([len(c) for c in cands])
+    if s == 2:
+        slabs = []
+        for j in range(2):
+            keys = np.sort(ranks[:, j] // half * lengths[1 - j] + ranks[:, 1 - j])
+            edges = np.arange(lengths[j] // half + 2) * lengths[1 - j]
+            slabs.append((keys, np.searchsorted(keys, edges)))
+    else:
+        index = _rank_index(ranks, cands)
+    # child e of a block starts at lo + e * half; its open count is the
+    # one at corners e and its closed count the one at corners e + 1
+    bits = np.indices((2,) * s).reshape(s, -1).T
+    under = np.ravel_multi_index(bits.T, (3,) * s)
+    over = np.ravel_multi_index(bits.T + 1, (3,) * s)
+    found = []
+    batch = max(1, numeration.BLOCK // (s * side))
+    for start in range(0, len(lo), batch):
+        parent, count = lo[start:start + batch], below[start:start + batch]
+        hi = np.minimum(parent + side, lengths) - 1
+        if s == 2:
+            counts = _half_counts(slabs, lengths, parent, hi, count, half)
+        else:
+            counts = _local_counts(ranks, index, parent, hi, count, half, 3)
+        counts = counts.reshape(len(parent), -1)
+        child = parent[:, None, :] + bits * half
+        real = np.all(child < lengths, axis=2)
+        child, closed, opened = child[real], counts[:, over][real], counts[:, under][real]
+        vol_lo = vol_hi = 1.0
+        for j, c in enumerate(cands):
+            x_lo, x_hi = c[child[:, j]], c[np.minimum(child[:, j] + half, len(c)) - 1]
+            vol_lo, vol_hi = (x_lo, x_hi) if j == 0 else (vol_lo * x_lo, vol_hi * x_hi)
+        above, inside = closed / n, opened / n
+        best = max(best, float((above - vol_hi).max()), float((vol_lo - inside).max()))
+        bound = np.maximum(above - vol_lo, vol_hi - inside)
+        keep = bound > best
+        found.append((child[keep], bound[keep], opened[keep]))
+    child, bound, opened = (np.concatenate(column) for column in zip(*found))
+    keep = bound > best
+    return best, child[keep], bound[keep], opened[keep]
 
 
 def _work(cands, side):
@@ -378,6 +485,12 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, b
     `_work` fits DEFAULT_MAX_EXACT_OPS.  While a pass keeps too many
     blocks, the search moves on to t/2, or to t = 1 below _MIN_BLOCK_CELLS
     cells, if that pass fits; the last pass that fits walks all its blocks.
+    A pass whose children hold at least _MIN_BLOCK_CELLS cells keeps at
+    most blocks(t/2) / (2^s s t) blocks, and `_refine` splits them level
+    by level, each level's two units per child within the budget, until
+    the next children would hold fewer cells; the blocks left go to
+    `_fine_pass` if their cells fit the budget.  Any other pass keeps at
+    most blocks(t) / t^s blocks, which go to `_fine_pass` at once.
     """
     n, s = points.shape
     ranks = np.stack([np.searchsorted(c, points[:, j]) for j, c in enumerate(cands)], axis=1)
@@ -390,16 +503,36 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, b
         side *= 2
     best = 0.0
     while side > 1:
-        finer = side // 2 if (side // 2) ** s >= _MIN_BLOCK_CELLS else 1
+        split = (side // 2) ** s >= _MIN_BLOCK_CELLS
+        finer = side // 2 if split else 1
         last = _work(cands, finer) > DEFAULT_MAX_EXACT_OPS
-        cap = min(_MAX_KEPT, prod(_block_shape(cands, side)) // side ** s)
+        # blocks kept to refine must cost less than a pass at side/2, and
+        # those kept for the fine pass hold at most as many cells as it bounds
+        cap = min(_MAX_KEPT, prod(_block_shape(cands, finer)) // (2 ** s * s * side) if split
+                  else prod(_block_shape(cands, side)) // side ** s)
         best, found = _block_pass(ranks, cands, n, side, best, cap, finish=last)
         if found is not None:
-            return (_fine_pass(ranks, cands, n, side, best, found) if found else best), True
+            break
         if last:
             return best, False
         side = finer
-    return _block_pass(ranks, cands, n, 1, best, 0)[0], True
+    else:
+        return _block_pass(ranks, cands, n, 1, best, 0)[0], True
+    if not found:
+        return best, True
+    flat, bound, below = (np.concatenate(column) for column in zip(*found))
+    lo = np.stack(np.unravel_index(flat, _block_shape(cands, side)), axis=1) * side
+    lengths = np.array([len(c) for c in cands])
+    while len(lo) and (side // 2) ** s >= _MIN_BLOCK_CELLS:
+        children = int(np.prod(1 + (lo + side // 2 < lengths), axis=1).sum())
+        if 2 * children > DEFAULT_MAX_EXACT_OPS:
+            return best, False
+        best, lo, bound, below = _refine(ranks, cands, n, side, best, lo, below)
+        side //= 2
+    # the fine pass's cells inside the grid, so a grid that fits fits it too
+    if np.prod(np.minimum(lo + side, lengths) - lo, axis=1).sum() > DEFAULT_MAX_EXACT_OPS:
+        return best, False
+    return _fine_pass(ranks, cands, n, side, best, lo, bound, below), True
 
 
 def _corner_candidates(pts: np.ndarray) -> list[np.ndarray]:

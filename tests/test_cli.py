@@ -460,6 +460,9 @@ _CI_PINS = [
     (("dim", "--m", "4", "--depth", "4000000", "--levels", "3-6"),
      {"counts": [628, 2490, 10330, 43898]}),
     (("disc", "multi", "--ms", "2,3", "--count", "100000"), {"exact": True}),
+    # s = 3 blocks refined level by level once a whole-grid pass keeps few of them
+    (("disc", "multi", "--ms", "2,3,5", "--count", "1024"),
+     {"value": 0.024760884225451585, "exact": True}),
     (("disc", "fit", "--ms", "2,3", "--min-exp", "8", "--max-exp", "16"), None),
 ]
 

@@ -285,15 +285,31 @@ def test_star_disc_multi_exact_or_lower_bound_under_any_budget(monkeypatch, budg
 
 def test_no_pass_exceeds_the_budget(monkeypatch):
     # each block pass's work, one unit per cell at side 1 and two per
-    # bounded block above it, fits the budget, on grids far over it too
-    block_pass = discrepancy._block_pass
-    passes = []
+    # bounded block above it, fits the budget, on grids far over it too;
+    # so does each refinement level's, two units per child it bounds, and
+    # the fine pass's, one per cell inside the grid
+    block_pass, refine, fine_pass = (discrepancy._block_pass, discrepancy._refine,
+                                     discrepancy._fine_pass)
+    passes, levels = [], []
 
     def record_pass(ranks, cands, n, side, best, cap, finish=False):
         passes.append((discrepancy._work(cands, side), side, finish))
         return block_pass(ranks, cands, n, side, best, cap, finish)
 
+    def record_refine(ranks, cands, n, side, best, lo, below):
+        lengths = np.array([len(c) for c in cands])
+        # the children of side/2 that start inside the grid
+        levels.append(2 * int(np.prod(1 + (lo + side // 2 < lengths), axis=1).sum()))
+        return refine(ranks, cands, n, side, best, lo, below)
+
+    def record_fine(ranks, cands, n, side, best, lo, bound, below):
+        lengths = np.array([len(c) for c in cands])
+        levels.append(int(np.prod(np.minimum(lo + side, lengths) - lo, axis=1).sum()))
+        return fine_pass(ranks, cands, n, side, best, lo, bound, below)
+
     monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
+    monkeypatch.setattr(discrepancy, "_refine", record_refine)
+    monkeypatch.setattr(discrepancy, "_fine_pass", record_fine)
     rng = np.random.default_rng(99)
     cases = [_tie_heavy(rng, 100, 2), _tie_heavy(rng, 30, 3), _tie_heavy(rng, 10, 4),
              # a block start that holds fewer than 16 cells, and a sweep over the budget
@@ -302,16 +318,55 @@ def test_no_pass_exceeds_the_budget(monkeypatch):
         monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
         for pts in cases:
             passes.clear()
+            levels.clear()
             report = star_disc_multi(pts)
             assert passes and all(work <= budget for work, _, _ in passes), (budget, passes)
+            assert all(work <= budget for work in levels), (budget, levels)
             # a search that stops short ends in a pass that walked all its blocks
             assert report.exact or passes[-1][2]
     systems = tuple(numeration.make_system(m, 2048) for m in (2, 3, 5))
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 1 << 24)
     passes.clear()
+    levels.clear()
     report = star_disc_multi(rotation.halton_points(systems, 2048))
     assert not report.exact and max(work for work, _, _ in passes) <= 1 << 24
     assert passes[-1][1] > 1 and passes[-1][2]
+    assert all(work <= 1 << 24 for work in levels)
+    # the last pass within 2^20 keeps few enough blocks to refine them
+    systems = tuple(numeration.make_system(m, 4096) for m in (2, 3))
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 1 << 20)
+    passes.clear()
+    levels.clear()
+    assert star_disc_multi(rotation.halton_points(systems, 4096)).exact
+    assert passes[-1][2] and levels and all(work <= 1 << 20 for work in levels)
+
+
+def test_fine_pass_over_the_budget_gives_a_lower_bound(monkeypatch):
+    # little prunes on the Fibonacci lattice (k/233, 144 k mod 233 / 233).
+    # Made to keep every block, the side-8 pass (1 800 units) and its
+    # refinement level (6 728) fit a budget of 10 000, but the 44 720 cells
+    # left for the fine pass do not, so the search stops before it
+    block_pass, fine_pass = discrepancy._block_pass, discrepancy._fine_pass
+    fine = []
+
+    def keep_all(ranks, cands, n, side, best, cap, finish=False):
+        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
+
+    def record_fine(*args):
+        fine.append(args[3])
+        return fine_pass(*args)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
+    monkeypatch.setattr(discrepancy, "_fine_pass", record_fine)
+    k = np.arange(233)
+    pts = np.stack([k / 233, 144 * k % 233 / 233], axis=1)
+    oracle = naive_star_disc(pts)
+    assert star_disc_multi(pts).value == oracle and fine == [4]
+    fine.clear()
+    monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 10_000)
+    report = star_disc_multi(pts)
+    assert not report.exact and not fine
+    assert 0.0 < report.value <= oracle
 
 
 def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch):
@@ -369,6 +424,132 @@ def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
     assert set(sides) >= {2, 4} and len(fine) >= 45
 
 
+@pytest.mark.parametrize("min_cells", [1, 2])
+def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
+    # every first pass keeps its blocks, so the search refines them level by
+    # level down to side 1 or 2 before the fine pass.  Odd grid lengths leave
+    # blocks with no upper half, whose children past the grid's end are
+    # dropped, and small chunks split each level into many batches.  Under
+    # the small budget some searches stop, with a lower bound, before a
+    # refinement level that does not fit
+    block_pass, refine, fine_pass = (discrepancy._block_pass, discrepancy._refine,
+                                     discrepancy._fine_pass)
+    passes, levels, fine = [], [], []
+    split = halved = 0
+
+    def keep_all(ranks, cands, n, side, best, cap, finish=False):
+        passes.append(side)
+        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
+
+    def record_refine(ranks, cands, n, side, best, lo, below):
+        nonlocal split, halved
+        lengths = np.array([len(c) for c in cands])
+        levels.append(side)
+        split += len(lo) > numeration.BLOCK // (len(cands) * side)
+        halved += np.any(lo + side // 2 >= lengths, axis=1).sum()
+        return refine(ranks, cands, n, side, best, lo, below)
+
+    def record_fine(*args):
+        fine.append(args[3])
+        return fine_pass(*args)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
+    monkeypatch.setattr(discrepancy, "_refine", record_refine)
+    monkeypatch.setattr(discrepancy, "_fine_pass", record_fine)
+    monkeypatch.setattr(discrepancy, "_MIN_BLOCK_CELLS", min_cells)
+    monkeypatch.setattr(numeration, "BLOCK", 64)
+    rng = np.random.default_rng(3300 + min_cells)
+    exact = []
+    for trial in range(60):
+        s = (2, 3, 4)[trial % 3]
+        # an odd count of distinct coordinates gives an odd grid length, n + 2
+        n = 2 * int(rng.integers(4, (60, 20, 7)[s - 2])) + 1
+        pts = _tie_heavy(rng, n, s) if trial % 2 else rng.random((n, s))
+        budget = 1 << 30 if trial < 45 else 2000
+        monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
+        passes.clear()
+        levels.clear()
+        fine.clear()
+        report = star_disc_multi(pts)
+        oracle = naive_star_disc(pts)
+        exact.append(report.exact)
+        if not report.exact:
+            # every pass keeps its blocks, so only a level over the budget stops
+            assert 0.0 < report.value <= oracle and not fine, trial
+            continue
+        assert report.value == oracle, trial
+        # one whole-grid pass, then each level down to the fine pass
+        assert len(passes) == 1 and fine == [min_cells], (trial, passes, fine)
+        assert levels == [passes[0] >> k for k in range(len(levels))], (trial, levels)
+        assert passes[0] >> len(levels) == min_cells, (trial, passes, levels)
+    assert all(exact[:45]) and not all(exact[45:])
+    assert split and halved
+
+
+@pytest.mark.parametrize("side", [4, 8, 16])
+def test_half_counts_match_local_counts(monkeypatch, side):
+    # refining every block of grids whose last block on axis 1 holds 1 to
+    # side/2 - 1 rows, the s = 2 half-slab counts equal `_local_counts`'
+    # with buckets of side/2 ranks: a middle corner past such a block's top
+    # would run into the next half-slab's keys
+    half_counts = discrepancy._half_counts
+    half = side // 2
+    short = []
+
+    def compare(slabs, lengths, lo, hi, below, half):
+        counts = half_counts(slabs, lengths, lo, hi, below, half)
+        expected = discrepancy._local_counts(ranks, index, lo, hi, below, half, 3)
+        np.testing.assert_array_equal(counts, expected)
+        short.append(np.sum(lo[:, 1] + half - 1 > hi[:, 1]))
+        return counts
+
+    monkeypatch.setattr(discrepancy, "_half_counts", compare)
+    monkeypatch.setattr(numeration, "BLOCK", 256)
+    rng = np.random.default_rng(side)
+    for trial in range(40):
+        # n distinct coordinates and the ends make n + 2 rows; ties fewer
+        n = side * int(rng.integers(2, 8)) + int(rng.integers(1, half)) - 2
+        pts = _tie_heavy(rng, n, 2)[:, ::-1] if trial % 2 else rng.random((n, 2))
+        cands = discrepancy._corner_candidates(pts)
+        lengths = [len(c) for c in cands]
+        if not 1 <= lengths[1] % side < half:
+            continue
+        ranks = np.stack([np.searchsorted(c, pts[:, j]) for j, c in enumerate(cands)], axis=1)
+        index = discrepancy._rank_index(ranks, cands)
+        lo = np.stack(np.meshgrid(*(np.arange(0, size, side) for size in lengths),
+                                  indexing="ij"), axis=-1).reshape(-1, 2)
+        below = np.array([np.all(ranks < corner, axis=1).sum() for corner in lo])
+        discrepancy._refine(ranks, cands, n, side, 0.0, lo, below)
+    assert sum(short) >= 20, short
+
+
+def test_refinement_next_to_a_short_last_block_matches_oracle(monkeypatch):
+    # 219 points at x < 0.1 and 4 in (0.4, 0.5), one of them lowest on y.
+    # The grid's 225 rows leave a last block of one row, y = 1.0, at sides
+    # 16 and 8, and the search refines at side 8 or at both.  A count of
+    # that row's children that ran on into the next half-slab's keys would
+    # take in the low point of the 4 and raise the value at the corner
+    # (largest x below 0.1, 1.0) above the maximum
+    refine = discrepancy._refine
+    levels = []
+
+    def record_refine(*args):
+        levels.append(args[3])
+        return refine(*args)
+
+    monkeypatch.setattr(discrepancy, "_refine", record_refine)
+    rng = np.random.default_rng(33)
+    for _ in range(5):
+        x = np.concatenate((rng.random(219) * 0.1, 0.4 + rng.random(4) * 0.1))
+        y = 0.1 + 0.9 * rng.random(223)
+        y[219 + rng.integers(4)] = 0.01 * rng.random()
+        pts = np.stack((x, y), axis=1)
+        levels.clear()
+        report = star_disc_multi(pts)
+        assert report.exact and report.value == naive_star_disc(pts)
+        assert levels in ([8], [16, 8]), levels
+
+
 @pytest.mark.parametrize("ms, count, value", [
     ((2, 3), 8192, 0.005104380873610148),
     ((2, 3, 5), 256, 0.07052543571118836),
@@ -415,6 +596,46 @@ def test_block_search_skips_almost_every_cell(monkeypatch):
     grid = np.prod([len(np.unique(np.concatenate((pts[:, j], [0.0, 1.0])))) for j in range(2)])
     assert 1 not in sides
     assert 0 < sum(cells) <= 0.05 * grid
+
+
+def test_refinement_replaces_the_finer_whole_grid_passes(monkeypatch):
+    # at N = 8192 the pass at side 16 keeps few enough blocks to refine
+    # them, so a return to sweeping the whole grid at side 8 (1.05 M blocks)
+    # fails here, not only in timings
+    block_pass, refine = discrepancy._block_pass, discrepancy._refine
+    sides, levels = [], []
+
+    def record_pass(*args, **kwargs):
+        sides.append(args[3])
+        return block_pass(*args, **kwargs)
+
+    def record_refine(*args):
+        levels.append(args[3])
+        return refine(*args)
+
+    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
+    monkeypatch.setattr(discrepancy, "_refine", record_refine)
+    systems = tuple(numeration.make_system(m, 8192) for m in (2, 3))
+    report = star_disc_multi(rotation.halton_points(systems, 8192))
+    assert report.exact and report.value == 0.005104380873610148
+    assert min(sides) >= 16 and levels == [16, 8]
+
+
+def test_star_disc_multi_memory():
+    # the passes hold block-sized temporaries, and the refinement holds
+    # the children of few kept blocks (2.97 MiB measured, as before the
+    # refinement); keeping every block of the first pass to refine it
+    # peaks at 4.4 MiB
+    systems = tuple(numeration.make_system(m, 8192) for m in (2, 3))
+    pts = rotation.halton_points(systems, 8192)
+    tracemalloc.start()
+    try:
+        report = star_disc_multi(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == 0.005104380873610148
+    assert peak < 3.25 * 2 ** 20
 
 
 def test_decay_fit_exact_powers():
