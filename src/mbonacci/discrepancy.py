@@ -18,40 +18,35 @@ corners it gets two exact corner values and an upper bound on every cell
 of the block (the grid case of Thiemard's delta-bracketing covers,
 J. Complexity 2001).  Each step of the cell formula is monotone in
 float64, so the bound holds for the float values, not only the real ones.
-A fine pass then evaluates the cells of the blocks whose bound exceeds the
-best corner value, in the oracle's arithmetic and in descending order of
-bound, and stops at the first block that cannot raise the maximum.  So
-the value equals that of evaluating every cell.
 
 t starts where the grid has about as many blocks as a block has cells.
-The blocks a pass keeps are refined rather than swept again: each splits
-into its at most 2^s children of side t/2, whose counts at the bottom and
-top corners are the parent's count below it plus counts in its
-half-slabs.  Each child's two exact corner values raise the best, the
-children whose bound (the block pass's own) exceeds it are split in turn,
-level by level, and the last level that holds at least 16 cells per
-block goes to the fine pass.  Each kept block is charged 2^s s t, for
-its 2^s children and the about s t points of its slabs, so a pass keeps
-its blocks only when they number at most blocks(t/2) / (2^s s t): their
-refinement then costs less than a pass at t/2.  Else the search moves on
-to t/2.  Where a child would hold fewer than 16 cells (t <= 4 at s = 2
-and 3, t = 2 at s >= 4), a pass keeps blocks only when they hold at most
-as many cells as it bounded blocks, and sends them straight to the fine
-pass; once a block itself would hold fewer than 16 cells, the search
-runs at t = 1, where each block is one cell and the block pass is the
-plain sweep of every cell: where nothing prunes, the search costs about
-one plain sweep.  Every pass and every batch of a level holds
-temporaries of at most about `numeration.BLOCK` cells or points at a
-time.
+The blocks a pass keeps, those whose bound exceeds the best corner value,
+are refined rather than swept again (Thiemard's adaptive refinement):
+each splits into its at most 2^s children of side t/2, whose counts at
+the bottom and top corners are the parent's count below it plus counts
+in its half-slabs.  Each child's two exact corner values raise the best,
+and the children whose bound (the block pass's own) exceeds it are split
+in turn, level by level, down to side 1.  There each child is one cell,
+its two corner values are its values in the oracle's arithmetic, and its
+bound is its value, so nothing is left: the value equals that of
+evaluating every cell.  A pass keeps its blocks only when they number at
+most blocks(finer) / (2^s s t), where finer is t/2, or 1 where a child
+would hold fewer than 16 cells, so that refining them, about 2^s s t per
+block for its 2^s children and the about s t points of its slabs, costs
+less than a pass at that side.  Else the search moves on to that side;
+once a block itself would hold fewer than 16 cells, the search runs at
+t = 1, where each block is one cell and the block pass is the plain sweep
+of every cell: where nothing prunes, the search costs about one plain
+sweep.  Every pass and every batch of a level holds temporaries of at
+most about `numeration.BLOCK` cells or points at a time.
 
-DEFAULT_MAX_EXACT_OPS bounds the work of each pass, each level and the
-fine pass, in cells of the plain sweep: one per cell at t = 1 and in the
-fine pass, two per bounded block or child above it.  The finest pass
-that fits walks all its blocks.  If it keeps too many blocks to refine
-or evaluate, or a refinement level or the fine pass does not fit, the
-best exact corner value is reported as a lower bound.
-A grid of at most DEFAULT_MAX_EXACT_OPS cells fits every pass, so it is
-exact.
+DEFAULT_MAX_EXACT_OPS bounds the work of each pass and each level, in
+cells of the plain sweep: one per cell at t = 1 and per child of side 1,
+two per bounded block or child above it.  The finest pass that fits walks
+all its blocks.  If it keeps too many blocks to refine, or a refinement
+level does not fit, the best exact corner value is reported as a lower
+bound.  A grid of at most DEFAULT_MAX_EXACT_OPS cells fits every pass and
+level, so it is exact.
 """
 
 from __future__ import annotations
@@ -130,12 +125,9 @@ def star_disc_1d(points) -> float:
 # blocks of fewer cells give way to the exact sweep (side 1): a block
 # pass bounds a block with about twice the work of evaluating a cell
 _MIN_BLOCK_CELLS = 16
-# a block pass that would keep more than _MAX_KEPT blocks (32 bytes each)
-# gives way to a pass at half the side, as does one whose blocks go
-# straight to the fine pass and would hold more cells than it has blocks.
-# So that fine pass evaluates at most a 16th of the grid's cells; at 4 to
-# 10 times the cost of a cell of the plain sweep, that costs less than the
-# sweep
+# a block pass that would keep more than _MAX_KEPT blocks gives way to a
+# pass at a finer side, which bounds the blocks a pass holds while it
+# walks the grid and the children of the first refinement level
 _MAX_KEPT = 1 << 14
 
 
@@ -337,45 +329,6 @@ def _rank_index(ranks, cands):
     return index
 
 
-def _block_values(ranks, index, padded, n, side, lo, hi, below):
-    """max over the cells of the blocks with bottom corners `lo` and top
-    corners `hi` of max(closed(c)/n - vol(c), vol(c) - open(c)/n), in the
-    oracle's arithmetic.  `below` holds the count below each `lo`.  A block
-    cut off by the grid's end is evaluated at full side: `padded` repeats
-    the last candidate 1.0, so each extra cell repeats the closed value of
-    the last cell of its axis and has at most its open value."""
-    counts = _local_counts(ranks, index, lo, hi, below, 1, side + 1)
-    nb, s = lo.shape
-    steps = np.arange(side)
-    vol = padded[0][lo[:, :1] + steps]
-    for j in range(1, s):
-        x = padded[j][lo[:, j:j + 1] + steps]
-        vol = vol[..., None] * x.reshape((nb,) + (1,) * j + (side,))
-    above = counts[(slice(None),) + (slice(1, None),) * s] / n
-    under = counts[(slice(None),) + (slice(None, side),) * s] / n
-    return max(float((above - vol).max()), float((vol - under).max()))
-
-
-def _fine_pass(ranks, cands, n, side, best, lo, bound, below):
-    """Raise `best` to the maximum over the cells of the blocks of `side`
-    with bottom corners `lo`, bounds `bound` and counts `below` under
-    them, visiting them in descending order of their bounds and stopping
-    at the first bound that is not above `best`."""
-    order = np.argsort(-bound, kind="stable")
-    lengths = np.array([len(c) for c in cands])
-    padded = [np.concatenate((c, np.full(side, c[-1]))) for c in cands]
-    index = _rank_index(ranks, cands)
-    batch = max(1, numeration.BLOCK // (side + 1) ** len(cands))
-    for start in range(0, len(order), batch):
-        take = order[start:start + batch]
-        take = take[bound[take] > best]
-        if not take.size:
-            break
-        hi = np.minimum(lo[take] + side, lengths) - 1
-        best = max(best, _block_values(ranks, index, padded, n, side, lo[take], hi, below[take]))
-    return best
-
-
 def _half_counts(slabs, lengths, lo, hi, below, half):
     """s = 2: cumulative counts at the corners lo - 1, lo + half - 1 and hi
     on each axis of the blocks from `lo` to `hi`, as a (blocks, 3, 3) array.
@@ -417,11 +370,14 @@ def _refine(ranks, cands, n, side, best, lo, below):
     Per axis the children need the counts at lo - 1, lo + side/2 - 1 and
     hi: from `_half_counts` at s = 2, from `_local_counts` with buckets of
     side/2 ranks above.  Each child's bottom and top corner values raise
-    `best`, and its bound is `_block_pass`'s, in the same arithmetic.
-    Returns `best` and the bottom corners, bounds and counts under them of
-    the children whose bound exceeds it.  Blocks go through in batches of
-    ``numeration.BLOCK // (s * side)``, so a batch's temporaries hold
-    about `numeration.BLOCK` searches or gathered points.
+    `best`, and its bound is `_block_pass`'s, in the same arithmetic.  At
+    side 2 each child is one cell c, whose corner values are its values in
+    the oracle's arithmetic, closed(c)/n - vol(c) and vol(c) - open(c)/n
+    with the volume multiplied left to right; its bound is the larger of
+    them, so no cell is kept.  Returns `best` and the bottom corners and
+    counts under them of the children whose bound exceeds it.  Blocks go
+    through in batches of ``numeration.BLOCK // (s * side)``, so a batch's
+    temporaries hold about `numeration.BLOCK` searches or gathered points.
     """
     s = lo.shape[1]
     half = side // 2
@@ -463,7 +419,7 @@ def _refine(ranks, cands, n, side, best, lo, below):
         found.append((child[keep], bound[keep], opened[keep]))
     child, bound, opened = (np.concatenate(column) for column in zip(*found))
     keep = bound > best
-    return best, child[keep], bound[keep], opened[keep]
+    return best, child[keep], opened[keep]
 
 
 def _work(cands, side):
@@ -482,15 +438,15 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, b
 
     t starts at the largest power of two that leaves at least t^s blocks,
     or at 1 below _MIN_BLOCK_CELLS cells, and doubles until its pass's
-    `_work` fits DEFAULT_MAX_EXACT_OPS.  While a pass keeps too many
-    blocks, the search moves on to t/2, or to t = 1 below _MIN_BLOCK_CELLS
-    cells, if that pass fits; the last pass that fits walks all its blocks.
-    A pass whose children hold at least _MIN_BLOCK_CELLS cells keeps at
-    most blocks(t/2) / (2^s s t) blocks, and `_refine` splits them level
-    by level, each level's two units per child within the budget, until
-    the next children would hold fewer cells; the blocks left go to
-    `_fine_pass` if their cells fit the budget.  Any other pass keeps at
-    most blocks(t) / t^s blocks, which go to `_fine_pass` at once.
+    `_work` fits DEFAULT_MAX_EXACT_OPS.  The side a pass would give way to
+    is t/2, or 1 where a child of side t/2 would hold fewer than
+    _MIN_BLOCK_CELLS cells.  A pass keeps at most blocks(finer) /
+    (2^s s t) of its blocks, so that refining them costs less than the
+    pass at that side; while a pass keeps more, the search moves on to
+    that side if its pass fits, and the last pass that fits walks all its
+    blocks.  `_refine` halves the blocks kept level by level down to
+    single cells, each level's `_work` units, two per child above side 1
+    and one per cell at side 1, within the budget.
     """
     n, s = points.shape
     ranks = np.stack([np.searchsorted(c, points[:, j]) for j, c in enumerate(cands)], axis=1)
@@ -503,13 +459,9 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, b
         side *= 2
     best = 0.0
     while side > 1:
-        split = (side // 2) ** s >= _MIN_BLOCK_CELLS
-        finer = side // 2 if split else 1
+        finer = side // 2 if (side // 2) ** s >= _MIN_BLOCK_CELLS else 1
         last = _work(cands, finer) > DEFAULT_MAX_EXACT_OPS
-        # blocks kept to refine must cost less than a pass at side/2, and
-        # those kept for the fine pass hold at most as many cells as it bounds
-        cap = min(_MAX_KEPT, prod(_block_shape(cands, finer)) // (2 ** s * s * side) if split
-                  else prod(_block_shape(cands, side)) // side ** s)
+        cap = min(_MAX_KEPT, prod(_block_shape(cands, finer)) // (2 ** s * s * side))
         best, found = _block_pass(ranks, cands, n, side, best, cap, finish=last)
         if found is not None:
             break
@@ -520,19 +472,18 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, b
         return _block_pass(ranks, cands, n, 1, best, 0)[0], True
     if not found:
         return best, True
-    flat, bound, below = (np.concatenate(column) for column in zip(*found))
+    flat, _, below = (np.concatenate(column) for column in zip(*found))
     lo = np.stack(np.unravel_index(flat, _block_shape(cands, side)), axis=1) * side
     lengths = np.array([len(c) for c in cands])
-    while len(lo) and (side // 2) ** s >= _MIN_BLOCK_CELLS:
-        children = int(np.prod(1 + (lo + side // 2 < lengths), axis=1).sum())
-        if 2 * children > DEFAULT_MAX_EXACT_OPS:
+    # a cell's bound is its value, so nothing is kept below side 1
+    while len(lo):
+        half = side // 2
+        children = int(np.prod(1 + (lo + half < lengths), axis=1).sum())
+        if children * (1 if half == 1 else 2) > DEFAULT_MAX_EXACT_OPS:
             return best, False
-        best, lo, bound, below = _refine(ranks, cands, n, side, best, lo, below)
-        side //= 2
-    # the fine pass's cells inside the grid, so a grid that fits fits it too
-    if np.prod(np.minimum(lo + side, lengths) - lo, axis=1).sum() > DEFAULT_MAX_EXACT_OPS:
-        return best, False
-    return _fine_pass(ranks, cands, n, side, best, lo, bound, below), True
+        best, lo, below = _refine(ranks, cands, n, side, best, lo, below)
+        side = half
+    return best, True
 
 
 def _corner_candidates(pts: np.ndarray) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from math import prod
 
 import numpy as np
 import pytest
@@ -283,13 +284,46 @@ def test_star_disc_multi_exact_or_lower_bound_under_any_budget(monkeypatch, budg
     assert exact == 300 if budget == 1 << 30 else 0 < exact < 300
 
 
+def _level_work(cands, side, lo):
+    """The `_work` units of refining the blocks of `side` at `lo`: two per
+    child of side/2 that starts inside the grid, one per cell at side 1."""
+    lengths = np.array([len(c) for c in cands])
+    children = int(np.prod(1 + (lo + side // 2 < lengths), axis=1).sum())
+    return children * (1 if side == 2 else 2)
+
+
+def test_a_grid_within_the_budget_is_exact(monkeypatch):
+    # with the budget set to each grid's cell count, every pass and level
+    # fits, so the report is exact, for the search as it is and with every
+    # block of its first pass kept to refine
+    block_pass = discrepancy._block_pass
+
+    def keep_all(ranks, cands, n, side, best, cap, finish=False):
+        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
+
+    rng = np.random.default_rng(3434)
+    cases = [_tie_heavy(rng, int(rng.integers(2, (120, 40, 14)[t % 3])), 2 + t % 3)
+             for t in range(60)]
+    for ms, count in (((2, 3), 512), ((2, 3, 5), 128)):
+        cases.append(rotation.halton_points(
+            tuple(numeration.make_system(m, count) for m in ms), count))
+    for n, g in ((233, 144), (377, 233)):
+        cases.append(_rank1_lattice(n, g))
+    for pts in cases:
+        oracle = naive_star_disc(pts)
+        cells = prod(len(c) for c in discrepancy._corner_candidates(pts))
+        monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", cells)
+        for search in (block_pass, keep_all):
+            monkeypatch.setattr(discrepancy, "_block_pass", search)
+            report = star_disc_multi(pts)
+            assert report.exact and report.value == oracle, (len(pts), pts.shape[1], search)
+
+
 def test_no_pass_exceeds_the_budget(monkeypatch):
     # each block pass's work, one unit per cell at side 1 and two per
     # bounded block above it, fits the budget, on grids far over it too;
-    # so does each refinement level's, two units per child it bounds, and
-    # the fine pass's, one per cell inside the grid
-    block_pass, refine, fine_pass = (discrepancy._block_pass, discrepancy._refine,
-                                     discrepancy._fine_pass)
+    # so does each refinement level's, in the same units
+    block_pass, refine = discrepancy._block_pass, discrepancy._refine
     passes, levels = [], []
 
     def record_pass(ranks, cands, n, side, best, cap, finish=False):
@@ -297,19 +331,11 @@ def test_no_pass_exceeds_the_budget(monkeypatch):
         return block_pass(ranks, cands, n, side, best, cap, finish)
 
     def record_refine(ranks, cands, n, side, best, lo, below):
-        lengths = np.array([len(c) for c in cands])
-        # the children of side/2 that start inside the grid
-        levels.append(2 * int(np.prod(1 + (lo + side // 2 < lengths), axis=1).sum()))
+        levels.append(_level_work(cands, side, lo))
         return refine(ranks, cands, n, side, best, lo, below)
-
-    def record_fine(ranks, cands, n, side, best, lo, bound, below):
-        lengths = np.array([len(c) for c in cands])
-        levels.append(int(np.prod(np.minimum(lo + side, lengths) - lo, axis=1).sum()))
-        return fine_pass(ranks, cands, n, side, best, lo, bound, below)
 
     monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
     monkeypatch.setattr(discrepancy, "_refine", record_refine)
-    monkeypatch.setattr(discrepancy, "_fine_pass", record_fine)
     rng = np.random.default_rng(99)
     cases = [_tie_heavy(rng, 100, 2), _tie_heavy(rng, 30, 3), _tie_heavy(rng, 10, 4),
              # a block start that holds fewer than 16 cells, and a sweep over the budget
@@ -341,31 +367,32 @@ def test_no_pass_exceeds_the_budget(monkeypatch):
     assert passes[-1][2] and levels and all(work <= 1 << 20 for work in levels)
 
 
-def test_fine_pass_over_the_budget_gives_a_lower_bound(monkeypatch):
+def test_refinement_level_over_the_budget_gives_a_lower_bound(monkeypatch):
     # little prunes on the Fibonacci lattice (k/233, 144 k mod 233 / 233).
     # Made to keep every block, the side-8 pass (1 800 units) and its
-    # refinement level (6 728) fit a budget of 10 000, but the 44 720 cells
-    # left for the fine pass do not, so the search stops before it
-    block_pass, fine_pass = discrepancy._block_pass, discrepancy._fine_pass
-    fine = []
+    # refinement level (6 728) fit a budget of 10 000, but the level at
+    # side 4 (22 360) does not, so the search stops before it
+    block_pass, refine = discrepancy._block_pass, discrepancy._refine
+    levels = []
 
     def keep_all(ranks, cands, n, side, best, cap, finish=False):
         return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
 
-    def record_fine(*args):
-        fine.append(args[3])
-        return fine_pass(*args)
+    def record_refine(ranks, cands, n, side, best, lo, below):
+        levels.append((side, _level_work(cands, side, lo)))
+        return refine(ranks, cands, n, side, best, lo, below)
 
     monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
-    monkeypatch.setattr(discrepancy, "_fine_pass", record_fine)
+    monkeypatch.setattr(discrepancy, "_refine", record_refine)
     k = np.arange(233)
     pts = np.stack([k / 233, 144 * k % 233 / 233], axis=1)
     oracle = naive_star_disc(pts)
-    assert star_disc_multi(pts).value == oracle and fine == [4]
-    fine.clear()
+    assert star_disc_multi(pts).value == oracle
+    assert levels == [(8, 6728), (4, 22360), (2, 9400)]
+    levels.clear()
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 10_000)
     report = star_disc_multi(pts)
-    assert not report.exact and not fine
+    assert not report.exact and levels == [(8, 6728)]
     assert 0.0 < report.value <= oracle
 
 
@@ -397,22 +424,23 @@ def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch):
 
 def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
     # keep every block a pass bounds and allow blocks of two cells, so the
-    # fine pass sees blocks that the best corner value does not rule out
-    # and blocks cut short by the grid's end; small chunks split both
-    # passes into many slabs and batches
-    block_pass, block_values = discrepancy._block_pass, discrepancy._block_values
-    sides, fine = [], []
+    # refinement down to cells sees blocks that the best corner value does
+    # not rule out and blocks cut short by the grid's end; small chunks
+    # split the pass and each level into many slabs and batches
+    block_pass, refine = discrepancy._block_pass, discrepancy._refine
+    sides, cells = [], []
 
     def keep_all(ranks, cands, n, side, best, cap, finish=False):
         sides.append(side)
         return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
 
-    def record_values(*args):
-        fine.append(len(args[5]))
-        return block_values(*args)
+    def record_refine(ranks, cands, n, side, best, lo, below):
+        if side == 2:
+            cells.append(len(lo))
+        return refine(ranks, cands, n, side, best, lo, below)
 
     monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
-    monkeypatch.setattr(discrepancy, "_block_values", record_values)
+    monkeypatch.setattr(discrepancy, "_refine", record_refine)
     monkeypatch.setattr(discrepancy, "_MIN_BLOCK_CELLS", 2)
     monkeypatch.setattr(numeration, "BLOCK", 64)
     rng = np.random.default_rng(1212)
@@ -421,20 +449,19 @@ def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
         n = int(rng.integers(8, (120, 40, 14)[s - 2]))
         pts = _tie_heavy(rng, n, s)
         assert star_disc_multi(pts).value == naive_star_disc(pts)
-    assert set(sides) >= {2, 4} and len(fine) >= 45
+    assert set(sides) >= {2, 4} and len(cells) >= 45
 
 
 @pytest.mark.parametrize("min_cells", [1, 2])
 def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
     # every first pass keeps its blocks, so the search refines them level by
-    # level down to side 1 or 2 before the fine pass.  Odd grid lengths leave
-    # blocks with no upper half, whose children past the grid's end are
-    # dropped, and small chunks split each level into many batches.  Under
-    # the small budget some searches stop, with a lower bound, before a
-    # refinement level that does not fit
-    block_pass, refine, fine_pass = (discrepancy._block_pass, discrepancy._refine,
-                                     discrepancy._fine_pass)
-    passes, levels, fine = [], [], []
+    # level down to single cells.  Odd grid lengths leave blocks with no
+    # upper half, whose children past the grid's end are dropped, and small
+    # chunks split each level into many batches.  Under the small budget
+    # some searches stop, with a lower bound, before a refinement level
+    # that does not fit
+    block_pass, refine = discrepancy._block_pass, discrepancy._refine
+    passes, levels = [], []
     split = halved = 0
 
     def keep_all(ranks, cands, n, side, best, cap, finish=False):
@@ -449,13 +476,8 @@ def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
         halved += np.any(lo + side // 2 >= lengths, axis=1).sum()
         return refine(ranks, cands, n, side, best, lo, below)
 
-    def record_fine(*args):
-        fine.append(args[3])
-        return fine_pass(*args)
-
     monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
     monkeypatch.setattr(discrepancy, "_refine", record_refine)
-    monkeypatch.setattr(discrepancy, "_fine_pass", record_fine)
     monkeypatch.setattr(discrepancy, "_MIN_BLOCK_CELLS", min_cells)
     monkeypatch.setattr(numeration, "BLOCK", 64)
     rng = np.random.default_rng(3300 + min_cells)
@@ -469,19 +491,18 @@ def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
         monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
         passes.clear()
         levels.clear()
-        fine.clear()
         report = star_disc_multi(pts)
         oracle = naive_star_disc(pts)
         exact.append(report.exact)
+        # one whole-grid pass, then each level down to single cells
+        assert len(passes) == 1, (trial, passes)
+        assert levels == [passes[0] >> k for k in range(len(levels))], (trial, levels)
         if not report.exact:
             # every pass keeps its blocks, so only a level over the budget stops
-            assert 0.0 < report.value <= oracle and not fine, trial
+            assert 0.0 < report.value <= oracle and passes[0] >> len(levels) > 1, trial
             continue
         assert report.value == oracle, trial
-        # one whole-grid pass, then each level down to the fine pass
-        assert len(passes) == 1 and fine == [min_cells], (trial, passes, fine)
-        assert levels == [passes[0] >> k for k in range(len(levels))], (trial, levels)
-        assert passes[0] >> len(levels) == min_cells, (trial, passes, levels)
+        assert passes[0] >> len(levels) == 1, (trial, passes, levels)
     assert all(exact[:45]) and not all(exact[45:])
     assert split and halved
 
@@ -526,10 +547,10 @@ def test_half_counts_match_local_counts(monkeypatch, side):
 def test_refinement_next_to_a_short_last_block_matches_oracle(monkeypatch):
     # 219 points at x < 0.1 and 4 in (0.4, 0.5), one of them lowest on y.
     # The grid's 225 rows leave a last block of one row, y = 1.0, at sides
-    # 16 and 8, and the search refines at side 8 or at both.  A count of
-    # that row's children that ran on into the next half-slab's keys would
-    # take in the low point of the 4 and raise the value at the corner
-    # (largest x below 0.1, 1.0) above the maximum
+    # 16 and 8, and the search refines from side 8 or 16 down to cells.  A
+    # count of that row's children that ran on into the next half-slab's
+    # keys would take in the low point of the 4 and raise the value at the
+    # corner (largest x below 0.1, 1.0) above the maximum
     refine = discrepancy._refine
     levels = []
 
@@ -547,15 +568,19 @@ def test_refinement_next_to_a_short_last_block_matches_oracle(monkeypatch):
         levels.clear()
         report = star_disc_multi(pts)
         assert report.exact and report.value == naive_star_disc(pts)
-        assert levels in ([8], [16, 8]), levels
+        assert levels in ([8, 4, 2], [16, 8, 4, 2]), levels
 
 
 @pytest.mark.parametrize("ms, count, value", [
+    # computed by the whole-grid sweep of 9505e60, which evaluated every cell
     ((2, 3), 8192, 0.005104380873610148),
     ((2, 3, 5), 256, 0.07052543571118836),
+    # computed by the block search of 08c76f3: at N = 128 a pass at side 2
+    # keeps its blocks, and at N = 256 a pass at side 4 does
+    ((2, 3, 5, 4), 128, 0.1041383040186914),
+    ((2, 3, 5, 4), 256, 0.0817229160464778),
 ])
 def test_star_disc_multi_frozen_halton_values(ms, count, value):
-    # computed by the whole-grid sweep of 9505e60, which evaluated every cell
     systems = tuple(numeration.make_system(m, count) for m in ms)
     report = star_disc_multi(rotation.halton_points(systems, count))
     assert report.exact and report.value == value
@@ -576,20 +601,20 @@ def test_rank1_lattice_where_blocks_hardly_prune():
 
 def test_block_search_skips_almost_every_cell(monkeypatch):
     # a return to evaluating the whole grid fails here, not only in timings
-    block_pass, block_values = discrepancy._block_pass, discrepancy._block_values
+    block_pass, refine = discrepancy._block_pass, discrepancy._refine
     sides, cells = [], []
 
     def record_pass(*args, **kwargs):
         sides.append(args[3])
         return block_pass(*args, **kwargs)
 
-    def record_values(*args):
-        lo, side = args[5], args[4]
-        cells.append(len(lo) * side ** lo.shape[1])
-        return block_values(*args)
+    def record_refine(ranks, cands, n, side, best, lo, below):
+        if side == 2:
+            cells.append(_level_work(cands, side, lo))
+        return refine(ranks, cands, n, side, best, lo, below)
 
     monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
-    monkeypatch.setattr(discrepancy, "_block_values", record_values)
+    monkeypatch.setattr(discrepancy, "_refine", record_refine)
     systems = tuple(numeration.make_system(m, 4096) for m in (2, 3))
     pts = rotation.halton_points(systems, 4096)
     assert star_disc_multi(pts).value == 0.006073280856525226
@@ -618,7 +643,7 @@ def test_refinement_replaces_the_finer_whole_grid_passes(monkeypatch):
     systems = tuple(numeration.make_system(m, 8192) for m in (2, 3))
     report = star_disc_multi(rotation.halton_points(systems, 8192))
     assert report.exact and report.value == 0.005104380873610148
-    assert min(sides) >= 16 and levels == [16, 8]
+    assert min(sides) >= 16 and levels == [16, 8, 4, 2]
 
 
 def test_star_disc_multi_memory():

@@ -244,7 +244,7 @@ def _bulk_results():
     basis terms, clouds of 2 to 302 points, their plain and torus letter
     grids, one-dimensional sets that are ascending but for one adjacent
     swap, and Halton point sets of two to four dimensions, the pair large
-    enough for the corner search to reach its fine pass."""
+    enough for the corner search to refine its blocks down to cells."""
     results = []
     for m in (2, 3, 4, 5):
         sys = make_system(m)
