@@ -20,8 +20,8 @@ J. Complexity 2001).  Each step of the cell formula is monotone in
 float64, so the bound holds for the float values, not only the real ones.
 
 t starts where the grid has about as many blocks as a block has cells.
-The blocks a pass keeps, those whose bound exceeds the best corner value,
-are refined rather than swept again (Thiemard's adaptive refinement):
+The blocks a pass keeps, those whose bound exceeds its final best corner
+value, are refined rather than swept again (Thiemard's adaptive refinement):
 each splits into its at most 2^s children of side t/2, whose counts at
 the bottom and top corners are the parent's count below it plus counts
 in its half-slabs.  Each child's two exact corner values raise the best,
@@ -37,8 +37,11 @@ less than a pass at that side.  Else the search moves on to that side;
 once a block itself would hold fewer than 16 cells, the search runs at
 t = 1, where each block is one cell and the block pass is the plain sweep
 of every cell: where nothing prunes, the search costs about one plain
-sweep.  Every pass and every batch of a level holds temporaries of at
-most about `numeration.BLOCK` cells or points at a time.
+sweep.  The passes of one search share their count plane and slab
+buffers, of about `numeration.BLOCK` cells each where one plane and one
+slab of the grid fit, and release them before the refinement; every
+batch of a level holds temporaries of at most about `numeration.BLOCK`
+points at a time.
 
 DEFAULT_MAX_EXACT_OPS bounds the work of each pass and each level, in
 cells of the plain sweep: one per cell at t = 1 and per child of side 1,
@@ -131,7 +134,7 @@ _MIN_BLOCK_CELLS = 16
 _MAX_KEPT = 1 << 14
 
 
-def _count_blocks(ranks, shape, rows):
+def _count_blocks(ranks, shape, rows, buf):
     """Cumulative counts on a grid of `shape`, ``rows`` axis-0 indices at a time.
 
     ``ranks[j]`` holds each point's index on axis j, in range(shape[j]).
@@ -139,14 +142,16 @@ def _count_blocks(ranks, shape, rows):
     starting at axis-0 index ``a``, ``block[1 + i, 1 + r]`` is the number of
     points whose ranks are at most ``(a + i, r)`` componentwise, ``block[0]``
     is the same plane for index ``a - 1``, and the other leading slots read
-    0.  Counts are exact integers held as float64.  The same buffer is
-    yielded for every block and is overwritten by the next one.
+    0.  Counts are exact integers held as float64.  Every block is a view
+    over the front of the flat buffer `buf` and is overwritten by the next
+    one.
     """
     plane_shape = tuple(size + 1 for size in shape[1:])
     plane = prod(plane_shape)
     keys = np.sort(np.ravel_multi_index(
         [ranks[0]] + [r + 1 for r in ranks[1:]], (shape[0],) + plane_shape))
-    counts = np.zeros((rows + 1,) + plane_shape)
+    counts = _view(buf, (rows + 1,) + plane_shape)
+    counts[rows] = 0.0
     for a in range(0, shape[0], rows):
         b = min(a + rows, shape[0])
         counts[0] = counts[rows]  # the previous block's last plane, 0 at first
@@ -175,6 +180,15 @@ def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:prod(shape)].reshape(shape)
 
 
+def _buffer(bufs, name, cells):
+    """The flat buffer `bufs[name]`, replaced when it holds fewer than
+    `cells` cells; the old one is released before the new one is made."""
+    if name not in bufs or bufs[name].size < cells:
+        bufs.pop(name, None)
+        bufs[name] = np.empty(cells)
+    return bufs[name]
+
+
 def _volumes(xs, bufs):
     """Outer product of the 1-D arrays `xs`, multiplied left to right as the
     brute-force oracle does, alternating between the two flat `bufs`."""
@@ -191,7 +205,7 @@ def _block_shape(cands, side):
     return tuple(-(-len(c) // side) for c in cands)
 
 
-def _block_pass(ranks, cands, n, side, best, cap, finish=False):
+def _block_pass(ranks, cands, n, side, best, cap, bufs, finish=False):
     """One streamed pass over the blocks of side**s corner cells.
 
     Block B spans the corner indices B*side to min((B+1)*side, len) - 1 on
@@ -207,38 +221,42 @@ def _block_pass(ranks, cands, n, side, best, cap, finish=False):
     open(lo)/n) is at least the float value of every cell of the block.
 
     Returns `best` and a list of (flat block index, bound, open count at
-    lo) arrays for the blocks whose bound exceeds it.  When more than `cap`
-    blocks are kept, those whose bound no longer exceeds the running
-    `best` are dropped; if still more than `cap` remain the list is None,
-    and the pass returns at once, or with `finish` walks on through every
-    block to raise `best`.  At side 1
-    each block is one cell, its bound is its value, and the pass is the
-    exact sweep.
+    lo) arrays for the blocks whose bound exceeded the running best when
+    the pass reached them.  When a slab's blocks would take the kept ones
+    past `cap`, those kept whose bound no longer exceeds the running
+    `best` are dropped first; if still more than `cap` would remain the
+    list is None, and the pass returns at once, before gathering the
+    slab's blocks, or with `finish` walks on through every block to raise
+    `best`.  At side 1 each block is one cell, its bound is its value, and
+    the pass is the exact sweep.
 
     The pass walks axis 0 in rank order in runs of axis-0 indices, keeping
     the cumulative count plane over the other axes, and evaluates each run
-    in slabs along axis 1 of at most about `numeration.BLOCK` blocks.  The
-    slab temporaries live in buffers allocated once per call, so the slabs
-    reuse the same pages.
+    in slabs along axis 1 of at most about `numeration.BLOCK` blocks, and
+    no more than the grid holds.  The count plane and the slab temporaries
+    are views over the front of the flat buffers in the dict `bufs`, which
+    the passes of one search share, so they reuse the same pages; a buffer
+    is replaced only when a pass needs more than it holds.
     """
     shape = _block_shape(cands, side)
     lows = [c[::side] for c in cands]
     highs = [c[np.minimum(np.arange(side - 1, size * side, side), len(c) - 1)]
              for c, size in zip(cands, shape)]
     inner = prod(shape[2:])
-    rows = max(1, numeration.BLOCK // (inner * shape[1]))
-    step = max(1, numeration.BLOCK // (rows * inner))
+    rows = max(1, min(shape[0], numeration.BLOCK // (inner * shape[1])))
+    step = max(1, min(shape[1], numeration.BLOCK // (rows * inner)))
     corner_cells = rows * step * inner
     slab_cells = (rows + 1) * (step + 1) * prod(size + 1 for size in shape[2:])
     # volumes of s axes alternate between two buffers, the product over
     # the first j axes in one and over j + 1 in the other
-    vol_bufs = (np.empty(corner_cells), np.empty(corner_cells))
-    diff_buf = np.empty(corner_cells)
-    bound_buf = np.empty(corner_cells) if side > 1 else None
-    slab_buf = np.empty(slab_cells)
+    vol_bufs = (_buffer(bufs, "vol0", corner_cells), _buffer(bufs, "vol1", corner_cells))
+    diff_buf = _buffer(bufs, "diff", corner_cells)
+    bound_buf = _buffer(bufs, "bound", corner_cells) if side > 1 else None
+    slab_buf = _buffer(bufs, "slab", slab_cells)
+    count_buf = _buffer(bufs, "counts", (rows + 1) * prod(size + 1 for size in shape[1:]))
     found = []
     kept = 0
-    blocks = _count_blocks(list((ranks // side).T), shape, rows)
+    blocks = _count_blocks(list((ranks // side).T), shape, rows, count_buf)
     for a, counts in zip(range(0, shape[0], rows), blocks):
         b = a + len(counts) - 1
         for lo in range(0, shape[1], step):
@@ -262,18 +280,19 @@ def _block_pass(ranks, cands, n, side, best, cap, finish=False):
             hits = np.flatnonzero(bound > best)
             if not hits.size:
                 continue
+            if kept + hits.size > cap:
+                # drop the blocks kept against a lower best that they no longer beat
+                found = [tuple(column[b > best] for column in (f, b, c)) for f, b, c in found]
+                kept = sum(len(f) for f, _, _ in found)
+                if kept + hits.size > cap:
+                    if not finish:
+                        return best, None
+                    found = None
+                    continue
             at = np.unravel_index(hits, vol.shape)
             flat = np.ravel_multi_index((at[0] + a, at[1] + lo) + at[2:], shape)
             found.append((flat, bound.reshape(-1)[hits], slab_counts[at]))
             kept += hits.size
-            if kept > cap:
-                # drop the blocks kept against a lower best that they no longer beat
-                found = [tuple(column[b > best] for column in (f, b, c)) for f, b, c in found]
-                kept = sum(len(f) for f, _, _ in found)
-                if kept > cap:
-                    if not finish:
-                        return best, None
-                    found = None
     return best, found
 
 
@@ -458,22 +477,29 @@ def _corner_sweep(points: np.ndarray, cands: list[np.ndarray]) -> tuple[float, b
     while _work(cands, side) > DEFAULT_MAX_EXACT_OPS:
         side *= 2
     best = 0.0
+    # the passes' count plane and slab temporaries, shared by every pass
+    bufs = {}
     while side > 1:
         finer = side // 2 if (side // 2) ** s >= _MIN_BLOCK_CELLS else 1
         last = _work(cands, finer) > DEFAULT_MAX_EXACT_OPS
         cap = min(_MAX_KEPT, prod(_block_shape(cands, finer)) // (2 ** s * s * side))
-        best, found = _block_pass(ranks, cands, n, side, best, cap, finish=last)
+        best, found = _block_pass(ranks, cands, n, side, best, cap, bufs, finish=last)
         if found is not None:
             break
         if last:
             return best, False
         side = finer
     else:
-        return _block_pass(ranks, cands, n, 1, best, 0)[0], True
+        return _block_pass(ranks, cands, n, 1, best, 0, bufs)[0], True
+    # released before the refinement, so that they do not add to its peak
+    bufs.clear()
     if not found:
         return best, True
-    flat, _, below = (np.concatenate(column) for column in zip(*found))
-    lo = np.stack(np.unravel_index(flat, _block_shape(cands, side)), axis=1) * side
+    flat, bound, below = (np.concatenate(column) for column in zip(*found))
+    # only the blocks that beat the pass's final best, not its running one
+    keep = bound > best
+    lo = np.stack(np.unravel_index(flat[keep], _block_shape(cands, side)), axis=1) * side
+    below = below[keep]
     lengths = np.array([len(c) for c in cands])
     # a cell's bound is its value, so nothing is kept below side 1
     while len(lo):

@@ -140,7 +140,8 @@ def is_admissible(m: int, code):
 
 # elements per pass of every blocked loop, read at call time.  glibc maps
 # each temporary above 128 KB on its own, faulted in page by page, so the
-# blocked paths allocate their buffers once per call.  No result depends on it.
+# blocked paths allocate their buffers once per call, and the corner search
+# once per search for all its passes.  No result depends on it.
 BLOCK = 1 << 15
 
 

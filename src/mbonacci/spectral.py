@@ -26,26 +26,34 @@ MAX_PRECISE_INDEX = 1 << 26
 
 def dominant_root(m: int) -> int:
     """floor(phi * 2^ROOT_BITS) for the root phi of x^m = x^{m-1} + ... + x + 1
-    in (1, 2), by bisection on integers.
+    in (1, 2), by Newton's method on integers.
 
-    Horner's rule gives the sign of x^m - x^{m-1} - ... - 1 at
-    x = mid / 2^ROOT_BITS exactly; it is negative on [1, phi) and positive
-    on (phi, 2].  As phi is irrational, the lower end of the last bracket
-    is the floor.
+    Horner's rule gives p(x) = x^m - x^{m-1} - ... - 1 at x = X / 2^ROOT_BITS
+    exactly, scaled by 2^(m ROOT_BITS), and its derivative alongside.  p is
+    negative on [1, phi) and positive, increasing and convex on (phi, 2],
+    so integer Newton steps down from 2, each rounded down, stay at or
+    above the floor until p turns negative.  The sign test at X + 1,
+    stepping up while it is negative, then certifies the floor: as phi is
+    irrational, it is the X with p(X) < 0 < p(X + 1).
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    lo, hi = 1 << ROOT_BITS, 2 << ROOT_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        value = 1
+
+    def horner(x):
+        value, slope = 1, 0
         for i in range(1, m + 1):
-            value = value * mid - (1 << (ROOT_BITS * i))
-        if value < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            slope = slope * x + value
+            value = value * x - (1 << (ROOT_BITS * i))
+        return value, slope
+
+    x = 2 << ROOT_BITS
+    value, slope = horner(x)
+    while value > 0:
+        x += -value // slope
+        value, slope = horner(x)
+    while horner(x + 1)[0] < 0:
+        x += 1
+    return x
 
 
 def neg_powers(root: int, count: int, bits: int) -> list[int]:

@@ -468,6 +468,10 @@ _CI_PINS = [
     # them and its best corner value is reported as a lower bound
     (("disc", "multi", "--ms", "2,3,5", "--count", "4096"),
      {"value": 0.01049259629057514, "exact": False, "method": "corner_block_lower_bound"}),
+    # the t = 4 finish walk at s = 5, whose slab of one block's inner
+    # plane (33^3 cells) is more than numeration.BLOCK
+    (("disc", "multi", "--ms", "2,3,4,5,6", "--count", "128"),
+     {"value": 0.10581652171169709, "exact": False, "method": "corner_block_lower_bound"}),
     (("disc", "fit", "--ms", "2,3", "--min-exp", "8", "--max-exp", "16"), None),
 ]
 

@@ -298,8 +298,8 @@ def test_a_grid_within_the_budget_is_exact(monkeypatch):
     # block of its first pass kept to refine
     block_pass = discrepancy._block_pass
 
-    def keep_all(ranks, cands, n, side, best, cap, finish=False):
-        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
+    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
+        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
 
     rng = np.random.default_rng(3434)
     cases = [_tie_heavy(rng, int(rng.integers(2, (120, 40, 14)[t % 3])), 2 + t % 3)
@@ -326,9 +326,9 @@ def test_no_pass_exceeds_the_budget(monkeypatch):
     block_pass, refine = discrepancy._block_pass, discrepancy._refine
     passes, levels = [], []
 
-    def record_pass(ranks, cands, n, side, best, cap, finish=False):
+    def record_pass(ranks, cands, n, side, best, cap, bufs, finish=False):
         passes.append((discrepancy._work(cands, side), side, finish))
-        return block_pass(ranks, cands, n, side, best, cap, finish)
+        return block_pass(ranks, cands, n, side, best, cap, bufs, finish)
 
     def record_refine(ranks, cands, n, side, best, lo, below):
         levels.append(_level_work(cands, side, lo))
@@ -375,8 +375,8 @@ def test_refinement_level_over_the_budget_gives_a_lower_bound(monkeypatch):
     block_pass, refine = discrepancy._block_pass, discrepancy._refine
     levels = []
 
-    def keep_all(ranks, cands, n, side, best, cap, finish=False):
-        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
+    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
+        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
 
     def record_refine(ranks, cands, n, side, best, lo, below):
         levels.append((side, _level_work(cands, side, lo)))
@@ -415,11 +415,49 @@ def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch):
     pts = rotation.halton_points(systems, 300)
     report = star_disc_multi(pts)
     assert report.exact and report.value == naive_star_disc(pts)
-    (ranks, cands, n, side, best, cap), kwargs = passes[-1]
+    (ranks, cands, n, side, best, cap, bufs), kwargs = passes[-1]
     assert kwargs == {"finish": True} and cap == 128
-    final, found = block_pass(ranks, cands, n, side, best, 1 << 40)
+    final, found = block_pass(ranks, cands, n, side, best, 1 << 40, bufs)
     bounds = np.concatenate([bound for _, bound, _ in found])
     assert len(bounds) > cap >= np.count_nonzero(bounds > final)
+
+
+def test_passes_of_one_search_share_their_buffers(monkeypatch):
+    # Halton (2, 3, 5) at N = 256 runs passes at sides 16, 8 and 4; the
+    # side-4 pass needs no more than the side-8 one, so it reuses its
+    # buffers, and the search releases them before refining
+    block_pass = discrepancy._block_pass
+    passes = []
+
+    def record_pass(ranks, cands, n, side, best, cap, bufs, finish=False):
+        result = block_pass(ranks, cands, n, side, best, cap, bufs, finish)
+        passes.append((side, bufs, dict(bufs)))
+        return result
+
+    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
+    systems = tuple(numeration.make_system(m, 256) for m in (2, 3, 5))
+    assert star_disc_multi(rotation.halton_points(systems, 256)).exact
+    assert [side for side, _, _ in passes] == [16, 8, 4]
+    assert all(bufs is passes[0][1] for _, bufs, _ in passes) and not passes[0][1]
+    (_, _, middle), (_, _, last) = passes[1:]
+    assert middle.keys() == last.keys() and all(last[k] is middle[k] for k in middle)
+
+
+def test_count_plane_fits_the_grid(monkeypatch):
+    # a pass over a small grid touches only what it uses: its count plane
+    # has at most one row more than the grid has blocks on axis 0
+    count_blocks = discrepancy._count_blocks
+    planes = []
+
+    def record_counts(ranks, shape, rows, buf):
+        planes.append((rows + 1, shape[0] + 1, buf.size, prod(size + 1 for size in shape)))
+        return count_blocks(ranks, shape, rows, buf)
+
+    monkeypatch.setattr(discrepancy, "_count_blocks", record_counts)
+    systems = tuple(numeration.make_system(m, 256) for m in (2, 3))
+    assert star_disc_multi(rotation.halton_points(systems, 256)).exact
+    assert len(planes) == 3
+    assert all(rows <= limit and size <= cells for rows, limit, size, cells in planes), planes
 
 
 def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
@@ -430,9 +468,9 @@ def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
     block_pass, refine = discrepancy._block_pass, discrepancy._refine
     sides, cells = [], []
 
-    def keep_all(ranks, cands, n, side, best, cap, finish=False):
+    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
         sides.append(side)
-        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
+        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
 
     def record_refine(ranks, cands, n, side, best, lo, below):
         if side == 2:
@@ -464,9 +502,9 @@ def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
     passes, levels = [], []
     split = halved = 0
 
-    def keep_all(ranks, cands, n, side, best, cap, finish=False):
+    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
         passes.append(side)
-        return block_pass(ranks, cands, n, side, best, 1 << 30, finish)
+        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
 
     def record_refine(ranks, cands, n, side, best, lo, below):
         nonlocal split, halved
@@ -487,7 +525,7 @@ def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
         # an odd count of distinct coordinates gives an odd grid length, n + 2
         n = 2 * int(rng.integers(4, (60, 20, 7)[s - 2])) + 1
         pts = _tie_heavy(rng, n, s) if trial % 2 else rng.random((n, s))
-        budget = 1 << 30 if trial < 45 else 2000
+        budget = 1 << 30 if trial < 45 else 1200
         monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
         passes.clear()
         levels.clear()
