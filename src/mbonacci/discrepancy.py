@@ -296,18 +296,15 @@ def _block_pass(ranks, cands, n, side, best, cap, bufs, finish=False):
     return best, found
 
 
-def _local_counts(ranks, index, lo, hi, below, width, size):
-    """Cumulative counts over the buckets of blocks, one leading slot per axis.
+def _local_counts(ranks, index, lo, hi, below, half):
+    """s >= 3: cumulative counts at the corners lo - 1, lo + half - 1 and
+    hi on each axis of the blocks from `lo` to `hi`, as a (blocks, 3, ...,
+    3) array; the middle corner is capped at hi, as in `_half_counts`.
 
-    Bucket i of an axis holds the ranks from ``lo[k] + i * width`` up to
-    the next edge or ``hi[k]``, and there are ``size - 1`` of them.  For
-    block k, ``out[k, 1 + i]`` is the number of points whose ranks are at
-    most bucket i's last rank componentwise, and the leading slots count
-    the ranks below ``lo[k]``.  ``below[k]`` is the number of points below
-    ``lo[k]`` on every axis; the others that count lie in one of the
-    block's axis slabs, ``lo[k, j] <= rank_j <= hi[k, j]``, which
-    `index` (see `_rank_index`) lists.  A point is taken from the first
-    axis whose slab holds it.
+    ``below[k]`` is the number of points below ``lo[k]`` on every axis;
+    the others that count lie in one of the block's axis slabs,
+    ``lo[k, j] <= rank_j <= hi[k, j]``, which `index` (see `_rank_index`)
+    lists.  A point is taken from the first axis whose slab holds it.
     """
     nb, s = lo.shape
     keys = []
@@ -316,7 +313,7 @@ def _local_counts(ranks, index, lo, hi, below, width, size):
         lens = starts[hi[:, j] + 1] - start
         block = np.repeat(np.arange(nb), lens)
         point = order[np.arange(len(block)) + np.repeat(start - np.cumsum(lens) + lens, lens)]
-        key = block * size ** s
+        key = block * 3 ** s
         keep = np.ones(len(block), dtype=bool)
         for i in range(s):
             rank, first = ranks[point, i], lo[block, i]
@@ -325,16 +322,16 @@ def _local_counts(ranks, index, lo, hi, below, width, size):
                 continue
             if i > j:
                 keep &= rank <= hi[block, i]
-            key += np.maximum((rank - first) // width + 1, 0) * size ** (s - 1 - i)
+            key += np.maximum((rank - first) // half + 1, 0) * 3 ** (s - 1 - i)
         keys.append(key[keep])
-    counts = np.bincount(np.concatenate(keys), minlength=nb * size ** s)
-    counts = counts.astype(np.float64).reshape((nb,) + (size,) * s)
+    counts = np.bincount(np.concatenate(keys), minlength=nb * 3 ** s)
+    counts = counts.astype(np.float64).reshape((nb,) + (3,) * s)
     counts[(slice(None),) + (0,) * s] += below
     # few short lines: adding slice by slice beats cumsum's strided loops
     for axis in range(1, s + 1):
         lines = np.moveaxis(counts, axis, 0)
-        for i in range(1, size):
-            lines[i] += lines[i - 1]
+        lines[1] += lines[0]
+        lines[2] += lines[1]
     return counts
 
 
@@ -387,8 +384,8 @@ def _refine(ranks, cands, n, side, best, lo, below):
     dropping those past the grid's end.
 
     Per axis the children need the counts at lo - 1, lo + side/2 - 1 and
-    hi: from `_half_counts` at s = 2, from `_local_counts` with buckets of
-    side/2 ranks above.  Each child's bottom and top corner values raise
+    hi: from `_half_counts` at s = 2, from `_local_counts` at s >= 3, in
+    one layout.  Each child's bottom and top corner values raise
     `best`, and its bound is `_block_pass`'s, in the same arithmetic.  At
     side 2 each child is one cell c, whose corner values are its values in
     the oracle's arithmetic, closed(c)/n - vol(c) and vol(c) - open(c)/n
@@ -422,7 +419,7 @@ def _refine(ranks, cands, n, side, best, lo, below):
         if s == 2:
             counts = _half_counts(slabs, lengths, parent, hi, count, half)
         else:
-            counts = _local_counts(ranks, index, parent, hi, count, half, 3)
+            counts = _local_counts(ranks, index, parent, hi, count, half)
         counts = counts.reshape(len(parent), -1)
         child = parent[:, None, :] + bits * half
         real = np.all(child < lengths, axis=2)

@@ -430,9 +430,8 @@ def test_fractal_refuses_ppm_settings_before_building_the_cloud(capsys, monkeypa
         assert captured.out == "" and captured.err == f"error: {message}\n", argv
 
 
-# the "Console script" pins of .github/workflows/tests.yml that no other
-# test holds, with the workflow's values: a SHA-256 of the output, JSON
-# fields, or None for exit status 0 alone
+# the pins of whole commands that no other test holds, run on every CI
+# leg: a SHA-256 of the output, JSON fields, or None for exit status 0 alone
 _CI_PINS = [
     # the double-double prefix fill of every van der Corput value
     (("seq", "vdc", "--m", "3", "--count", "200000"),

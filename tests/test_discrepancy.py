@@ -1,6 +1,8 @@
+import inspect
 import tracemalloc
 import warnings
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,23 +286,60 @@ def test_star_disc_multi_exact_or_lower_bound_under_any_budget(monkeypatch, budg
     assert exact == 300 if budget == 1 << 30 else 0 < exact < 300
 
 
-def _level_work(cands, side, lo):
-    """The `_work` units of refining the blocks of `side` at `lo`: two per
-    child of side/2 that starts inside the grid, one per cell at side 1."""
-    lengths = np.array([len(c) for c in cands])
-    children = int(np.prod(1 + (lo + side // 2 < lengths), axis=1).sum())
-    return children * (1 if side == 2 else 2)
+def _level_work(level):
+    """The `_work` units of a recorded `_refine` call, which refines the
+    blocks of `side` at `lo`: two per child of side/2 that starts inside
+    the grid, one per cell at side 1."""
+    lengths = np.array([len(c) for c in level.cands])
+    children = int(np.prod(1 + (level.lo + level.side // 2 < lengths), axis=1).sum())
+    return children * (1 if level.side == 2 else 2)
 
 
-def test_a_grid_within_the_budget_is_exact(monkeypatch):
+class _SearchLog:
+    """The corner search's `_block_pass` and `_refine` calls, in order.
+
+    `passes` and `levels` hold each call's arguments by name, and a pass's
+    also its `bufs` dict as the call left it, copied, as `held`.  While
+    `keep_all` is set, every pass keeps each block it bounds: it runs with
+    a cap of 2^30, and the log holds the cap the search gave it.
+    """
+
+    def __init__(self, monkeypatch):
+        self.passes, self.levels, self.keep_all = [], [], False
+        for name, calls in (("_block_pass", self.passes), ("_refine", self.levels)):
+            monkeypatch.setattr(discrepancy, name, self._spy(getattr(discrepancy, name), calls))
+
+    def _spy(self, func, calls):
+        signature = inspect.signature(func)
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            call = SimpleNamespace(**bound.arguments)
+            if self.keep_all and "cap" in bound.arguments:
+                bound.arguments["cap"] = 1 << 30
+            result = func(*bound.args, **bound.kwargs)
+            if "bufs" in bound.arguments:
+                call.held = dict(call.bufs)
+            calls.append(call)
+            return result
+
+        return spy
+
+    def clear(self):
+        self.passes.clear()
+        self.levels.clear()
+
+
+@pytest.fixture
+def search_log(monkeypatch):
+    return _SearchLog(monkeypatch)
+
+
+def test_a_grid_within_the_budget_is_exact(monkeypatch, search_log):
     # with the budget set to each grid's cell count, every pass and level
     # fits, so the report is exact, for the search as it is and with every
     # block of its first pass kept to refine
-    block_pass = discrepancy._block_pass
-
-    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
-        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
-
     rng = np.random.default_rng(3434)
     cases = [_tie_heavy(rng, int(rng.integers(2, (120, 40, 14)[t % 3])), 2 + t % 3)
              for t in range(60)]
@@ -313,29 +352,24 @@ def test_a_grid_within_the_budget_is_exact(monkeypatch):
         oracle = naive_star_disc(pts)
         cells = prod(len(c) for c in discrepancy._corner_candidates(pts))
         monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", cells)
-        for search in (block_pass, keep_all):
-            monkeypatch.setattr(discrepancy, "_block_pass", search)
+        for keep_all in (False, True):
+            search_log.keep_all = keep_all
+            search_log.clear()
             report = star_disc_multi(pts)
-            assert report.exact and report.value == oracle, (len(pts), pts.shape[1], search)
+            assert report.exact and report.value == oracle, (len(pts), pts.shape[1], keep_all)
 
 
-def test_no_pass_exceeds_the_budget(monkeypatch):
+def test_no_pass_exceeds_the_budget(monkeypatch, search_log):
     # each block pass's work, one unit per cell at side 1 and two per
     # bounded block above it, fits the budget, on grids far over it too;
     # so does each refinement level's, in the same units
-    block_pass, refine = discrepancy._block_pass, discrepancy._refine
-    passes, levels = [], []
+    def recorded(pts):
+        search_log.clear()
+        report = star_disc_multi(pts)
+        passes = [(discrepancy._work(p.cands, p.side), p.side, p.finish)
+                  for p in search_log.passes]
+        return report, passes, [_level_work(level) for level in search_log.levels]
 
-    def record_pass(ranks, cands, n, side, best, cap, bufs, finish=False):
-        passes.append((discrepancy._work(cands, side), side, finish))
-        return block_pass(ranks, cands, n, side, best, cap, bufs, finish)
-
-    def record_refine(ranks, cands, n, side, best, lo, below):
-        levels.append(_level_work(cands, side, lo))
-        return refine(ranks, cands, n, side, best, lo, below)
-
-    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
-    monkeypatch.setattr(discrepancy, "_refine", record_refine)
     rng = np.random.default_rng(99)
     cases = [_tie_heavy(rng, 100, 2), _tie_heavy(rng, 30, 3), _tie_heavy(rng, 10, 4),
              # a block start that holds fewer than 16 cells, and a sweep over the budget
@@ -343,71 +377,50 @@ def test_no_pass_exceeds_the_budget(monkeypatch):
     for budget in (50, 500, 4000):
         monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
         for pts in cases:
-            passes.clear()
-            levels.clear()
-            report = star_disc_multi(pts)
+            report, passes, levels = recorded(pts)
             assert passes and all(work <= budget for work, _, _ in passes), (budget, passes)
             assert all(work <= budget for work in levels), (budget, levels)
             # a search that stops short ends in a pass that walked all its blocks
             assert report.exact or passes[-1][2]
     systems = tuple(numeration.make_system(m, 2048) for m in (2, 3, 5))
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 1 << 24)
-    passes.clear()
-    levels.clear()
-    report = star_disc_multi(rotation.halton_points(systems, 2048))
+    report, passes, levels = recorded(rotation.halton_points(systems, 2048))
     assert not report.exact and max(work for work, _, _ in passes) <= 1 << 24
     assert passes[-1][1] > 1 and passes[-1][2]
     assert all(work <= 1 << 24 for work in levels)
     # the last pass within 2^20 keeps few enough blocks to refine them
     systems = tuple(numeration.make_system(m, 4096) for m in (2, 3))
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 1 << 20)
-    passes.clear()
-    levels.clear()
-    assert star_disc_multi(rotation.halton_points(systems, 4096)).exact
+    report, passes, levels = recorded(rotation.halton_points(systems, 4096))
+    assert report.exact
     assert passes[-1][2] and levels and all(work <= 1 << 20 for work in levels)
 
 
-def test_refinement_level_over_the_budget_gives_a_lower_bound(monkeypatch):
+def test_refinement_level_over_the_budget_gives_a_lower_bound(monkeypatch, search_log):
     # little prunes on the Fibonacci lattice (k/233, 144 k mod 233 / 233).
     # Made to keep every block, the side-8 pass (1 800 units) and its
     # refinement level (6 728) fit a budget of 10 000, but the level at
     # side 4 (22 360) does not, so the search stops before it
-    block_pass, refine = discrepancy._block_pass, discrepancy._refine
-    levels = []
+    def levels():
+        return [(level.side, _level_work(level)) for level in search_log.levels]
 
-    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
-        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
-
-    def record_refine(ranks, cands, n, side, best, lo, below):
-        levels.append((side, _level_work(cands, side, lo)))
-        return refine(ranks, cands, n, side, best, lo, below)
-
-    monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
-    monkeypatch.setattr(discrepancy, "_refine", record_refine)
+    search_log.keep_all = True
     k = np.arange(233)
     pts = np.stack([k / 233, 144 * k % 233 / 233], axis=1)
     oracle = naive_star_disc(pts)
     assert star_disc_multi(pts).value == oracle
-    assert levels == [(8, 6728), (4, 22360), (2, 9400)]
-    levels.clear()
+    assert levels() == [(8, 6728), (4, 22360), (2, 9400)]
+    search_log.clear()
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 10_000)
     report = star_disc_multi(pts)
-    assert not report.exact and levels == [(8, 6728)]
+    assert not report.exact and levels() == [(8, 6728)]
     assert 0.0 < report.value <= oracle
 
 
-def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch):
+def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch, search_log):
     # the last pass within the budget keeps more than its cap of blocks
     # against its running best, but not against the best it ends with;
     # dropping the blocks the running best has overtaken lets it finish
-    block_pass = discrepancy._block_pass
-    passes = []
-
-    def record_pass(*args, **kwargs):
-        passes.append((args, kwargs))
-        return block_pass(*args, **kwargs)
-
-    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
     monkeypatch.setattr(numeration, "BLOCK", 1024)
     monkeypatch.setattr(discrepancy, "_MAX_KEPT", 128)
     monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", 11552)
@@ -415,28 +428,21 @@ def test_last_pass_keeps_blocks_against_its_final_best(monkeypatch):
     pts = rotation.halton_points(systems, 300)
     report = star_disc_multi(pts)
     assert report.exact and report.value == naive_star_disc(pts)
-    (ranks, cands, n, side, best, cap, bufs), kwargs = passes[-1]
-    assert kwargs == {"finish": True} and cap == 128
-    final, found = block_pass(ranks, cands, n, side, best, 1 << 40, bufs)
+    last = search_log.passes[-1]
+    assert last.finish is True and last.cap == 128
+    final, found = discrepancy._block_pass(
+        last.ranks, last.cands, last.n, last.side, last.best, 1 << 40, last.bufs)
     bounds = np.concatenate([bound for _, bound, _ in found])
-    assert len(bounds) > cap >= np.count_nonzero(bounds > final)
+    assert len(bounds) > last.cap >= np.count_nonzero(bounds > final)
 
 
-def test_passes_of_one_search_share_their_buffers(monkeypatch):
+def test_passes_of_one_search_share_their_buffers(search_log):
     # Halton (2, 3, 5) at N = 256 runs passes at sides 16, 8 and 4; the
     # side-4 pass needs no more than the side-8 one, so it reuses its
     # buffers, and the search releases them before refining
-    block_pass = discrepancy._block_pass
-    passes = []
-
-    def record_pass(ranks, cands, n, side, best, cap, bufs, finish=False):
-        result = block_pass(ranks, cands, n, side, best, cap, bufs, finish)
-        passes.append((side, bufs, dict(bufs)))
-        return result
-
-    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
     systems = tuple(numeration.make_system(m, 256) for m in (2, 3, 5))
     assert star_disc_multi(rotation.halton_points(systems, 256)).exact
+    passes = [(p.side, p.bufs, p.held) for p in search_log.passes]
     assert [side for side, _, _ in passes] == [16, 8, 4]
     assert all(bufs is passes[0][1] for _, bufs, _ in passes) and not passes[0][1]
     (_, _, middle), (_, _, last) = passes[1:]
@@ -460,25 +466,12 @@ def test_count_plane_fits_the_grid(monkeypatch):
     assert all(rows <= limit and size <= cells for rows, limit, size, cells in planes), planes
 
 
-def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
+def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch, search_log):
     # keep every block a pass bounds and allow blocks of two cells, so the
     # refinement down to cells sees blocks that the best corner value does
     # not rule out and blocks cut short by the grid's end; small chunks
     # split the pass and each level into many slabs and batches
-    block_pass, refine = discrepancy._block_pass, discrepancy._refine
-    sides, cells = [], []
-
-    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
-        sides.append(side)
-        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
-
-    def record_refine(ranks, cands, n, side, best, lo, below):
-        if side == 2:
-            cells.append(len(lo))
-        return refine(ranks, cands, n, side, best, lo, below)
-
-    monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
-    monkeypatch.setattr(discrepancy, "_refine", record_refine)
+    search_log.keep_all = True
     monkeypatch.setattr(discrepancy, "_MIN_BLOCK_CELLS", 2)
     monkeypatch.setattr(numeration, "BLOCK", 64)
     rng = np.random.default_rng(1212)
@@ -487,35 +480,21 @@ def test_block_search_matches_oracle_when_every_block_is_kept(monkeypatch):
         n = int(rng.integers(8, (120, 40, 14)[s - 2]))
         pts = _tie_heavy(rng, n, s)
         assert star_disc_multi(pts).value == naive_star_disc(pts)
+    sides = [p.side for p in search_log.passes]
+    cells = [len(level.lo) for level in search_log.levels if level.side == 2]
     assert set(sides) >= {2, 4} and len(cells) >= 45
 
 
 @pytest.mark.parametrize("min_cells", [1, 2])
-def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
+def test_refinement_matches_oracle_at_every_level(monkeypatch, search_log, min_cells):
     # every first pass keeps its blocks, so the search refines them level by
     # level down to single cells.  Odd grid lengths leave blocks with no
     # upper half, whose children past the grid's end are dropped, and small
     # chunks split each level into many batches.  Under the small budget
     # some searches stop, with a lower bound, before a refinement level
     # that does not fit
-    block_pass, refine = discrepancy._block_pass, discrepancy._refine
-    passes, levels = [], []
     split = halved = 0
-
-    def keep_all(ranks, cands, n, side, best, cap, bufs, finish=False):
-        passes.append(side)
-        return block_pass(ranks, cands, n, side, best, 1 << 30, bufs, finish)
-
-    def record_refine(ranks, cands, n, side, best, lo, below):
-        nonlocal split, halved
-        lengths = np.array([len(c) for c in cands])
-        levels.append(side)
-        split += len(lo) > numeration.BLOCK // (len(cands) * side)
-        halved += np.any(lo + side // 2 >= lengths, axis=1).sum()
-        return refine(ranks, cands, n, side, best, lo, below)
-
-    monkeypatch.setattr(discrepancy, "_block_pass", keep_all)
-    monkeypatch.setattr(discrepancy, "_refine", record_refine)
+    search_log.keep_all = True
     monkeypatch.setattr(discrepancy, "_MIN_BLOCK_CELLS", min_cells)
     monkeypatch.setattr(numeration, "BLOCK", 64)
     rng = np.random.default_rng(3300 + min_cells)
@@ -527,11 +506,16 @@ def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
         pts = _tie_heavy(rng, n, s) if trial % 2 else rng.random((n, s))
         budget = 1 << 30 if trial < 45 else 1200
         monkeypatch.setattr(discrepancy, "DEFAULT_MAX_EXACT_OPS", budget)
-        passes.clear()
-        levels.clear()
+        search_log.clear()
         report = star_disc_multi(pts)
         oracle = naive_star_disc(pts)
         exact.append(report.exact)
+        passes = [p.side for p in search_log.passes]
+        levels = [level.side for level in search_log.levels]
+        for level in search_log.levels:
+            lengths = np.array([len(c) for c in level.cands])
+            split += len(level.lo) > numeration.BLOCK // (len(level.cands) * level.side)
+            halved += np.any(level.lo + level.side // 2 >= lengths, axis=1).sum()
         # one whole-grid pass, then each level down to single cells
         assert len(passes) == 1, (trial, passes)
         assert levels == [passes[0] >> k for k in range(len(levels))], (trial, levels)
@@ -548,16 +532,16 @@ def test_refinement_matches_oracle_at_every_level(monkeypatch, min_cells):
 @pytest.mark.parametrize("side", [4, 8, 16])
 def test_half_counts_match_local_counts(monkeypatch, side):
     # refining every block of grids whose last block on axis 1 holds 1 to
-    # side/2 - 1 rows, the s = 2 half-slab counts equal `_local_counts`'
-    # with buckets of side/2 ranks: a middle corner past such a block's top
-    # would run into the next half-slab's keys
+    # side/2 - 1 rows, the s = 2 half-slab counts equal `_local_counts`':
+    # a middle corner past such a block's top would run into the next
+    # half-slab's keys
     half_counts = discrepancy._half_counts
     half = side // 2
     short = []
 
     def compare(slabs, lengths, lo, hi, below, half):
         counts = half_counts(slabs, lengths, lo, hi, below, half)
-        expected = discrepancy._local_counts(ranks, index, lo, hi, below, half, 3)
+        expected = discrepancy._local_counts(ranks, index, lo, hi, below, half)
         np.testing.assert_array_equal(counts, expected)
         short.append(np.sum(lo[:, 1] + half - 1 > hi[:, 1]))
         return counts
@@ -582,29 +566,22 @@ def test_half_counts_match_local_counts(monkeypatch, side):
     assert sum(short) >= 20, short
 
 
-def test_refinement_next_to_a_short_last_block_matches_oracle(monkeypatch):
+def test_refinement_next_to_a_short_last_block_matches_oracle(search_log):
     # 219 points at x < 0.1 and 4 in (0.4, 0.5), one of them lowest on y.
     # The grid's 225 rows leave a last block of one row, y = 1.0, at sides
     # 16 and 8, and the search refines from side 8 or 16 down to cells.  A
     # count of that row's children that ran on into the next half-slab's
     # keys would take in the low point of the 4 and raise the value at the
     # corner (largest x below 0.1, 1.0) above the maximum
-    refine = discrepancy._refine
-    levels = []
-
-    def record_refine(*args):
-        levels.append(args[3])
-        return refine(*args)
-
-    monkeypatch.setattr(discrepancy, "_refine", record_refine)
     rng = np.random.default_rng(33)
     for _ in range(5):
         x = np.concatenate((rng.random(219) * 0.1, 0.4 + rng.random(4) * 0.1))
         y = 0.1 + 0.9 * rng.random(223)
         y[219 + rng.integers(4)] = 0.01 * rng.random()
         pts = np.stack((x, y), axis=1)
-        levels.clear()
+        search_log.clear()
         report = star_disc_multi(pts)
+        levels = [level.side for level in search_log.levels]
         assert report.exact and report.value == naive_star_disc(pts)
         assert levels in ([8, 4, 2], [16, 8, 4, 2]), levels
 
@@ -637,49 +614,26 @@ def test_rank1_lattice_where_blocks_hardly_prune():
     assert star_disc_multi(small).value == naive_star_disc(small)
 
 
-def test_block_search_skips_almost_every_cell(monkeypatch):
+def test_block_search_skips_almost_every_cell(search_log):
     # a return to evaluating the whole grid fails here, not only in timings
-    block_pass, refine = discrepancy._block_pass, discrepancy._refine
-    sides, cells = [], []
-
-    def record_pass(*args, **kwargs):
-        sides.append(args[3])
-        return block_pass(*args, **kwargs)
-
-    def record_refine(ranks, cands, n, side, best, lo, below):
-        if side == 2:
-            cells.append(_level_work(cands, side, lo))
-        return refine(ranks, cands, n, side, best, lo, below)
-
-    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
-    monkeypatch.setattr(discrepancy, "_refine", record_refine)
     systems = tuple(numeration.make_system(m, 4096) for m in (2, 3))
     pts = rotation.halton_points(systems, 4096)
     assert star_disc_multi(pts).value == 0.006073280856525226
+    sides = [p.side for p in search_log.passes]
+    cells = [_level_work(level) for level in search_log.levels if level.side == 2]
     grid = np.prod([len(np.unique(np.concatenate((pts[:, j], [0.0, 1.0])))) for j in range(2)])
     assert 1 not in sides
     assert 0 < sum(cells) <= 0.05 * grid
 
 
-def test_refinement_replaces_the_finer_whole_grid_passes(monkeypatch):
+def test_refinement_replaces_the_finer_whole_grid_passes(search_log):
     # at N = 8192 the pass at side 16 keeps few enough blocks to refine
     # them, so a return to sweeping the whole grid at side 8 (1.05 M blocks)
     # fails here, not only in timings
-    block_pass, refine = discrepancy._block_pass, discrepancy._refine
-    sides, levels = [], []
-
-    def record_pass(*args, **kwargs):
-        sides.append(args[3])
-        return block_pass(*args, **kwargs)
-
-    def record_refine(*args):
-        levels.append(args[3])
-        return refine(*args)
-
-    monkeypatch.setattr(discrepancy, "_block_pass", record_pass)
-    monkeypatch.setattr(discrepancy, "_refine", record_refine)
     systems = tuple(numeration.make_system(m, 8192) for m in (2, 3))
     report = star_disc_multi(rotation.halton_points(systems, 8192))
+    sides = [p.side for p in search_log.passes]
+    levels = [level.side for level in search_log.levels]
     assert report.exact and report.value == 0.005104380873610148
     assert min(sides) >= 16 and levels == [16, 8, 4, 2]
 
@@ -881,9 +835,11 @@ def test_box_dim_boundary_memory():
 
 
 def test_box_dim_frozen_counts():
-    # the counts `dim --m 3 --depth 1000000` reports
+    # the counts `dim --m 3 --depth 1000000` reports, and its value, their
+    # least-squares slope, to 1e-12 (it is LAPACK's)
     est = box_dim_boundary(rauzy.build_cloud(3, 10 ** 6), range(4, 10))
     assert est.counts == (97, 203, 433, 911, 1790, 3474)
+    assert abs(est.slope - 1.0373329679025995) <= 1e-12
 
 
 def test_box_dim_degenerate_full_cover_has_no_boundary():
@@ -919,6 +875,8 @@ def test_theorem_exponent_is_negative_on_valid_input():
 
 
 def test_theorem_exponent_validation():
+    with pytest.raises(ValueError, match="^need at least one component$"):
+        theorem_exponent([], [])
     with pytest.raises(ValueError):
         theorem_exponent((3, 3), (0.0, 1.0))
     with pytest.raises(ValueError):

@@ -68,6 +68,12 @@ def test_make_system_rejects_bad_input():
         make_system(1, 10)
     with pytest.raises(ValueError, match="m must be >= 2, got 1"):
         make_system(1)
+    with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
+        numeration.basis_prefix(1, 3)
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        numeration.basis_prefix(2, 0)
+    with pytest.raises(ValueError, match=r"^power 0 beyond the cached range 1\.\.\d+$"):
+        make_system(3).neg_power(0)
     # max_n = 0 is valid: it asks for no more than the default coverage
     assert make_system(3, 0).basis == make_system(3).basis
 

@@ -331,6 +331,8 @@ def test_density_guards():
         tiling_check(cloud, 2 ** -6)
     with pytest.raises(ValueError):
         set_equation_check(cloud, 1, 2 ** -6)
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        set_equation_check(cloud, -1, 2 ** -4)
     # a resolution outside (0, 1] is refused first, where it would divide by
     # zero, fail inside numpy, or give set_equation_check a passing
     # max_ratio of 0.0
@@ -345,6 +347,8 @@ def test_density_guards():
 def test_build_cloud_validation(monkeypatch):
     with pytest.raises(ValueError):
         build_cloud(3, 0)
+    with pytest.raises(ValueError, match="^length must be >= 1$"):
+        fixed_point_prefix(numeration.make_system(3), 0)
     monkeypatch.setattr(rauzy, "DEFAULT_MAX_DEPTH", 50)
     with pytest.raises(ValueError, match="depth 100 beyond the memory budget 50"):
         build_cloud(3, 100)

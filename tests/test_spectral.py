@@ -93,6 +93,8 @@ def test_root_and_power_pairs_vs_mpmath_oracle():
 def test_dominant_root_rejects_bad_m():
     with pytest.raises(ValueError):
         dominant_root(1)
+    with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
+        substitution_images(1)
 
 
 def test_substitution_images():
@@ -258,6 +260,8 @@ def test_precise_helpers_reject_huge_indices(sys2):
     ns = np.array([1 << 27], dtype=np.int64)
     with pytest.raises(ValueError):
         precise_multiples_minus(ns, float(hi), float(lo), np.zeros(1, dtype=np.int64))
+    with pytest.raises(ValueError, match="^n must be a natural number$"):
+        rotation_point([sys2], -1)
 
 
 def test_rotation_orbit_matches_scalar(sys3):
