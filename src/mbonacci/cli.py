@@ -135,12 +135,8 @@ def _cmd_disc(args) -> int:
     start = time.perf_counter()
     fit = {}
     if args.variant == "1d":
-        values = rotation.vdc_values(numeration.make_system(args.m), args.count)
-        # the command owns the values, so it sorts them in place and
-        # `star_disc_1d` reads them without a sorted copy; they go in as a
-        # view of one axis, where a Halton array of one axis would copy them
-        values.sort()
-        report = discrepancy.star_disc(values[:, None])
+        # read off the digit code of the count: no value is made
+        report = rotation.star_discrepancy(numeration.make_system(args.m), args.count)
     elif args.variant == "multi":
         systems = tuple(numeration.make_system(m) for m in args.ms)
         report = discrepancy.star_disc(rotation.halton_points(systems, args.count))

@@ -1,13 +1,15 @@
 """Sequence side of the correspondence: van der Corput and Halton values,
 the level-k intervals of [0, 1) read off the digit codes, level-k subtile
-addresses, and local discrepancies.
+addresses, and the star and local discrepancies of the van der Corput
+sequence.
 
 Counting never touches geometric boundaries: membership in a level-k
 subtile is decided entirely from digit strings, which is exact where a
 point-in-fractal test would be boundary-fragile.  Greedy codes keep the
-order of n, so the count of n < N in each address follows from the code
-of N alone (`letter_counts`); the bulk counts of `membership_counts` read
-the code of every n and are the independent route that checks it.
+order of n, so the count of n < N in each address, and below each x,
+follows from the code of N alone (`letter_counts`, `star_discrepancy`).
+The bulk routes read every n and check them: the counts of
+`membership_counts`, and `vdc_values` sorted by `discrepancy.star_disc_1d`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mbonacci import numeration
+from mbonacci.discrepancy import DiscrepancyReport
 from mbonacci.numeration import (
     MBonacciSystem,
     decode,
@@ -25,6 +28,7 @@ from mbonacci.numeration import (
     prefix_ranges,
     require_count,
 )
+from mbonacci.spectral import ROOT_BITS, neg_powers
 
 
 def vdc_values(sys: MBonacciSystem, count: int) -> np.ndarray:
@@ -238,6 +242,49 @@ def letter_counts(sys: MBonacciSystem, k: int, N: int) -> list[tuple[int, int]]:
             above = 0
         pairs.append((decode(sys, code >> (k + l)), above))
     return pairs
+
+
+def star_discrepancy(sys: MBonacciSystem, N: int) -> DiscrepancyReport:
+    """Star discrepancy D*_N of the first N van der Corput values, read off
+    C = code(N) alone and correctly rounded.
+
+    Greedy codes keep the order of n, and the values follow their digit
+    strings read from digit 0.  So [0, x) is the disjoint union, over the
+    ones j of x, of the intervals of measure phi^-(j+1) whose strings agree
+    with x below j and hold 0 at j.  As in `letter_counts`, the one at j
+    holds decode(C >> (j+1)) + [x mod 2^j < C mod 2^(j+1)] of the n < N, so
+    A([0, x)) - N x is a sum over the ones of x of those counts less N
+    phi^-(j+1).  A walk over the digit positions keeps its max and min per
+    state (the run of ones below j, shorter than m, and the flag [x mod 2^j
+    < C mod 2^j]): 2m states per digit.  The max side adds 1 at the end
+    when the flag holds, as x is then the value of some n < N and the sup
+    is the limit from its right.  The weights are integers at
+    ROOT_BITS + len(basis) fraction bits, and the one division by N 2^bits
+    rounds correctly.  Nothing of size N is built.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    require_count(N)
+    code = encode(sys, N)
+    bits = ROOT_BITS + len(sys.basis)
+    one = 1 << bits
+    # (run of ones, flag) -> (max, min) over the strings x mod 2^j in that state
+    states = {(0, 0): (0, 0)}
+    for j, power in enumerate(neg_powers(sys.phi, len(sys.basis), bits)):
+        digit = code >> j & 1
+        weight = decode(sys, code >> (j + 1)) * one - N * power
+        after: dict[tuple[int, int], tuple[int, int]] = {}
+        for (run, below), (hi, lo) in states.items():
+            moves = [((0, below | digit), 0)]
+            if run + 1 < sys.m:
+                moves.append(((run + 1, below & digit), weight + (below | digit) * one))
+            for key, w in moves:
+                a_hi, a_lo = after.get(key, (hi + w, lo + w))
+                after[key] = max(a_hi, hi + w), min(a_lo, lo + w)
+        states = after
+    top = max(hi + below * one for (_, below), (hi, _) in states.items())
+    bottom = min(lo for _, lo in states.values())
+    return DiscrepancyReport(N=N, s=1, value=max(top, -bottom) / (N * one), method="exact1d")
 
 
 def local_discrepancy(sys: MBonacciSystem, k: int, N: int) -> float:

@@ -210,13 +210,22 @@ def _letter_frequencies(full: bool) -> str:
 
 def _vdc_discrepancy(full: bool) -> str:
     sizes = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5) if full else (10 ** 2, 10 ** 3, 10 ** 4)
-    worst = 0.0
+    # the bulk route's sorted formula, and the closed form from the code of N
+    worst = worst_closed = gap = 0.0
     for m in (2, 3):
-        values = rotation.vdc_values(numeration.make_system(m), sizes[-1])
+        sys_m = numeration.make_system(m)
+        values = rotation.vdc_values(sys_m, sizes[-1])
         for n in sizes:
-            worst = max(worst, n * discrepancy.star_disc_1d(values[:n]) / np.log(n))
+            bulk = discrepancy.star_disc_1d(values[:n])
+            closed = rotation.star_discrepancy(sys_m, n).value
+            worst = max(worst, n * bulk / np.log(n))
+            worst_closed = max(worst_closed, n * closed / np.log(n))
+            gap = max(gap, abs(bulk - closed))
     assert worst <= 3.0, f"max N*D_N/log N = {worst:.3f}"
-    return f"max N*D_N/log N = {worst:.3f} (m in 2,3, N <= {sizes[-1]:.0e})"
+    assert worst_closed <= 3.0, f"closed form: max N*D_N/log N = {worst_closed:.3f}"
+    assert gap <= 2.0 ** -52, f"closed form {gap:.2e} from the sorted formula"
+    return (f"max N*D_N/log N = {worst:.3f}, closed form {worst_closed:.3f}, {gap:.1e} apart "
+            f"(m in 2,3, N <= {sizes[-1]:.0e})")
 
 
 def _boundary_dimensions(full: bool) -> str:

@@ -107,14 +107,25 @@ def test_local_disc_levels_up_to_the_basis(capsys):
 
 
 def test_disc_1d_json():
-    from mbonacci import discrepancy, numeration, rotation
-
     out = run_cli("disc", "1d", "--m", "2", "--count", "1000")
     payload = json.loads(out.stdout)
     assert payload["method"] == "exact1d" and payload["N"] == 1000 and payload["s"] == 1
     assert payload["exact"] is True
-    values = rotation.vdc_values(numeration.make_system(2, 1000), 1000)
-    assert payload["value"] == discrepancy.star_disc_1d(values)
+    # the sorted formula on 60-digit mpmath values, rounded once
+    assert payload["value"] == 0.002216576274079761
+
+
+def test_disc_1d_builds_no_values(capsys, monkeypatch):
+    # the command reads the digit code of the count, never the N values
+    from mbonacci import cli, discrepancy, rotation
+
+    def bulk(*args):
+        raise AssertionError("the bulk route ran")
+
+    monkeypatch.setattr(rotation, "vdc_values", bulk)
+    monkeypatch.setattr(discrepancy, "star_disc_1d", bulk)
+    assert cli.main(["disc", "1d", "--m", "2", "--count", "2000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2.468520585084859e-06
 
 
 def test_commands_load_neither_mpmath_nor_verify():
@@ -124,6 +135,7 @@ def test_commands_load_neither_mpmath_nor_verify():
               "from mbonacci import cli\n"
               "assert cli.main(['exponent', '--ms', '2,3', '--dims', '0,1.09336']) == 0\n"
               "assert cli.main(['disc', 'multi', '--ms', '2,3', '--count', '64']) == 0\n"
+              "assert cli.main(['disc', '1d', '--m', '3', '--count', '1000']) == 0\n"
               "print(sorted({'mpmath', 'mbonacci.verify'} & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True)
@@ -362,14 +374,19 @@ def test_module_error_exit_1():
         assert f"--max-exp must be <= 26, the count limit 2^26, got {hi}" in out.stderr, hi
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
-    # a Halton set of one axis is the van der Corput set, with the same report
+    # a Halton set of one axis is the van der Corput set, with the same
+    # report but for the value: the sorted formula on the float points is
+    # within 2^-52 of `disc 1d`'s closed form, which is the 60-digit mpmath
+    # value rounded once
     reports = []
     for argv in (("disc", "multi", "--ms", "3", "--count", "1000"),
                  ("disc", "1d", "--m", "3", "--count", "1000")):
         out = run_cli(*argv)
         assert out.returncode == 0 and out.stderr == "", argv
         reports.append({k: v for k, v in json.loads(out.stdout).items() if k != "wall_seconds"})
+    values = [report.pop("value") for report in reports]
     assert reports[0] == reports[1] and reports[0]["method"] == "exact1d"
+    assert values[1] == 0.0030444632970767944 and abs(values[0] - values[1]) <= 2 ** -52
     for levels in ("4", "4,4"):
         out = run_cli("dim", "--m", "3", "--depth", "1000", "--levels", levels)
         assert out.returncode == 1 and out.stdout == "", levels
@@ -441,9 +458,10 @@ _CI_PINS = [
     # the same bytes through the file route as through stdout's byte layer
     (("seq", "halton", "--ms", "2,3,5", "--count", "100000", "-o", "h.csv"),
      "74015653f4263228cbcae06e5aaf30d5b3efe3001282ce906b588a89ba3631ab"),
-    (("disc", "1d", "--m", "2", "--count", "2000000"), {"value": 2.468520585052758e-06}),
-    # one past the basis term 1 346 269, so the fill's last range holds one value
-    (("disc", "1d", "--m", "2", "--count", "1346270"), {"value": 1.6118688866809702e-06}),
+    (("disc", "1d", "--m", "2", "--count", "2000000"), {"value": 2.468520585084859e-06}),
+    # one past the basis term 1 346 269, so the code of the count holds ones at
+    # its top digit and digit 0 alone
+    (("disc", "1d", "--m", "2", "--count", "1346270"), {"value": 1.6118688866809912e-06}),
     # the CSV point reader on the benchmark's 200 000 repr rows (perfbench/workloads.py, seed 1)
     (("disc", "file", "--input", "points.csv"), {"value": 0.0016998187979841983}),
     # a deep level, each address's count read off the digit code of the count alone

@@ -3,12 +3,14 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 import helpers
 from helpers import run_fresh, ulp_error, vdc_mpmath
 from mbonacci import rotation
+from mbonacci.discrepancy import star_disc_1d
 from mbonacci.numeration import decode, digit_codes, encode, make_system
 from mbonacci.rauzy import build_cloud, fixed_point_prefix
 from mbonacci.rotation import (
@@ -17,6 +19,7 @@ from mbonacci.rotation import (
     level_intervals,
     local_discrepancy,
     membership_counts,
+    star_discrepancy,
     subtile_of,
     vdc_values,
 )
@@ -498,6 +501,60 @@ def test_local_discrepancy_reads_nothing_of_size_N():
         tracemalloc.stop()
     assert delta == 1.4726104532623505e-08
     assert peak < 64 * 2 ** 10
+
+
+def _sorted_formula_mpmath(values, N: int) -> float:
+    """D*_N of the first N of the mpmath `values` by the sorted formula,
+    max_i max(i/N - x_(i), x_(i) - (i - 1)/N), rounded once to float."""
+    with mpmath.workprec(216):
+        return float(max(max((i + 1) / mpmath.mpf(N) - x, x - i / mpmath.mpf(N))
+                         for i, x in enumerate(sorted(values[:N]))))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_star_discrepancy_correctly_rounded(m):
+    # every N <= 64, and around each basis term up to 1000, where the code
+    # of N is a single one, the largest code below it, or ones at both ends
+    sys = make_system(m)
+    values = vdc_mpmath(m, sys.basis, range(1001))
+    ns = set(range(1, 65)) | {f + d for f in sys.basis if f <= 1000 for d in (-1, 0, 1)}
+    for N in sorted(ns - {0}):
+        report = star_discrepancy(sys, N)
+        assert report.value == _sorted_formula_mpmath(values, N), N
+        assert (report.N, report.s, report.method, report.exact) == (N, 1, "exact1d", True)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_star_discrepancy_near_the_bulk_route(m):
+    # the bulk route evaluates the sorted formula in floats on rounded
+    # values, so it is off by less than 2^-52 but seldom equal
+    sys = make_system(m)
+    values = vdc_values(sys, 2 ** 22)
+    ns = ({2 ** k + d for k in range(0, 23, 2) for d in (-1, 0, 1) if 0 < 2 ** k + d <= 2 ** 22}
+          | {f + d for f in sys.basis[::3] if f < 2 ** 22 for d in (0, 1)})
+    for N in sorted(ns):
+        assert abs(star_discrepancy(sys, N).value - star_disc_1d(values[:N])) <= 2 ** -52, N
+
+
+def test_star_discrepancy_reads_nothing_of_size_N():
+    # the count limit 2^26 at m = 5, where the bulk route holds 512 MiB of
+    # values
+    sys = make_system(5)
+    tracemalloc.start()
+    try:
+        value = star_discrepancy(sys, 2 ** 26).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 9.343861083704089e-08
+    assert peak < 64 * 2 ** 10
+
+
+def test_star_discrepancy_validation(sys2):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        star_discrepancy(sys2, 0)
+    with pytest.raises(ValueError, match="count 134217728 above the limit 2\\^26"):
+        star_discrepancy(sys2, 2 ** 27)
 
 
 def test_local_discrepancy_refusal_order(sys2):
