@@ -139,7 +139,10 @@ def _cmd_disc(args) -> int:
         report = rotation.star_discrepancy(numeration.make_system(args.m), args.count)
     elif args.variant == "multi":
         systems = tuple(numeration.make_system(m) for m in args.ms)
-        report = discrepancy.star_disc(rotation.halton_points(systems, args.count))
+        # one axis is the van der Corput set, whose D*_N `disc 1d` reads in
+        # closed form
+        report = (rotation.star_discrepancy(systems[0], args.count) if len(systems) == 1
+                  else discrepancy.star_disc(rotation.halton_points(systems, args.count)))
     elif args.variant == "fit":
         lo, hi = args.min_exp, args.max_exp
         if lo < 0:
@@ -153,10 +156,13 @@ def _cmd_disc(args) -> int:
             raise ValueError(f"--max-exp must be <= {limit}, the count limit 2^{limit}, "
                              f"got {hi}")
         systems = tuple(numeration.make_system(m) for m in args.ms)
-        pts = rotation.halton_points(systems, 2 ** hi)
+        if len(systems) == 1:
+            reports = (rotation.star_discrepancy(systems[0], 2 ** e) for e in range(lo, hi + 1))
+        else:
+            pts = rotation.halton_points(systems, 2 ** hi)
+            reports = (discrepancy.star_disc(pts[:2 ** e]) for e in range(lo, hi + 1))
         samples = []
-        for e in range(lo, hi + 1):
-            report = discrepancy.star_disc(pts[:2 ** e])
+        for report in reports:
             if not report.exact:
                 raise ValueError(f"no exact value at N = {report.N} within the work budget of "
                                  f"{discrepancy.DEFAULT_MAX_EXACT_OPS}; lower --max-exp")

@@ -685,13 +685,16 @@ def box_dim_boundary(cloud: FractalCloud, levels, mode: str = "both") -> Dimensi
     no given width of margin: roll wraps only margin cells, which are
     holes, so padding the grid to an even origin changes nothing.  Only
     the finest grid, the largest, is allocated, and `letter_grid` refuses
-    it before allocation when it is too large.
+    it before allocation when it is too large.  The points are the cloud's
+    `unreduced` array if it holds one, else blocks of points read as they
+    are computed and kept by nothing (`FractalCloud.unreduced_blocks`), so
+    no array of the cloud's length is made for the count.
     """
     if mode not in ("subtile", "outer", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     levels = require_levels(levels, cloud.m, cloud.size)
     finest = max(levels)
-    occ, first = letter_grid(cloud.unreduced, cloud.labels, cloud.m, 1 << finest)
+    occ, first = letter_grid(cloud.unreduced_blocks(), cloud.labels, cloud.m, 1 << finest)
     lo = [f + 1 for f in first]
     hi = [f + n - 2 for f, n in zip(first, occ.shape[1:])]
     found = {}

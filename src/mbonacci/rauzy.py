@@ -3,7 +3,10 @@ letter labels, and grid-based tiling and set-equation verification.
 
 Fractal sets are represented as labelled finite point clouds plus grid
 rasterisations.  Exact boundary curves are never constructed; every
-geometric check is parameterised by a grid resolution.
+geometric check is parameterised by a grid resolution.  A cloud holds its
+word; its points are computed from the word a block at a time, either
+into the full array on first use or, for a count that needs each point
+once, straight into the letter grid, which grows to fit the blocks.
 """
 
 from __future__ import annotations
@@ -72,57 +75,77 @@ def word_lengths(m: int, k_max: int) -> list[int]:
     return lengths
 
 
-@dataclass(frozen=True, eq=False)
 class FractalCloud:
     """Labelled point approximation of the fractal and its letter subtiles.
 
     Point n is the projection of the abelianisation of the first n
-    fixed-point letters, stored unreduced (plain lattice coordinates);
-    `reduced`, the same points on the torus, is computed on first use.
-    Its label is fixed-point letter n+1.
+    fixed-point letters, and its label is fixed-point letter n+1.  The
+    cloud holds the labels, the word itself; its points are computed from
+    them `numeration.BLOCK` at a time (`_coordinate_blocks`).  `unreduced`,
+    the points in plain lattice coordinates, is filled on first use, and
+    `reduced`, the same points on the torus, is computed from it on first
+    use.  A cloud built from given `unreduced` points holds those.
     """
 
-    m: int
-    depth: int
-    labels: np.ndarray      # uint8, shape (depth+1,)
-    unreduced: np.ndarray   # float64, shape (depth+1, m-1)
+    def __init__(self, m: int, depth: int, labels: np.ndarray,
+                 unreduced: np.ndarray | None = None):
+        self.m = m
+        self.depth = depth
+        self.labels = labels    # uint8, shape (depth+1,)
+        if unreduced is not None:
+            self.unreduced = unreduced
 
     @property
     def size(self) -> int:
         return self.depth + 1
 
     @cached_property
+    def unreduced(self) -> np.ndarray:
+        """The points in lattice coordinates, float64 of shape (depth+1, m-1):
+        the transpose of one (m - 1, depth + 1) array that the blocks are
+        written into."""
+        coords = np.empty((self.m - 1, self.size))
+        for _ in _coordinate_blocks(self.m, self.labels, coords):
+            pass
+        return coords.T
+
+    @cached_property
     def reduced(self) -> np.ndarray:
         """The points reduced to the torus, float64 of shape (depth+1, m-1)."""
         return reduce_array(self.unreduced)
+
+    def unreduced_blocks(self):
+        """The unreduced points for one read in order: `unreduced` if it is
+        held, else a generator of (count, m - 1) views of `numeration.BLOCK`
+        points at a time, each computed as it is read and valid until the
+        next, so that no array of the cloud's length is made."""
+        if "unreduced" in self.__dict__:
+            return self.unreduced
+        return (block.T for block in _coordinate_blocks(self.m, self.labels))
 
     def letter_points(self, letter: int) -> np.ndarray:
         return self.unreduced[self.labels == letter]
 
 
-def build_cloud(m: int, depth: int) -> FractalCloud:
-    """Cloud of the first depth+1 projected prefixes.
+def _coordinate_blocks(m: int, word: np.ndarray, out: np.ndarray | None = None):
+    """The (m - 1, b - a) coordinates of the points a..b-1 of the cloud of
+    `word`, for consecutive blocks of `numeration.BLOCK` points.
 
     Coordinate i-1 of point n is n * phi^-i minus the count of letter i
     among the first n fixed-point letters, evaluated per point from split
-    high-precision powers, so there is no accumulated rounding drift.
-    Each coordinate is written in place into one (m - 1, depth + 1) array,
-    whose transpose is `unreduced`; it and the word are the only arrays of
-    full length.  The fill runs `numeration.BLOCK` points at a time: a
+    high-precision powers, so there is no accumulated rounding drift.  A
     block's indices, its cumulative letter counts (exact in float64 below
     2^53, the last count carried into the next block) and the products'
-    temporaries go through buffers allocated once.
+    temporaries go through buffers allocated once.  Given `out`, of shape
+    (m - 1, len(word)), each block is written into its columns and is a
+    view of them; else every block is a view of one buffer, overwritten by
+    the next.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > DEFAULT_MAX_DEPTH:
-        raise ValueError(f"depth {depth} beyond the memory budget {DEFAULT_MAX_DEPTH}")
     sys = numeration.make_system(m)
-    size = depth + 1
-    word = fixed_point_prefix(sys, size)
-    coords = np.empty((m - 1, size))
+    size = len(word)
     block = numeration.BLOCK
     width = min(block, size)
+    buf = np.empty((m - 1, width)) if out is None else None
     # ns[k] is a + k in the block that starts at a
     ns = np.arange(width, dtype=np.float64)
     scratch = np.empty(width)
@@ -131,6 +154,7 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
     carried = [0.0] * (m - 1)
     for a in range(0, size, block):
         b = min(a + block, size)
+        coords = buf[:, :b - a] if out is None else out[:, a:b]
         c = counts[:b - a + 1]
         for i in range(2, m + 1):
             # c[k] is the count of letter i among the first a + k letters
@@ -140,9 +164,24 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
             carried[i - 2] = c[-1]
             hi, lo = sys.neg_power_parts[i - 1]
             precise_multiples_minus(ns[:b - a], float(hi), float(lo), c[:-1],
-                                    out=coords[i - 2, a:b], scratch=scratch[:b - a])
+                                    out=coords[i - 2], scratch=scratch[:b - a])
         ns += block
-    return FractalCloud(m=m, depth=depth, labels=word, unreduced=coords.T)
+        yield coords
+
+
+def build_cloud(m: int, depth: int) -> FractalCloud:
+    """Cloud of the first depth+1 projected prefixes.
+
+    Only the word is built here, the one array of full length that every
+    use needs; the points are computed from it when they are read
+    (`FractalCloud`).
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if depth > DEFAULT_MAX_DEPTH:
+        raise ValueError(f"depth {depth} beyond the memory budget {DEFAULT_MAX_DEPTH}")
+    return FractalCloud(m=m, depth=depth,
+                        labels=fixed_point_prefix(numeration.make_system(m), depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -153,57 +192,114 @@ def build_cloud(m: int, depth: int) -> FractalCloud:
 MAX_GRID_CELLS = 1 << 26
 
 
-def letter_grid(points: np.ndarray, labels: np.ndarray, groups: int, scale: float,
+def letter_grid(points, labels: np.ndarray, groups: int, scale: float,
                 dims: tuple[int, ...] | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Which groups of points land in each cell of a dense grid.
 
-    Row i of the (count, d) array `points` lies in cell floor(points[i] *
-    scale) and belongs to group labels[i] - 1 of `groups`.  Given `dims`,
-    the grid has that shape with its first cell at index 0, and every cell
-    must lie in it, as the torus cells of points in [0, 1) do at an integer
-    scale.  Without `dims` it is the bounding box of the cells plus one
-    empty cell on every side, so every occupied cell has all its
-    face-neighbours in the grid.  A grid of more than MAX_GRID_CELLS cells
-    is refused before anything of its size is allocated.  The points are
-    marked `numeration.BLOCK` at a time through a key and a cell buffer
-    allocated once, so besides the grid no array of the points' length is
-    allocated.
+    `points` is a (count, d) array, or an iterable of such chunks that are
+    read once, in turn; row i of them all lies in cell floor(row * scale)
+    and belongs to group labels[i] - 1 of `groups`.  Given `dims`, the grid
+    has that shape with its first cell at index 0, and every cell must lie
+    in it, as the torus cells of points in [0, 1) do at an integer scale.
+    Without `dims` it is the bounding box of the cells plus one empty cell
+    on every side, so every occupied cell has all its face-neighbours in
+    the grid.  Before a chunk is marked, the grid grows to hold its box
+    plus that margin (`_grid_holding`), and the box of all the chunks is
+    returned, a view of the grid when the grid grew past it; an array, one
+    chunk, gets its grid, the box, at once.  A grid of more than
+    MAX_GRID_CELLS cells is refused before anything of its size is
+    allocated.  The points are marked `numeration.BLOCK` at a time through
+    a key and a cell buffer allocated once, so besides the grid (and the
+    one it grows from) no array of the points' length is allocated.
 
     Returns the bool occupancy of shape (groups, *dims) and the index of
     the grid's first cell on each axis.
     """
-    d = points.shape[1]
-    if dims is None:
-        # x -> floor(x * scale) is monotone in float64, so the extreme cells
-        # are the cells of the extreme coordinates
-        first = tuple(int(np.floor(points[:, j].min() * scale)) - 1 for j in range(d))
-        dims = tuple(int(np.floor(points[:, j].max() * scale)) - f + 2
-                     for j, f in enumerate(first))
-    else:
-        first = (0,) * d
+    if isinstance(points, np.ndarray):
+        points = (points,)
+    grow = dims is None
+    occ = None if grow else _empty_grid(groups, dims)
+    first = None if grow else (0,) * len(dims)
+    box = None
+    block = numeration.BLOCK
+    key_buf = cell_buf = np.empty(0)
+    start = 0
+    for chunk in points:
+        if grow:
+            box = _cell_box(chunk, scale, box)
+            occ, first = _grid_holding(occ, first, box, groups)
+        count = len(chunk)
+        if len(key_buf) < min(block, count):
+            key_buf = np.empty(min(block, count), dtype=np.int64)
+            cell_buf = np.empty(len(key_buf))
+        # flat key of (label - 1, cell - first) on the grid of shape (groups,
+        # *dims), a block of points and one axis at a time through two
+        # buffers; every value is an integer below 2^53, so the float sums
+        # are exact
+        flat = occ.reshape(-1)
+        for a in range(0, count, block):
+            b = min(a + block, count)
+            key, cell = key_buf[:b - a], cell_buf[:b - a]
+            key[...] = labels[start + a:start + b]
+            key -= 1
+            for j, (f, size) in enumerate(zip(first, occ.shape[1:])):
+                np.multiply(chunk[a:b, j], scale, out=cell)
+                np.floor(cell, out=cell)
+                cell -= f
+                key *= size
+                np.add(key, cell, out=key, casting="unsafe")
+            flat[key] = True
+        start += count
+    if grow:
+        occ = occ[(slice(None),) + tuple(slice(l - f, e - f) for l, e, f in zip(*box, first))]
+        first = box[0]
+    return occ, first
+
+
+def _empty_grid(groups: int, dims) -> np.ndarray:
+    """A zeroed bool grid of shape (groups, *dims), refused before it is
+    allocated if it has more than MAX_GRID_CELLS cells."""
     if prod(dims) > MAX_GRID_CELLS:
         raise ValueError(f"occupancy grid of {prod(dims):.3g} cells too large for a dense count")
-    occ = np.zeros(groups * prod(dims), dtype=bool)
-    # flat key of (label - 1, cell - first) on the grid of shape (groups, *dims),
-    # a block of points and one axis at a time through two buffers; every
-    # value is an integer below 2^53, so the float sums are exact
-    block = numeration.BLOCK
-    count = len(labels)
-    key_buf = np.empty(min(block, count), dtype=np.int64)
-    cell_buf = np.empty(len(key_buf))
-    for a in range(0, count, block):
-        b = min(a + block, count)
-        key, cell = key_buf[:b - a], cell_buf[:b - a]
-        key[...] = labels[a:b]
-        key -= 1
-        for j, (f, size) in enumerate(zip(first, dims)):
-            np.multiply(points[a:b, j], scale, out=cell)
-            np.floor(cell, out=cell)
-            cell -= f
-            key *= size
-            np.add(key, cell, out=key, casting="unsafe")
-        occ[key] = True
-    return occ.reshape((groups, *dims)), first
+    return np.zeros((groups, *dims), dtype=bool)
+
+
+def _cell_box(chunk: np.ndarray, scale: float, box):
+    """(first, end) of the cells of `chunk` with one empty cell on every
+    side, joined with the box `box` unless that is None."""
+    # x -> floor(x * scale) is monotone in float64, so the extreme cells are
+    # the cells of the extreme coordinates
+    lo = tuple(int(c) - 1 for c in np.floor(chunk.min(axis=0) * scale))
+    end = tuple(int(c) + 2 for c in np.floor(chunk.max(axis=0) * scale))
+    if box is None:
+        return lo, end
+    return tuple(map(min, lo, box[0])), tuple(map(max, end, box[1]))
+
+
+def _grid_holding(occ, first, box, groups: int):
+    """(grid, first cell) holding the cells of `box`: the grid `occ` (None
+    before the first chunk), whose first cell is `first`, if it does, else
+    a new grid with the marks of `occ`.  The first grid is the box.  A grid
+    that has grown once is likely to grow again, so a later one reaches
+    1/64 of the box's extent past it on every side, unless that passes
+    MAX_GRID_CELLS."""
+    lo, end = box
+    if occ is not None and all(f <= l and e <= f + n for l, e, f, n
+                               in zip(lo, end, first, occ.shape[1:])):
+        return occ, first
+    dims = [e - l for l, e in zip(lo, end)]
+    room = [0 if occ is None else d // 64 + 1 for d in dims]
+    if prod(d + 2 * r for d, r in zip(dims, room)) > MAX_GRID_CELLS:
+        room = [0] * len(dims)
+    grown = _empty_grid(groups, [d + 2 * r for d, r in zip(dims, room)])
+    grown_first = tuple(l - r for l, r in zip(lo, room))
+    if occ is not None:
+        # every mark of `occ` lies in the box, so its part inside the box
+        # is all that is copied
+        part = [(max(f, l), min(f + n, e)) for f, n, l, e in zip(first, occ.shape[1:], lo, end)]
+        grown[(slice(None),) + tuple(slice(a - g, z - g) for (a, z), g in zip(part, grown_first))] \
+            = occ[(slice(None),) + tuple(slice(a - f, z - f) for (a, z), f in zip(part, first))]
+    return grown, grown_first
 
 
 # points per grid cell that the tiling and set-equation checks require

@@ -136,6 +136,7 @@ def test_commands_load_neither_mpmath_nor_verify():
               "assert cli.main(['exponent', '--ms', '2,3', '--dims', '0,1.09336']) == 0\n"
               "assert cli.main(['disc', 'multi', '--ms', '2,3', '--count', '64']) == 0\n"
               "assert cli.main(['disc', '1d', '--m', '3', '--count', '1000']) == 0\n"
+              "assert cli.main(['dim', '--m', '3', '--depth', '20000', '--levels', '3-5']) == 0\n"
               "print(sorted({'mpmath', 'mbonacci.verify'} & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True)
@@ -157,6 +158,34 @@ def test_disc_fit_json():
     assert payload["exponent"] <= -0.8
     assert 0.0 <= payload["r2"] <= 1.0
     assert payload["exact"] is True
+
+
+def test_one_axis_halton_reads_the_closed_form(capsys, monkeypatch):
+    # one axis is the van der Corput set: `disc multi` and every sample of
+    # `disc fit` report `disc 1d`'s value, and no point is made
+    from mbonacci import cli, discrepancy, numeration, rotation
+
+    def bulk(*args):
+        raise AssertionError("the bulk route ran")
+
+    samples = []
+    fit = discrepancy.decay_fit
+
+    def recorded_fit(given):
+        samples.extend(given)
+        return fit(given)
+
+    monkeypatch.setattr(rotation, "halton_points", bulk)
+    monkeypatch.setattr(discrepancy, "star_disc", bulk)
+    monkeypatch.setattr(discrepancy, "decay_fit", recorded_fit)
+    assert cli.main(["disc", "multi", "--ms", "2", "--count", "2000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2.468520585084859e-06
+    assert cli.main(["disc", "fit", "--ms", "3", "--min-exp", "4", "--max-exp", "9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    system = numeration.make_system(3)
+    assert samples == [(2 ** e, rotation.star_discrepancy(system, 2 ** e).value)
+                       for e in range(4, 10)]
+    assert payload["N"] == 512 and payload["value"] == samples[-1][1]
 
 
 def test_disc_file(tmp_path):
@@ -236,6 +265,24 @@ def test_dim_json():
     assert payload["levels"] == [3, 4, 5, 6]
     assert len(payload["counts"]) == 4
     assert payload["value"] <= 0.2
+
+
+def test_dim_builds_no_cloud_array(capsys, monkeypatch):
+    # the command's box count reads the points as they are computed, so
+    # the cloud never fills its `unreduced` array
+    from mbonacci import cli, rauzy
+
+    clouds = []
+    build = rauzy.build_cloud
+
+    def recorded_build(*args):
+        clouds.append(build(*args))
+        return clouds[-1]
+
+    monkeypatch.setattr(rauzy, "build_cloud", recorded_build)
+    assert cli.main(["dim", "--m", "3", "--depth", "100000", "--levels", "3-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 100001
+    assert len(clouds) == 1 and "unreduced" not in clouds[0].__dict__
 
 
 def test_fractal_csv_and_ppm(tmp_path):
@@ -374,19 +421,16 @@ def test_module_error_exit_1():
         assert f"--max-exp must be <= 26, the count limit 2^26, got {hi}" in out.stderr, hi
     out = run_cli("local-disc", "--m", "2", "--k", "-1", "--count", "10")
     assert out.returncode == 1 and "k must be >= 0, got -1" in out.stderr
-    # a Halton set of one axis is the van der Corput set, with the same
-    # report but for the value: the sorted formula on the float points is
-    # within 2^-52 of `disc 1d`'s closed form, which is the 60-digit mpmath
-    # value rounded once
+    # a Halton set of one axis is the van der Corput set, so its report is
+    # `disc 1d`'s, read off the code of the count and rounded once
     reports = []
     for argv in (("disc", "multi", "--ms", "3", "--count", "1000"),
                  ("disc", "1d", "--m", "3", "--count", "1000")):
         out = run_cli(*argv)
         assert out.returncode == 0 and out.stderr == "", argv
         reports.append({k: v for k, v in json.loads(out.stdout).items() if k != "wall_seconds"})
-    values = [report.pop("value") for report in reports]
     assert reports[0] == reports[1] and reports[0]["method"] == "exact1d"
-    assert values[1] == 0.0030444632970767944 and abs(values[0] - values[1]) <= 2 ** -52
+    assert reports[0]["value"] == 0.0030444632970767944
     for levels in ("4", "4,4"):
         out = run_cli("dim", "--m", "3", "--depth", "1000", "--levels", levels)
         assert out.returncode == 1 and out.stdout == "", levels

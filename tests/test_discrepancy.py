@@ -834,6 +834,21 @@ def test_box_dim_boundary_memory():
     assert peak < 6 * 2 ** 20
 
 
+def test_dim_memory():
+    # the whole `dim` computation: the 1 MB word, the level-9 letter grid
+    # and the grid it grows from, and the block buffers (5.80 MiB
+    # measured), with no array of the cloud's points
+    tracemalloc.start()
+    try:
+        cloud = rauzy.build_cloud(3, 10 ** 6)
+        box_dim_boundary(cloud, range(4, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert "unreduced" not in cloud.__dict__
+
+
 def test_box_dim_frozen_counts():
     # the counts `dim --m 3 --depth 1000000` reports, and its value, their
     # least-squares slope, to 1e-12 (it is LAPACK's)

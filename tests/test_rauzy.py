@@ -164,13 +164,60 @@ def test_blocked_cloud_and_grid_across_block_seams(m):
             assert first == want_first and np.array_equal(got, want), (depth, dims)
 
 
+@pytest.mark.parametrize("block", [None, 64], ids=["BLOCK", "BLOCK=64"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_grid_from_generated_blocks_equals_grid_from_array(m, block, monkeypatch):
+    # the grid grows to each generated block's box plus the margin and ends
+    # as the array's one pre-scanned grid; at 64 points a block it grows
+    # many times
+    grids = []
+    empty_grid = rauzy._empty_grid
+
+    def recorded_grid(*args):
+        grids.append(args)
+        return empty_grid(*args)
+
+    monkeypatch.setattr(rauzy, "_empty_grid", recorded_grid)
+    if block:
+        monkeypatch.setattr(numeration, "BLOCK", block)
+    scale = {2: 4096.0, 3: 256.0, 4: 32.0, 5: 8.0}[m]
+    for depth in (2 * numeration.BLOCK + 4, 3 * 10 ** 4 + 7):
+        cloud = build_cloud(m, depth)
+        grids.clear()
+        got, first = rauzy.letter_grid(cloud.unreduced_blocks(), cloud.labels, m, scale)
+        grown = len(grids)
+        assert "unreduced" not in cloud.__dict__
+        want, want_first = rauzy.letter_grid(cloud.unreduced, cloud.labels, m, scale)
+        assert len(grids) == grown + 1
+        assert first == want_first and np.array_equal(got, want), depth
+        # the array is the blocks, written in place
+        assert np.array_equal(cloud.unreduced, _one_shot_cloud(m, depth))
+        if block and depth > 10 ** 4:
+            assert grown > 1
+
+
+def test_grid_growth_keeps_to_the_cell_limit(monkeypatch):
+    # a grid grows with room to spare only within MAX_GRID_CELLS: a box of
+    # exactly the limit is allocated as it is, and one cell more is refused
+    monkeypatch.setattr(rauzy, "MAX_GRID_CELLS", 1000)
+    labels = np.ones(3, dtype=np.uint8)
+    chunks = [np.array([[0.0]]), np.array([[5.0], [997.0]])]
+    occ, first = rauzy.letter_grid(iter(chunks), labels, 1, 1.0)
+    assert first == (-1,) and occ.shape == (1, 1000)
+    assert np.flatnonzero(occ[0]).tolist() == [1, 6, 998]
+    chunks[1][1] = 998.0
+    with pytest.raises(ValueError, match="occupancy grid of 1e\\+03 cells too large"):
+        rauzy.letter_grid(iter(chunks), labels, 1, 1.0)
+
+
 def test_build_cloud_memory():
-    # the 16 MB of coordinates and the 1 MB word, with a few block buffers
-    # of 256 KB beside them (17.25 MiB measured); the letter counts, the
-    # indices and the products have no array of full length
+    # the 16 MB of coordinates, filled on first use, and the 1 MB word,
+    # with a few block buffers of 256 KB beside them (17.25 MiB measured);
+    # the letter counts, the indices and the products have no array of
+    # full length
     tracemalloc.start()
     try:
-        build_cloud(3, 10 ** 6)
+        build_cloud(3, 10 ** 6).unreduced
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
